@@ -1,7 +1,7 @@
 """Generalized Moebius-type multiplicative functions and their summatory
-asymptotics: exact point evaluation, segmented sieves with a compiled kernel
-(NumPy fallback selected at import), Euler-product constants with certified
-tail bounds, and empirical error-term scans.
+asymptotics: exact point evaluation, segmented sieves with one NumPy kernel,
+Euler-product constants with certified tail bounds, and empirical error-term
+scans.
 """
 
 from .arith import (
@@ -44,8 +44,6 @@ from .functions import (
 from .sieve import (
     SieveBlock,
     SieveConfig,
-    available_backends,
-    default_backend,
     segment_memory_estimate,
     sieve_mu_km,
     sieve_qk,
@@ -98,8 +96,6 @@ __all__ = [
     "theta",
     "SieveBlock",
     "SieveConfig",
-    "available_backends",
-    "default_backend",
     "segment_memory_estimate",
     "sieve_mu_km",
     "sieve_qk",

@@ -81,7 +81,6 @@ def scan(
     prime_limit: int | None = None,
     tol: float = DEFAULT_TOL,
     config: SieveConfig | None = None,
-    backend: str | None = None,
 ) -> list[ScanRow]:
     """One ScanRow per checkpoint, S from a single streaming pass.
 
@@ -97,7 +96,7 @@ def scan(
     z = zeta(o.k, tol)
     psi_f = float(psi_k(n, o.k))
     an_f = float(alpha_n(o, n))
-    sums = stream_sum(checkpoints[-1], o, coprime_to, checkpoints, config, backend)
+    sums = stream_sum(checkpoints[-1], o, coprime_to, checkpoints, config)
     e_uncond = 1.0 / o.k
     e_rh = 2.0 / (2 * o.k + 1)
     rows = []
@@ -116,10 +115,9 @@ def conjecture_scan(
     prime_limit: int | None = None,
     tol: float = DEFAULT_TOL,
     config: SieveConfig | None = None,
-    backend: str | None = None,
 ) -> list[ScanRow]:
     """Scan with m = k: the density is the conjectured one for mu_k."""
-    return scan(OrderPair(k, k), coprime_to, checkpoints, prime_limit, tol, config, backend)
+    return scan(OrderPair(k, k), coprime_to, checkpoints, prime_limit, tol, config)
 
 
 def fit_exponent(rows: list[ScanRow]) -> FitResult:

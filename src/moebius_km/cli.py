@@ -19,13 +19,7 @@ from decimal import Decimal, InvalidOperation
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
 from .constants import PrecisionError, alpha, apostol_A, default_prime_limit, zeta
 from .functions import OrderPair, mu_km
-from .sieve import (
-    SieveConfig,
-    available_backends,
-    default_worker_count,
-    segment_memory_estimate,
-    stream_sum,
-)
+from .sieve import SieveConfig, default_worker_count, segment_memory_estimate, stream_sum
 from .summatory import SumQuery, sum_convolution, sum_direct
 
 EXIT_OK = 0
@@ -136,7 +130,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--limit", type=_int_flag, default=None)
 
-    p = sub.add_parser("bench", help="streaming throughput report per backend")
+    p = sub.add_parser("bench", help="streaming throughput report")
     p.add_argument("--x", type=_int_flag, required=True)
     p.add_argument("--segment", type=_int_flag, default=1 << 20)
     p.add_argument("--threads", type=_int_flag, default=None)
@@ -241,22 +235,14 @@ def _cmd_bench(args) -> int:
         raise ValueError("bench requires x >= 1e6")
     threads = args.threads if args.threads is not None else default_worker_count()
     config = SieveConfig(segment_size=args.segment, worker_count=threads)
-    order = OrderPair(2, 3)
-    sums = {}
-    for backend in available_backends():
-        start = time.perf_counter()
-        value = stream_sum(args.x, order, 1, [args.x], config, backend)[0][1]
-        elapsed = time.perf_counter() - start
-        sums[backend] = value
-        mem = segment_memory_estimate(config, backend)
-        print(
-            f"backend={backend} x={args.x} segment={args.segment} threads={threads} "
-            f"elapsed={elapsed:.3f}s rate={args.x / elapsed:.3e}/s "
-            f"segment_memory={mem}B sum={value}"
-        )
-    if len(set(sums.values())) > 1:
-        print(f"error: backends disagree: {sums}", file=sys.stderr)
-        return EXIT_VERIFY
+    start = time.perf_counter()
+    value = stream_sum(args.x, OrderPair(2, 3), 1, [args.x], config)[0][1]
+    elapsed = time.perf_counter() - start
+    print(
+        f"x={args.x} segment={args.segment} threads={threads} "
+        f"elapsed={elapsed:.3f}s rate={args.x / elapsed:.3e}/s "
+        f"segment_memory={segment_memory_estimate(config)}B sum={value}"
+    )
     return EXIT_OK
 
 

@@ -1,15 +1,21 @@
 """Segmented sieves streaming mu_{k,m} and k-free values in bounded memory.
 
-A compiled kernel module is preferred when the extension built; otherwise a
-NumPy fallback with identical semantics is used.  Either way the public
-operations are deterministic: segments are reduced in ascending order and
-all arithmetic is exact integer arithmetic, so results do not depend on the
-segment size or the worker count.
+One NumPy kernel fills every block, and no step of it divides per cell.
+Primes whose k-th power fits in the block are applied with strided slice
+writes only.  Every other prime hits a block at most once, so those primes
+are applied in a vectorized pass over the prime array: first-hit offsets,
+then an exponent loop over the hits alone.  This is the bucket idea of
+Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).
+
+The public operations are deterministic: segments are reduced in ascending
+order and all arithmetic is exact integer arithmetic, so results do not
+depend on the segment size or the worker count.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,43 +23,15 @@ import numpy as np
 
 from .arith import as_factored
 from .functions import OrderPair, as_order
-from .primes import iroot, primes_up_to
-
-try:
-    from . import _sieve_kernels as _compiled
-except ImportError:  # extension not built
-    _compiled = None
-from . import _sieve_fallback as _fallback
+from .primes import _PRIME_TABLE_CAP, iroot, primes_up_to
 
 MAX_RANGE = 1 << 62
 
-# Coarse per-cell working-set estimates (bytes) used for the memory report:
-# the compiled kernel touches only the int8 output row; the NumPy kernel
-# additionally materializes sparse int64 offset/value temporaries whose peak
-# is bounded by a few times n_cells/2**k * 8 bytes, rounded up generously.
-_BYTES_PER_CELL = {"compiled": 1.0, "python": 8.0}
-_REDUCER_BYTES_PER_CELL = 8  # one int64 cumsum row for checkpoint segments
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the kernel backends importable in this process."""
-    return ("compiled", "python") if _compiled is not None else ("python",)
-
-
-def default_backend() -> str:
-    return "compiled" if _compiled is not None else "python"
-
-
-def _impl(backend: str | None):
-    if backend is None:
-        backend = default_backend()
-    if backend == "compiled":
-        if _compiled is None:
-            raise ValueError("compiled backend requested but extension not built")
-        return _compiled
-    if backend == "python":
-        return _fallback
-    raise ValueError(f"unknown backend {backend!r}")
+# Peak bytes one worker holds per cell of its segment: the int8 block, the
+# saved exponent-m slice of the small-prime pass (at most a quarter cell) and
+# the large-prime temporaries (an int64 offset and a bool per prime, at most
+# one prime per eight cells), with room to spare.
+_CELL_BYTES = 3
 
 
 def default_worker_count() -> int:
@@ -94,32 +72,95 @@ class SieveBlock:
     values: np.ndarray
 
 
-def segment_memory_estimate(config: SieveConfig, backend: str | None = None) -> int:
+def segment_memory_estimate(config: SieveConfig) -> int:
     """Upper estimate (bytes) of the peak sieve working set for a config.
 
-    Counts the per-worker block rows plus one reducer cumsum row; the
-    estimate is independent of the range being streamed.
+    Counts the arrays each worker holds for its segment; the estimate is
+    independent of the range being streamed.  The shared prime table is
+    not included.
     """
-    if backend is None:
-        backend = default_backend()
-    per_cell = _BYTES_PER_CELL[backend]
-    return int(
-        config.worker_count * config.segment_size * per_cell
-        + config.segment_size * _REDUCER_BYTES_PER_CELL
-    )
+    return config.worker_count * config.segment_size * _CELL_BYTES
 
 
-def _validate_range(lo: int, hi: int) -> None:
+def _max_range(k: int) -> int:
+    """Largest hi the sieves accept for order k.
+
+    Sieving primes stop at the prime table cap, so hi must stay below
+    (cap + 1)**k; for k >= 3 that is beyond 2**62.
+    """
+    return min(MAX_RANGE, (_PRIME_TABLE_CAP + 1) ** k - 1)
+
+
+def _validate_range(lo: int, hi: int, k: int) -> None:
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    if hi > MAX_RANGE:
-        raise ValueError("hi exceeds supported range 2**62")
+    limit = _max_range(k)
+    if hi > limit:
+        raise ValueError(f"hi={hi} exceeds the supported range {limit} for k={k}")
 
 
-def _mu_km_segment(lo: int, n_cells: int, order: OrderPair, primes, impl) -> np.ndarray:
+def _sieve_block(lo: int, n_cells: int, k: int, m: int, primes, powers) -> np.ndarray:
+    """mu_{k,m}(lo + i) for i in range(n_cells) as an int8 array.
+
+    ``powers`` holds primes**k.  Only primes with p**k <= hi matter, since
+    exponents below k contribute a factor 1.  An m with 2**m > hi makes the
+    result the k-free indicator, as no exponent can equal m.
+    """
     out = np.ones(n_cells, dtype=np.int8)
-    impl.mu_km_block(lo, n_cells, order.k, order.m, primes, out)
+    hi = lo + n_cells - 1
+    split = int(np.searchsorted(powers, n_cells, side="right"))
+    end = int(np.searchsorted(powers, hi, side="right"))
+
+    # Small primes: exponent in [k, m) or above m zeroes a cell, exponent m
+    # flips it.  Save the multiples of p**m, zero the multiples of p**k,
+    # write the saved values back negated, then zero the multiples of p**(m+1).
+    for p in primes[:split].tolist():
+        q = p**k
+        pm = p**m
+        if pm > hi:
+            out[-lo % q :: q] = 0
+            continue
+        s_m = -lo % pm
+        flipped = -out[s_m::pm]
+        out[-lo % q :: q] = 0
+        out[s_m::pm] = flipped
+        pm1 = pm * p
+        if pm1 <= hi:
+            out[-lo % pm1 :: pm1] = 0
+
+    # Large primes hit the block at most once each; a chunk of them is
+    # processed at a time so the temporaries stay proportional to the block.
+    chunk = max(1, n_cells // 8)
+    for start in range(split, end, chunk):
+        stop = min(start + chunk, end)
+        offs = -lo % powers[start:stop]
+        hit = np.flatnonzero(offs < n_cells)
+        if not hit.size:
+            continue
+        offs = offs[hit]
+        hit_p = primes[start:stop][hit]
+        cofactor = (lo + offs) // powers[start:stop][hit]
+        extra = np.zeros(hit.size, dtype=np.int64)  # exponent minus k
+        live = np.flatnonzero(cofactor % hit_p == 0)
+        while live.size:
+            extra[live] += 1
+            cofactor[live] //= hit_p[live]
+            live = live[cofactor[live] % hit_p[live] == 0]
+        flip = extra == m - k
+        out[offs[~flip]] = 0
+        # Two primes can flip one cell: an indexed assignment would apply
+        # the repeated index once, multiply.at applies it twice.
+        np.multiply.at(out, offs[flip], -1)
     return out
+
+
+def _check_block(lo: int, hi: int, k: int, config: SieveConfig | None) -> int:
+    _validate_range(lo, hi, k)
+    n_cells = hi - lo + 1
+    segment_size = (config or SieveConfig()).segment_size
+    if n_cells > segment_size:
+        raise ValueError(f"block length {n_cells} exceeds segment_size {segment_size}")
+    return n_cells
 
 
 def sieve_mu_km(
@@ -127,7 +168,6 @@ def sieve_mu_km(
     hi: int,
     order: OrderPair | tuple[int, int],
     config: SieveConfig | None = None,
-    backend: str | None = None,
 ) -> SieveBlock:
     """Exact mu_{k,m} values over [lo, hi] as one block.
 
@@ -135,15 +175,9 @@ def sieve_mu_km(
     :func:`stream_sum` for longer ranges.
     """
     o = as_order(order)
-    cfg = config or SieveConfig()
-    _validate_range(lo, hi)
-    n_cells = hi - lo + 1
-    if n_cells > cfg.segment_size:
-        raise ValueError(
-            f"block length {n_cells} exceeds segment_size {cfg.segment_size}"
-        )
+    n_cells = _check_block(lo, hi, o.k, config)
     primes = primes_up_to(iroot(hi, o.k))
-    out = _mu_km_segment(lo, n_cells, o, primes, _impl(backend))
+    out = _sieve_block(lo, n_cells, o.k, o.m, primes, primes**o.k)
     return SieveBlock(lo, hi, out)
 
 
@@ -152,21 +186,14 @@ def sieve_qk(
     hi: int,
     k: int,
     config: SieveConfig | None = None,
-    backend: str | None = None,
 ) -> SieveBlock:
     """k-free indicator values over [lo, hi] as one block."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    cfg = config or SieveConfig()
-    _validate_range(lo, hi)
-    n_cells = hi - lo + 1
-    if n_cells > cfg.segment_size:
-        raise ValueError(
-            f"block length {n_cells} exceeds segment_size {cfg.segment_size}"
-        )
+    n_cells = _check_block(lo, hi, k, config)
     primes = primes_up_to(iroot(hi, k))
-    out = np.ones(n_cells, dtype=np.int8)
-    _impl(backend).qk_block(lo, n_cells, k, primes, out)
+    # With m = hi.bit_length(), 2**m > hi: no exponent can equal m.
+    out = _sieve_block(lo, n_cells, k, hi.bit_length(), primes, primes**k)
     return SieveBlock(lo, hi, out)
 
 
@@ -179,13 +206,27 @@ def _mask_non_coprime(block: np.ndarray, seg_lo: int, coprime_primes: list[int])
             block[start::p] = 0
 
 
+def _ordered_map(fn, items, workers: int):
+    """fn over items, results in input order, at most 2 * workers in flight."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+
+
 def stream_sum(
     x: int,
     order: OrderPair | tuple[int, int],
     coprime_to: int = 1,
     checkpoints: list[int] | None = None,
     config: SieveConfig | None = None,
-    backend: str | None = None,
 ) -> list[tuple[int, int]]:
     """Partial sums of mu_{k,m} over r <= checkpoint with gcd(r, coprime_to) = 1.
 
@@ -196,7 +237,7 @@ def stream_sum(
     """
     o = as_order(order)
     cfg = config or SieveConfig()
-    _validate_range(1, x)
+    _validate_range(1, x, o.k)
     if coprime_to < 1:
         raise ValueError("coprime_to must be >= 1")
     cps = [x] if checkpoints is None else list(checkpoints)
@@ -208,44 +249,36 @@ def stream_sum(
     if cps[0] < 1 or cps[-1] > x:
         raise ValueError("checkpoints must lie in [1, x]")
 
-    impl = _impl(backend)
     primes = primes_up_to(iroot(x, o.k))
+    powers = primes**o.k
     coprime_primes = [p for p, _ in as_factored(coprime_to).factors]
 
     seg = cfg.segment_size
-    seg_bounds = [(lo, min(lo + seg - 1, x)) for lo in range(1, x + 1, seg)]
-
     # Map checkpoints to their segment index (they are ascending).
     cps_by_seg: dict[int, list[int]] = {}
     for c in cps:
         cps_by_seg.setdefault((c - 1) // seg, []).append(c)
 
-    def segment_result(bounds: tuple[int, int]):
-        seg_lo, seg_hi = bounds
-        n_cells = seg_hi - seg_lo + 1
-        block = _mu_km_segment(seg_lo, n_cells, o, primes, impl)
+    def segment_result(seg_lo: int):
+        n_cells = min(seg, x - seg_lo + 1)
+        block = _sieve_block(seg_lo, n_cells, o.k, o.m, primes, powers)
         _mask_non_coprime(block, seg_lo, coprime_primes)
-        seg_index = (seg_lo - 1) // seg
-        local_cps = cps_by_seg.get(seg_index)
-        if local_cps is None:
-            return int(block.sum(dtype=np.int64)), None
-        cum = np.cumsum(block, dtype=np.int64)
-        partials = [(c, int(cum[c - seg_lo])) for c in local_cps]
-        return int(cum[-1]), partials
+        # Sum the block piece by piece between checkpoints.
+        partials = []
+        acc = 0
+        start = 0
+        for c in cps_by_seg.get((seg_lo - 1) // seg, ()):
+            stop = c - seg_lo + 1
+            acc += int(block[start:stop].sum(dtype=np.int64))
+            start = stop
+            partials.append((c, acc))
+        return acc + int(block[start:].sum(dtype=np.int64)), partials
 
     results: list[tuple[int, int]] = []
     running = 0
-    if cfg.worker_count == 1:
-        produced = map(segment_result, seg_bounds)
-    else:
-        pool = ThreadPoolExecutor(max_workers=cfg.worker_count)
-        produced = pool.map(segment_result, seg_bounds)
-    try:
-        for total, partials in produced:
-            if partials is not None:
-                results.extend((c, running + s) for c, s in partials)
-            running += total
-    finally:
-        if cfg.worker_count > 1:
-            pool.shutdown(wait=True)
+    for total, partials in _ordered_map(
+        segment_result, range(1, x + 1, seg), cfg.worker_count
+    ):
+        results.extend((c, running + s) for c, s in partials)
+        running += total
     return results

@@ -93,11 +93,9 @@ def qk_count(x: int, n: int, k: int) -> int:
     return total
 
 
-def sum_direct(
-    q: SumQuery, config: SieveConfig | None = None, backend: str | None = None
-) -> int:
+def sum_direct(q: SumQuery, config: SieveConfig | None = None) -> int:
     """S(x; n) by one streaming sieve pass."""
-    return stream_sum(q.x, q.order, q.coprime_to, [q.x], config, backend)[0][1]
+    return stream_sum(q.x, q.order, q.coprime_to, [q.x], config)[0][1]
 
 
 def sum_convolution(q: SumQuery) -> int:

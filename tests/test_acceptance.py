@@ -1,12 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the full suite streams a few times over 1e7..1e8 integers and
-finishes in a couple of minutes with the compiled kernel (longer on the
-NumPy fallback).
+lines; the full suite streams a few times over 1e7..1e8 integers.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -162,30 +161,25 @@ def test_criterion_11_performance_and_determinism():
     budget = 64 * 2**20
     cfg1 = SieveConfig(segment_size=1 << 20, worker_count=1)
     cfg4 = SieveConfig(segment_size=1 << 20, worker_count=4)
-    assert segment_memory_estimate(cfg4) <= budget
-    try:
-        import os
-
-        import psutil
-
-        rss_before = psutil.Process(os.getpid()).memory_info().rss
-    except ImportError:
-        rss_before = None
+    estimate = segment_memory_estimate(cfg4)
+    assert estimate <= budget
     start = time.perf_counter()
     s1 = stream_sum(10**8, (2, 3), config=cfg1)[0][1]
     mid = time.perf_counter()
-    s4 = stream_sum(10**8, (2, 3), config=cfg4)[0][1]
+    tracemalloc.start()
+    try:
+        s4 = stream_sum(10**8, (2, 3), config=cfg4)[0][1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     done = time.perf_counter()
     assert s1 == s4
-    rss_note = ""
-    if rss_before is not None:
-        delta = psutil.Process(os.getpid()).memory_info().rss - rss_before
-        rss_note = f", rss_delta={delta / 2**20:.0f}MiB"
+    assert peak <= estimate, (peak, estimate)
     _report(
         11,
         "performance",
-        f"S(1e8)={s1}, 1-thread {mid - start:.2f}s, 4-thread {done - mid:.2f}s, "
-        f"estimate={segment_memory_estimate(cfg4) / 2**20:.0f}MiB<=64MiB{rss_note}",
+        f"S(1e8)={s1}, 1-thread {mid - start:.2f}s, 4-thread traced {done - mid:.2f}s, "
+        f"peak={peak / 2**20:.1f}MiB<=estimate={estimate / 2**20:.0f}MiB<=64MiB",
     )
 
 

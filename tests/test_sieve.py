@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_mu_km, oracle_qk
-from moebius_km.arith import gcd
+from moebius_km.arith import factorize, gcd
 from moebius_km.functions import mu_km, q_k
+from moebius_km.primes import _PRIME_TABLE_CAP, iroot
 from moebius_km.sieve import (
+    MAX_RANGE,
     SieveConfig,
-    available_backends,
-    default_backend,
+    _max_range,
     segment_memory_estimate,
     sieve_mu_km,
     sieve_qk,
     stream_sum,
 )
-
-BACKENDS = available_backends()
 
 
 def test_block_example_one_to_twelve():
@@ -140,17 +140,78 @@ def test_segment_and_worker_independence():
             assert got == reference, (segment_size, workers)
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-def test_backends_agree():
-    for lo, hi in ((1, 4096), (10**7 + 1, 10**7 + 4096)):
-        a = sieve_mu_km(lo, hi, (2, 4), backend="compiled").values
-        b = sieve_mu_km(lo, hi, (2, 4), backend="python").values
-        assert np.array_equal(a, b)
-        qa = sieve_qk(lo, hi, 2, backend="compiled").values
-        qb = sieve_qk(lo, hi, 2, backend="python").values
-        assert np.array_equal(qa, qb)
-    sums = {b: stream_sum(10**6, (2, 2), 6, [10**6], backend=b) for b in BACKENDS}
-    assert sums["compiled"] == sums["python"]
+def _assert_blocks_match_pointwise(lo, hi, orders, segment_size):
+    cfg = SieveConfig(segment_size=segment_size)
+    blocks = {o: sieve_mu_km(lo, hi, o, cfg).values for o in orders}
+    ks = sorted({k for k, _ in orders})
+    qblocks = {k: sieve_qk(lo, hi, k, cfg).values for k in ks}
+    for i, n in enumerate(range(lo, hi + 1)):
+        fn = factorize(n)
+        for o, values in blocks.items():
+            assert values[i] == mu_km(fn, o), (n, o)
+        for k, values in qblocks.items():
+            assert values[i] == q_k(fn, k), (n, k)
+
+
+def test_kernel_two_large_primes_flip_one_cell():
+    # 92623806 = 2 * 3**2 * 11**2 * 23 * 43**2: in a 100-cell block 11 and 43
+    # are both large primes, and both flip this cell for (2, 2).
+    n = 92623806
+    assert factorize(n).factors == ((2, 1), (3, 2), (11, 2), (23, 1), (43, 2))
+    _assert_blocks_match_pointwise(n - 50, n + 49, [(2, 2), (2, 3)], 100)
+    assert sieve_mu_km(n - 50, n + 49, (2, 2)).values[50] == -1
+
+
+@pytest.mark.parametrize("p", [61, 67])
+@pytest.mark.parametrize("power", [2, 3, 4])
+def test_kernel_at_small_large_prime_cut(p, power):
+    # With 4096-cell blocks 61**2 = 3721 is sieved by slices, 67**2 = 4489
+    # by the large-prime pass; windows centre on p**2, p**3 and p**4.
+    centre = p**power
+    lo = max(1, centre - 2048)
+    _assert_blocks_match_pointwise(lo, lo + 4095, [(2, 2), (2, 3), (2, 4)], 4096)
+
+
+def test_kernel_at_top_of_domain():
+    _assert_blocks_match_pointwise(2**62 - 4096, 2**62, [(3, 4), (3, 5), (4, 6)], 4097)
+
+
+def test_domain_limit_per_k():
+    # Sieving primes stop at the prime table cap, which bounds hi for k = 2.
+    top = _max_range(2)
+    assert top == (2**26 + 1) ** 2 - 1 == 4503599761588224
+    assert iroot(top, 2) == _PRIME_TABLE_CAP < iroot(top + 1, 2)
+    assert top < MAX_RANGE
+    with pytest.raises(ValueError, match=f"{top} for k=2"):
+        sieve_mu_km(2**62 - 100, 2**62, (2, 3))
+    with pytest.raises(ValueError, match=f"{top} for k=2"):
+        sieve_qk(top - 99, top + 1, 2)
+    with pytest.raises(ValueError, match=f"{top} for k=2"):
+        stream_sum(top + 1, (2, 2))
+    for k in (3, 4, 7):
+        assert _max_range(k) == MAX_RANGE
+        assert iroot(MAX_RANGE, k) <= _PRIME_TABLE_CAP
+        with pytest.raises(ValueError, match=f"for k={k}"):
+            sieve_qk(MAX_RANGE - 9, MAX_RANGE + 1, k)
+    assert sieve_qk(MAX_RANGE - 9, MAX_RANGE, 3).values.tolist() == [
+        q_k(n, 3) for n in range(MAX_RANGE - 9, MAX_RANGE + 1)
+    ]
+
+
+def test_stream_sum_memory_independent_of_segment_count():
+    cfg = SieveConfig(segment_size=1024, worker_count=2)
+    stream_sum(3000 * 1024, (3, 4), config=cfg)  # warm the prime table
+
+    def peak(n_segments):
+        tracemalloc.start()
+        try:
+            stream_sum(n_segments * 1024, (3, 4), config=cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(300), peak(3000)
+    assert large <= small + 64 * 1024, (small, large)
 
 
 @given(
@@ -166,11 +227,6 @@ def test_stream_sum_matches_brute_force(x, n, order, seg_exp):
     assert stream_sum(x, order, n, [x], cfg) == [(x, expected)]
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        sieve_mu_km(1, 10, (2, 3), backend="fortran")
-
-
 def test_qk_values_are_indicator():
     vals = sieve_qk(1, 10**4, 2).values
     assert set(np.unique(vals).tolist()) <= {0, 1}
@@ -179,12 +235,5 @@ def test_qk_values_are_indicator():
 
 def test_memory_estimate_within_budget():
     cfg = SieveConfig(segment_size=1 << 20, worker_count=4)
-    for backend in BACKENDS:
-        assert segment_memory_estimate(cfg, backend) <= 64 * 2**20
+    assert segment_memory_estimate(cfg) <= 64 * 2**20
 
-
-def test_default_backend_prefers_compiled():
-    if "compiled" in BACKENDS:
-        assert default_backend() == "compiled"
-    else:
-        assert default_backend() == "python"
