@@ -9,6 +9,7 @@ parameter schedule for the remaining cofactors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,11 @@ def _factor_large(n: int, out: list[tuple[int, int]]) -> None:
     _factor_large(n, out)
 
 
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    return tuple(prime_list_up_to(_TRIAL_LIMIT))
+
+
 def factorize(n: int) -> FactoredInteger:
     """Canonical prime factorization of n, for 1 <= n <= 2**63 - 1."""
     if not 1 <= n <= MAX_VALUE:
@@ -148,7 +154,7 @@ def factorize(n: int) -> FactoredInteger:
         return FactoredInteger(1, ())
     rem = n
     factors: list[tuple[int, int]] = []
-    for p in prime_list_up_to(_TRIAL_LIMIT):
+    for p in _trial_primes():
         if p * p > rem:
             break
         if rem % p == 0:

@@ -14,8 +14,8 @@ import numpy as np
 _PRIME_TABLE_CAP = 1 << 26
 
 _lock = threading.Lock()
-# (sieved_to, primes_array, primes_pylist) — replaced wholesale, never mutated.
-_state: tuple[int, np.ndarray, list[int]] = (0, np.empty(0, dtype=np.int64), [])
+# (sieved_to, primes_array) — replaced wholesale, never mutated.
+_state: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -27,7 +27,7 @@ def _sieve(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def _grown_to(limit: int) -> tuple[int, np.ndarray, list[int]]:
+def _grown_to(limit: int) -> tuple[int, np.ndarray]:
     global _state
     state = _state
     if limit > state[0]:
@@ -35,8 +35,7 @@ def _grown_to(limit: int) -> tuple[int, np.ndarray, list[int]]:
             state = _state
             if limit > state[0]:
                 target = min(max(limit, 2 * state[0], 1 << 16), _PRIME_TABLE_CAP)
-                arr = _sieve(target)
-                state = (target, arr, arr.tolist())
+                state = (target, _sieve(target))
                 _state = state
     return state
 
@@ -48,7 +47,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     """
     if limit > _PRIME_TABLE_CAP:
         raise ValueError(f"prime table limit {limit} exceeds cap {_PRIME_TABLE_CAP}")
-    sieved_to, arr, _ = _grown_to(limit)
+    sieved_to, arr = _grown_to(limit)
     if limit >= sieved_to:
         return arr
     cut = np.searchsorted(arr, limit, side="right")
@@ -56,15 +55,8 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def prime_list_up_to(limit: int) -> list[int]:
-    """Same primes as :func:`primes_up_to` but as a Python list (faster to iterate)."""
-    if limit > _PRIME_TABLE_CAP:
-        raise ValueError(f"prime table limit {limit} exceeds cap {_PRIME_TABLE_CAP}")
-    sieved_to, _, lst = _grown_to(limit)
-    if limit >= sieved_to:
-        return lst
-    import bisect
-
-    return lst[: bisect.bisect_right(lst, limit)]
+    """Same primes as :func:`primes_up_to` as a new Python list (faster to iterate)."""
+    return primes_up_to(limit).tolist()
 
 
 def iroot(n: int, k: int) -> int:

@@ -206,6 +206,12 @@ def _mask_non_coprime(block: np.ndarray, seg_lo: int, coprime_primes: list[int])
             block[start::p] = 0
 
 
+def _block_sum(block: np.ndarray) -> int:
+    # Entries are in {-1, 0, 1}: (#1) - (#-1) = 2 * (#positive) - (#nonzero),
+    # which counts without the int64 widening a sum would need.
+    return 2 * int(np.count_nonzero(block > 0)) - int(np.count_nonzero(block))
+
+
 def _ordered_map(fn, items, workers: int):
     """fn over items, results in input order, at most 2 * workers in flight."""
     if workers == 1:
@@ -269,10 +275,10 @@ def stream_sum(
         start = 0
         for c in cps_by_seg.get((seg_lo - 1) // seg, ()):
             stop = c - seg_lo + 1
-            acc += int(block[start:stop].sum(dtype=np.int64))
+            acc += _block_sum(block[start:stop])
             start = stop
             partials.append((c, acc))
-        return acc + int(block[start:].sum(dtype=np.int64)), partials
+        return acc + _block_sum(block[start:]), partials
 
     results: list[tuple[int, int]] = []
     running = 0

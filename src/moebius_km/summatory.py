@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import as_factored, gcd, squarefree_divisors
+from .arith import as_factored, squarefree_divisors
 from .constants import (
     DEFAULT_TOL,
     ConstantEstimate,
@@ -27,11 +27,13 @@ from .constants import (
     default_prime_limit,
     zeta,
 )
-from .functions import OrderPair, mu, psi_k
-from .primes import prime_list_up_to
-from .sieve import SieveConfig, stream_sum
+from .functions import OrderPair, psi_k
+from .primes import iroot, prime_list_up_to
+from .sieve import MAX_RANGE, SieveConfig, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
+_TABLE_TOP = 1 << 13  # sum_convolution looks Q_k(y, n) up for y <= this
+_CHUNK = 1 << 12  # (g(d), x // d) pairs converted to NumPy at a time
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,72 @@ def coprime_count(z, n: int) -> int:
     return sum(s * (t // d) for d, s in squarefree_divisors(n))
 
 
+def _conv_limit(k: int) -> int:
+    """Largest x the convolution route accepts for order k.
+
+    Its floors are int64, so x <= 2^62, and its one Moebius table covers
+    e <= x^(1/k), which :func:`mu_range` caps at ``_ARRAY_CAP``; for k = 2
+    that ends x at (2^25 + 1)^2 - 1.
+    """
+    return min(MAX_RANGE, (_ARRAY_CAP + 1) ** k - 1)
+
+
+def _check_conv_domain(x: int, k: int) -> None:
+    limit = _conv_limit(k)
+    if x > limit:
+        raise ValueError(f"x={x} exceeds the convolution route's limit {limit} for k={k}")
+
+
+def _zero_non_coprime(values: np.ndarray, n: int) -> None:
+    """Zero values[r] for every r sharing a prime factor with n."""
+    for p, _ in as_factored(n).factors:
+        values[p::p] = 0
+
+
+class _KFreeCounts:
+    """Q_k(y, n) for y <= top from one Moebius table mu(e), e <= top^(1/k).
+
+    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * #{t <= y/e^k : gcd(t,n)=1},
+    the inner count by inclusion-exclusion over the squarefree divisors of n.
+    """
+
+    def __init__(self, top: int, n: int, k: int) -> None:
+        self._n = n
+        self._divs = squarefree_divisors(n)
+        mus = mu_range(iroot(top, k))
+        _zero_non_coprime(mus, n)
+        e = np.flatnonzero(mus)
+        self._ek = e**k  # exact: e^k <= top <= 2^62
+        self._negative = mus[e] < 0
+
+    def count(self, y: int) -> int:
+        cut = int(np.searchsorted(self._ek, y, side="right"))
+        z = y // self._ek[:cut]
+        if len(self._divs) > 1:
+            w, part = z.copy(), np.empty_like(z)
+            for d, s in self._divs[1:]:
+                np.floor_divide(z, d, out=part)
+                (np.add if s > 0 else np.subtract)(w, part, out=w)
+            z = w
+        np.negative(z, out=z, where=self._negative[:cut])
+        return int(z.sum())
+
+    def table(self, top: int) -> np.ndarray:
+        """Q_k(y, n) for y = 0..top as int32: mu(e) added on the multiples of e^k."""
+        values = np.zeros(top + 1, dtype=np.int32)
+        cut = int(np.searchsorted(self._ek, top, side="right"))
+        for q, neg in zip(self._ek[:cut].tolist(), self._negative[:cut].tolist()):
+            values[q::q] += -1 if neg else 1
+        _zero_non_coprime(values, self._n)
+        return values.cumsum(dtype=np.int32)
+
+
 def qk_count(x: int, n: int, k: int) -> int:
     """Exact count of k-free r <= x with gcd(r, n) = 1.
 
     Uses Q_k(x, n) = sum_{d <= x^(1/k), gcd(d,n)=1} mu(d) * #{t <= x/d^k :
-    gcd(t, n) = 1}; floors are taken in integer arithmetic.
+    gcd(t, n) = 1}, evaluated with NumPy over one Moebius table; floors are
+    exact int64 arithmetic.  x is limited as in :func:`sum_convolution`.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -80,17 +143,8 @@ def qk_count(x: int, n: int, k: int) -> int:
         raise ValueError("n must be >= 1")
     if x < 1:
         return 0
-    divs = squarefree_divisors(n)
-    total = 0
-    d = 1
-    while d**k <= x:
-        if gcd(d, n) == 1:
-            md = mu(d)
-            if md:
-                z = x // d**k
-                total += md * sum(s * (z // dd) for dd, s in divs)
-        d += 1
-    return total
+    _check_conv_domain(x, k)
+    return _KFreeCounts(x, n, k).count(x)
 
 
 def sum_direct(q: SumQuery, config: SieveConfig | None = None) -> int:
@@ -98,17 +152,67 @@ def sum_direct(q: SumQuery, config: SieveConfig | None = None) -> int:
     return stream_sum(q.x, q.order, q.coprime_to, [q.x], config)[0][1]
 
 
+def _g_chunks(x: int, k: int, m: int, primes: list[int]):
+    """(g(d), x // d) over the m-full d <= x built from ``primes``, in chunks.
+
+    g(p^a) is -1 for a = m + jk, +1 for a = m + 1 + jk (j >= 0) and 0 for
+    every other a >= 1.  A depth-first walk visits each d with g(d) != 0
+    once; a node is (x // d, g(d), index of the next prime it may use), as
+    floor(floor(x/d) / p^a) = floor(x / (d p^a)).
+    """
+    pms = [p**m for p in primes]
+    pms.append(x + 1)  # no prime after the last one
+    signs, ys = [1], [x]
+    stack = [(x, 1, 0)]
+    while stack:
+        rest, g, i = stack.pop()
+        for j in range(i, len(primes)):
+            pa = pms[j]
+            if pa > rest:
+                break
+            p = primes[j]
+            steps = (p, p ** (k - 1))
+            nxt = pms[j + 1]
+            sign, t = -g, 0
+            while pa <= rest:
+                y = rest // pa
+                signs.append(sign)
+                ys.append(y)
+                if y >= nxt:
+                    stack.append((y, sign, j + 1))
+                pa *= steps[t]
+                t ^= 1
+                sign = -sign
+            if len(ys) >= _CHUNK:
+                yield signs, ys
+                signs, ys = [], []
+    yield signs, ys
+
+
 def sum_convolution(q: SumQuery) -> int:
-    """S(x; n) by the independent convolution route over k-free counts."""
+    """S(x; n) by the independent convolution route over k-free counts.
+
+    mu_{k,m} = q_k * g with g as in :func:`_g_chunks`, and all three are 1
+    at primes dividing n, so S(x; n) = sum over m-full d <= x coprime to n
+    of g(d) * Q_k(x // d, n).  Q_k(y, n) is a table lookup for
+    y <= ``_TABLE_TOP`` and a signed sum over the Moebius table above it.
+    Cost: about x^(1/k) NumPy work plus about x^(1/m) Python walk nodes.
+    """
     o = q.order
+    x, n = q.x, q.coprime_to
+    _check_conv_domain(x, o.k)
+    counts = _KFreeCounts(x, n, o.k)
+    top = min(x, _TABLE_TOP)
+    table = counts.table(top)
+    primes = [p for p in prime_list_up_to(iroot(x, o.m)) if n % p]
     total = 0
-    d = 1
-    while d**o.m <= q.x:
-        if gcd(d, q.coprime_to) == 1:
-            md = mu(d)
-            if md:
-                total += md * qk_count(q.x // d**o.m, d * q.coprime_to, o.k)
-        d += 1
+    for signs, ys in _g_chunks(x, o.k, o.m, primes):
+        g = np.array(signs, dtype=np.int64)
+        y = np.array(ys, dtype=np.int64)
+        small = y <= top
+        total += int(np.dot(g[small], table[y[small]]))
+        for s, v in zip(g[~small].tolist(), y[~small].tolist()):
+            total += s * counts.count(v)
     return total
 
 
@@ -149,13 +253,14 @@ def mu_range(x: int) -> np.ndarray:
         raise ValueError(f"x = {x} exceeds array cap {_ARRAY_CAP}")
     values = np.ones(x + 1, dtype=np.int8)
     values[0] = 0
-    divisor_prod = np.ones(x + 1, dtype=np.int64)
+    # The product of the primes <= sqrt(x) dividing r is at most r <= 2^25.
+    divisor_prod = np.ones(x + 1, dtype=np.int32)
     for p in prime_list_up_to(math.isqrt(x)):
         values[p::p] = -values[p::p]
         divisor_prod[p::p] *= p
         p2 = p * p
         values[p2::p2] = 0
-    leftover = divisor_prod != np.arange(x + 1, dtype=np.int64)
+    leftover = divisor_prod != np.arange(x + 1, dtype=np.int32)
     leftover[0] = False
     values[leftover] = -values[leftover]
     return values
@@ -174,15 +279,6 @@ def psi_ratio_range(x: int, k: int) -> np.ndarray:
     return ratio
 
 
-def _coprime_mask(x: int, n: int) -> np.ndarray | None:
-    if n == 1:
-        return None
-    mask = np.ones(x + 1, dtype=bool)
-    for p, _ in as_factored(n).factors:
-        mask[p::p] = False
-    return mask
-
-
 def _ascending_sum(terms: np.ndarray) -> float:
     # cumsum is a strict left-to-right recurrence: documented ascending order.
     return float(np.cumsum(terms)[-1])
@@ -193,9 +289,7 @@ def L_n_sum(x: int, n: int = 1) -> float:
     if x < 1:
         raise ValueError("x must be >= 1")
     mus = mu_range(x).astype(np.float64)
-    mask = _coprime_mask(x, n)
-    if mask is not None:
-        mus[~mask] = 0.0
+    _zero_non_coprime(mus, n)
     r = np.arange(x + 1, dtype=np.float64)
     r[0] = 1.0
     return _ascending_sum(mus / r)
@@ -225,9 +319,7 @@ def mu_over_psi_weighted_sum(
     if not 0 <= above <= x:
         raise ValueError("need 0 <= above <= x")
     mus = mu_range(x).astype(np.float64)
-    mask = _coprime_mask(x, n)
-    if mask is not None:
-        mus[~mask] = 0.0
+    _zero_non_coprime(mus, n)
     if above:
         mus[: above + 1] = 0.0
     r = np.arange(x + 1, dtype=np.float64)

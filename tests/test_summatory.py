@@ -1,12 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import oracle_mu
+from moebius_km import sieve, summatory
 from moebius_km.arith import factorize, gcd, squarefree_divisors
 from moebius_km.constants import alpha, alpha_n, apostol_A
 from moebius_km.functions import OrderPair, mu, psi_k
+from moebius_km.primes import iroot
+from moebius_km.sieve import stream_sum
 from moebius_km.summatory import (
+    _ARRAY_CAP,
+    _TABLE_TOP,
+    _conv_limit,
     L_n_sum,
     SumQuery,
     coprime_count,
@@ -76,6 +83,68 @@ class TestSums:
                 for x in (10**3, 10**4):
                     q = SumQuery(x, o, n)
                     assert sum_direct(q) == sum_convolution(q), (x, o, n)
+
+    @pytest.mark.parametrize("table_top", [16, _TABLE_TOP])
+    def test_convolution_matches_stream_seeded(self, monkeypatch, table_top):
+        # With a 16-entry table nearly every count takes the NumPy-sum route.
+        monkeypatch.setattr(summatory, "_TABLE_TOP", table_top)
+        rng = random.Random(20261018)
+        orders = ((2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4))
+        ns = (1, 8, 45, 220, 210)  # 0 to 4 distinct primes
+        y = _TABLE_TOP
+        for k, m in orders:
+            xs = {y - 1, y, y + 1}
+            for _ in range(4):
+                d = rng.choice((2, 3, 4, 5, 6, 7, 9, 10, 12))
+                xs.update({d**m - 1, d**m, d**m + 1, y * d**m - 1, y * d**m + 1})
+            xs = sorted(x for x in xs if 1 <= x <= 10**7)
+            for n in ns:
+                for x, s in stream_sum(xs[-1], (k, m), n, xs):
+                    assert sum_convolution(SumQuery(x, OrderPair(k, m), n)) == s, (x, k, m, n)
+                    # With 2^m > x no exponent equals m: mu_{k,m} is q_k there.
+                    q = stream_sum(x, (k, max(k, x.bit_length())), n)[0][1]
+                    assert qk_count(x, n, k) == q, (x, k, n)
+
+    @pytest.mark.parametrize(
+        "k,m,n,expected",
+        [
+            (4, 5, 1, 4176936043790195401),
+            (3, 4, 30, 1223393497237915710),
+            (4, 4, 6, 1531230462645077727),
+        ],
+    )
+    def test_convolution_at_top_of_domain(self, k, m, n, expected):
+        # Values of the previous pure-Python route at x = 2^62.
+        assert sum_convolution(SumQuery(2**62, OrderPair(k, m), n)) == expected
+
+    def test_convolution_independent_of_sieve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the convolution route reached the sieve")
+
+        q = SumQuery(10**6, OrderPair(2, 3), 6)
+        s = sum_direct(q)
+        q2 = stream_sum(10**6, (2, 20), 6)[0][1]
+        monkeypatch.setattr(sieve, "_sieve_block", forbidden)
+        monkeypatch.setattr(summatory, "stream_sum", forbidden)
+        assert sum_convolution(q) == s == 300659
+        assert qk_count(10**6, 6, 2) == q2
+        with pytest.raises(AssertionError):
+            sum_direct(q)
+
+    def test_convolution_domain_limit(self):
+        # k = 2 ends where x^(1/2) passes the Moebius table cap; k >= 3 at 2^62.
+        top = _conv_limit(2)
+        assert top == (2**25 + 1) ** 2 - 1
+        assert iroot(top, 2) == _ARRAY_CAP and iroot(top + 1, 2) == _ARRAY_CAP + 1
+        for k in (3, 4, 7):
+            assert _conv_limit(k) == 2**62
+        for k, x in ((2, top + 1), (3, 2**62 + 1), (5, 2**63)):
+            with pytest.raises(ValueError, match=f"limit {_conv_limit(k)} for k={k}"):
+                sum_convolution(SumQuery(x, OrderPair(k, k + 1)))
+            with pytest.raises(ValueError, match=f"limit {_conv_limit(k)} for k={k}"):
+                qk_count(x, 1, k)
+        with pytest.raises(ValueError, match="array cap"):
+            mu_range(_ARRAY_CAP + 1)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
