@@ -27,7 +27,7 @@ from .constants import (
     default_prime_limit,
     zeta,
 )
-from .functions import OrderPair, psi_k
+from .functions import OrderPair, mu, psi_k
 from .primes import iroot, prime_list_up_to
 from .sieve import MAX_RANGE, SieveConfig, stream_sum
 
@@ -100,7 +100,6 @@ class _KFreeCounts:
     """
 
     def __init__(self, top: int, n: int, k: int) -> None:
-        self._n = n
         self._divs = squarefree_divisors(n)
         mus = mu_range(iroot(top, k))
         _zero_non_coprime(mus, n)
@@ -120,14 +119,20 @@ class _KFreeCounts:
         np.negative(z, out=z, where=self._negative[:cut])
         return int(z.sum())
 
-    def table(self, top: int) -> np.ndarray:
-        """Q_k(y, n) for y = 0..top as int32: mu(e) added on the multiples of e^k."""
-        values = np.zeros(top + 1, dtype=np.int32)
-        cut = int(np.searchsorted(self._ek, top, side="right"))
-        for q, neg in zip(self._ek[:cut].tolist(), self._negative[:cut].tolist()):
-            values[q::q] += -1 if neg else 1
-        _zero_non_coprime(values, self._n)
-        return values.cumsum(dtype=np.int32)
+
+def _small_table(top: int, n: int, k: int) -> np.ndarray:
+    """Q_k(y, n) for y = 0..top as int32: mu(e) added on the multiples of e^k.
+
+    An e sharing a prime with n only reaches r that the coprime mask zeroes.
+    """
+    values = np.zeros(top + 1, dtype=np.int32)
+    for e in range(1, iroot(top, k) + 1):
+        s = mu(e)
+        if s:
+            q = e**k
+            values[q::q] += s
+    _zero_non_coprime(values, n)
+    return values.cumsum(dtype=np.int32)
 
 
 def qk_count(x: int, n: int, k: int) -> int:
@@ -153,7 +158,7 @@ def sum_direct(q: SumQuery, config: SieveConfig | None = None) -> int:
 
 
 def _g_chunks(x: int, k: int, m: int, primes: list[int]):
-    """(g(d), x // d) over the m-full d <= x built from ``primes``, in chunks.
+    """(g(d), x // d) over the m-full 1 < d <= x built from ``primes``, in chunks.
 
     g(p^a) is -1 for a = m + jk, +1 for a = m + 1 + jk (j >= 0) and 0 for
     every other a >= 1.  A depth-first walk visits each d with g(d) != 0
@@ -162,7 +167,7 @@ def _g_chunks(x: int, k: int, m: int, primes: list[int]):
     """
     pms = [p**m for p in primes]
     pms.append(x + 1)  # no prime after the last one
-    signs, ys = [1], [x]
+    signs, ys = [], []
     stack = [(x, 1, 0)]
     while stack:
         rest, g, i = stack.pop()
@@ -194,18 +199,22 @@ def sum_convolution(q: SumQuery) -> int:
 
     mu_{k,m} = q_k * g with g as in :func:`_g_chunks`, and all three are 1
     at primes dividing n, so S(x; n) = sum over m-full d <= x coprime to n
-    of g(d) * Q_k(x // d, n).  Q_k(y, n) is a table lookup for
-    y <= ``_TABLE_TOP`` and a signed sum over the Moebius table above it.
+    of g(d) * Q_k(x // d, n).  The d = 1 term is :func:`qk_count`.  For
+    d > 1, x // d is at most x / p^m with p the least prime not dividing n;
+    Q_k(y, n) is a table lookup for y <= ``_TABLE_TOP`` and a signed sum
+    over a Moebius table for that smaller top above it.
     Cost: about x^(1/k) NumPy work plus about x^(1/m) Python walk nodes.
     """
     o = q.order
     x, n = q.x, q.coprime_to
-    _check_conv_domain(x, o.k)
-    counts = _KFreeCounts(x, n, o.k)
-    top = min(x, _TABLE_TOP)
-    table = counts.table(top)
+    total = qk_count(x, n, o.k)
     primes = [p for p in prime_list_up_to(iroot(x, o.m)) if n % p]
-    total = 0
+    if not primes:
+        return total
+    rest = x // primes[0] ** o.m
+    counts = _KFreeCounts(rest, n, o.k)
+    top = min(rest, _TABLE_TOP)
+    table = _small_table(top, n, o.k)
     for signs, ys in _g_chunks(x, o.k, o.m, primes):
         g = np.array(signs, dtype=np.int64)
         y = np.array(ys, dtype=np.int64)
