@@ -4,21 +4,29 @@ Three families are produced: the zeta values zeta(k), the order-k density
 constant A_k = prod_p (1 - 2/p^k + 1/p^(k+1)), and the family density
 alpha_{k,m} = prod_p (1 - 1/(p^(m-k+1) + ... + p^m)) together with its
 finite companion alpha_{k,m}(n).  Every float estimate carries a tail_bound
-that provably dominates |true - value| (up to float rounding, which the
-bound dwarfs by construction).
+that provably dominates |true - value|, float rounding included: zeta's
+bound counts its one rounding explicitly, and the products' bounds dwarf
+their rounding by construction.
 
 Tail handling, documented here because the bound choice is load-bearing:
 
-* zeta(k): partial sum to N plus the midpoint of the bracketing integrals
-  int_N and int_{N+1} of t**-k; the half-width of that bracket is the
-  bound.  This keeps desk tolerances (1e-12) reachable with ~1e6 terms.
+* zeta(k): Euler-Maclaurin at the fixed cutoff N = 10: the terms n < N, the
+  integral tail N**(1-k)/(k-1), N**-k/2 and seven Bernoulli corrections
+  B_2j/(2j)! * k(k+1)...(k+2j-2) * N**(1-k-2j), all summed exactly in
+  fixed point (units of 2**-128) and rounded once to float.  Every even
+  derivative of t**-k is positive, so the remainder lies between 0 and the
+  first omitted (eighth) correction.  The bound is that correction plus the
+  fixed-point floors plus half an ulp of the returned float: about 2e-16
+  for every k, so every tol down to 1e-13 costs the same few microseconds.
 * products at prime_limit >= 1000: the truncated log-product is corrected by
   the leading terms of sum_{p>P} log(factor_p), expanded exactly into prime
   power sums sum_{p>P} p^-s.  Those are evaluated as prime_zeta(s) minus
   the partial sum over p <= P, with prime_zeta from its Moebius-weighted
-  log-zeta series.  The bound collects the series truncations, the
-  second-order remainder (<= 0.6 * sum_{p>P} p^-2s), and float slack, then
-  is floored at 1e-10 so it never understates accumulated rounding.
+  log-zeta series.  The partial sums for every s = 2..55 come from one
+  pass over the primes, cached per prime limit and shared by every call.
+  The bound collects the series truncations, the second-order remainder
+  (<= 0.6 * sum_{p>P} p^-2s), and float slack, then is floored at 1e-10
+  so it never understates accumulated rounding.
 * products at prime_limit < 1000 stay plain truncated products with the
   loose elementary bound 2 * sum_{n>P} n^-m (factor-sum form), so tiny
   prime limits return the literal few-factor product.
@@ -41,11 +49,20 @@ from .primes import primes_up_to
 DEFAULT_PRIME_LIMIT = 1_000_000
 DEFAULT_TOL = 1e-12
 
-_ZETA_N_CAP = 1 << 26
 _MIN_TOL = 1e-13
 _SMAX = 54  # power sums with exponent above this fall below 2**-54 termwise
 _CORRECTION_MIN_P = 1000
 _TAIL_FLOOR = 1e-10
+_NEGLIGIBLE = 1e-30  # p**-s below this leaves the power-sum pass
+
+_ZETA_CUTOFF = 10  # Euler-Maclaurin cutoff N: the terms n < N are summed one by one
+_FIXED_BITS = 128  # zeta is summed exactly in units of 2**-128
+# B_2, B_4, ..., B_16: seven corrections, and the eighth bounds the remainder.
+_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+)
+_EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, 1))
 
 
 class PrecisionError(ArithmeticError):
@@ -56,8 +73,10 @@ class PrecisionError(ArithmeticError):
 class ConstantEstimate:
     """Float approximation of an infinite series/product plus a proven bound.
 
-    ``prime_limit`` records the truncation cutoff (series length for zeta,
-    largest sieved prime for the products).
+    ``prime_limit`` records the truncation cutoff: for zeta the
+    Euler-Maclaurin cutoff N (the terms n < N are summed one by one, the
+    rest is the integral tail and its corrections), for the products the
+    limit P of the primes p <= P multiplied out.
     """
 
     value: float
@@ -75,38 +94,43 @@ def default_prime_limit() -> int:
     return limit
 
 
-def _integral_tail(t: int, k: int) -> float:
-    # int_t^inf u**-k du
-    return float(t) ** (1 - k) / (k - 1)
-
-
 def zeta(k: int, tol: float) -> ConstantEstimate:
-    """zeta(k) for integer k >= 2 with certified error at most tol."""
+    """zeta(k) for integer k >= 2 with certified error at most tol.
+
+    Euler-Maclaurin at N = 10 (see the module docstring); the bound, about
+    2e-16, meets every tol the float result can certify.
+    """
     if k < 2:
         raise ValueError(f"zeta requires k >= 2, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < _MIN_TOL:
         raise PrecisionError(f"tolerance {tol} below float-certifiable floor {_MIN_TOL}")
-    n_terms = 64
-    while (_integral_tail(n_terms, k) - _integral_tail(n_terms + 1, k)) / 2 > tol:
-        n_terms *= 2
-        if n_terms > _ZETA_N_CAP:
-            raise PrecisionError(f"tolerance {tol} needs more than {_ZETA_N_CAP} terms")
-    total = 0.0
-    chunk = 1 << 22
-    for start in range(1, n_terms + 1, chunk):
-        stop = min(start + chunk - 1, n_terms)
-        ns = np.arange(start, stop + 1, dtype=np.float64)
-        total += float((ns ** float(-k)).sum())
-    hi_int = _integral_tail(n_terms, k)
-    lo_int = _integral_tail(n_terms + 1, k)
-    value = total + (hi_int + lo_int) / 2
-    return ConstantEstimate(value, (hi_int - lo_int) / 2, n_terms)
+    n = _ZETA_CUTOFF
+    one = 1 << _FIXED_BITS
+    # Every floor division below is low by less than one unit of 2**-128:
+    # n - 1 terms, the two tail terms and len(_EM_COEFFS) - 1 corrections.
+    acc = sum(one // j**k for j in range(1, n))
+    power = n ** (k - 1)
+    acc += one // ((k - 1) * power) + one // (2 * power * n)
+    power *= n * n  # N**(k + 2j - 1) at correction j
+    rising = k  # k (k+1) ... (k + 2j - 2)
+    for j, c in enumerate(_EM_COEFFS[:-1], 1):
+        acc += c.numerator * rising * one // (c.denominator * power)
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+        power *= n * n
+    last = _EM_COEFFS[-1]
+    omitted = -(-abs(last.numerator) * rising * one // (last.denominator * power))
+    value = acc / one  # correctly rounded: off by at most half an ulp
+    floors = n + len(_EM_COEFFS)
+    half_ulp = int(math.ulp(value) * one) // 2  # whole units, as value >= 1
+    bound = (omitted + floors + half_ulp) / one  # rounded, hence the nextafter
+    return ConstantEstimate(value, math.nextafter(bound, math.inf), n)
 
 
 _zeta_cache: dict[int, float] = {}
 _prime_zeta_cache: dict[int, tuple[float, float]] = {}
+_power_sum_cache: dict[int, np.ndarray] = {}
 _cache_lock = threading.Lock()
 
 
@@ -137,11 +161,39 @@ def _prime_zeta(s: int) -> tuple[float, float]:
     return result
 
 
-def _power_tail(s: int, prime_limit: int, pf: np.ndarray) -> tuple[float, float]:
-    """(value, error bound) for sum_{p > prime_limit} p**-s; pf = primes as float."""
+def _prime_power_sums(prime_limit: int) -> np.ndarray:
+    """sums[s] = sum_{p <= prime_limit} p**-s for s = 2.._SMAX+1, in one pass.
+
+    p**-s is 1/p times itself s - 1 times: at most 2s - 1 roundings, so
+    about 55 ulp of relative error at s = 55, and pairwise summation adds a
+    few more.  The sums are below 0.46, so the absolute error stays under
+    1e-14, which the 2e-13 slack of :func:`_power_tail` dwarfs.  A prime
+    leaves the pass once its power falls below _NEGLIGIBLE; the dropped
+    terms add less than pi(P) * 1e-30 < 1e-23 up to the prime table cap.
+    Only these sums are cached, never an array over the primes.
+    """
+    sums = _power_sum_cache.get(prime_limit)
+    if sums is not None:
+        return sums
+    with _cache_lock:
+        sums = _power_sum_cache.get(prime_limit)
+        if sums is None:
+            inv = 1.0 / primes_up_to(prime_limit)
+            sums = np.full(_SMAX + 2, np.nan)
+            power = inv * inv
+            for s in range(2, _SMAX + 2):
+                power = power[: np.count_nonzero(power >= _NEGLIGIBLE)]
+                sums[s] = power.sum()
+                power *= inv[: len(power)]
+            sums.flags.writeable = False
+            _power_sum_cache[prime_limit] = sums
+    return sums
+
+
+def _power_tail(s: int, prime_limit: int) -> tuple[float, float]:
+    """(value, error bound) for sum_{p > prime_limit} p**-s."""
     pz, pz_err = _prime_zeta(s)
-    partial = float((pf ** float(-s)).sum())
-    return pz - partial, pz_err + 2e-13
+    return pz - float(_prime_power_sums(prime_limit)[s]), pz_err + 2e-13
 
 
 def _nsum_tail(s: int, prime_limit: int) -> float:
@@ -191,15 +243,15 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
     err = 0.0
     i = 0
     while m + i * k <= _SMAX:
-        t1, e1 = _power_tail(m + i * k, prime_limit, pf)
-        t2, e2 = _power_tail(m + 1 + i * k, prime_limit, pf)
+        t1, e1 = _power_tail(m + i * k, prime_limit)
+        t2, e2 = _power_tail(m + 1 + i * k, prime_limit)
         corr -= t1 - t2
         err += e1 + e2
         i += 1
     err += 2.0 * _nsum_tail(m + i * k, prime_limit)  # dropped expansion terms
     # second-order log remainder: sum x^2/(2(1-x)) with x = 1/D_p <= p^-m
     if 2 * m <= _SMAX:
-        t, e = _power_tail(2 * m, prime_limit, pf)
+        t, e = _power_tail(2 * m, prime_limit)
         err += 0.6 * (abs(t) + e)
     else:
         err += 0.6 * _nsum_tail(2 * m, prime_limit)
@@ -229,21 +281,21 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
     err = 0.0
     j = 1
     while j * k <= _SMAX:
-        t, e = _power_tail(j * k, prime_limit, pf)
+        t, e = _power_tail(j * k, prime_limit)
         corr -= t / j
         err += e / j
         j += 1
     err += 2.0 * _nsum_tail(j * k, prime_limit)
     i = 0
     while k + i * k <= _SMAX:
-        t1, e1 = _power_tail(k + i * k, prime_limit, pf)
-        t2, e2 = _power_tail(k + 1 + i * k, prime_limit, pf)
+        t1, e1 = _power_tail(k + i * k, prime_limit)
+        t2, e2 = _power_tail(k + 1 + i * k, prime_limit)
         corr -= t1 - t2
         err += e1 + e2
         i += 1
     err += 2.0 * _nsum_tail(k + i * k, prime_limit)
     if 2 * k <= _SMAX:
-        t, e = _power_tail(2 * k, prime_limit, pf)
+        t, e = _power_tail(2 * k, prime_limit)
         err += 0.6 * (abs(t) + e)
     else:
         err += 0.6 * _nsum_tail(2 * k, prime_limit)

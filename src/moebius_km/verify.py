@@ -18,7 +18,7 @@ from .constants import DEFAULT_TOL, alpha, apostol_A, zeta
 from .functions import OrderPair, as_order, mu, mu_apostol, mu_km, psi_k
 from .primes import iroot
 from .sieve import SieveConfig, sieve_mu_km, sieve_qk, stream_sum
-from .summatory import SumQuery, qk_count, sum_convolution
+from .summatory import SumQuery, _KFreeCounts, qk_count, sum_convolution
 
 DEFAULT_ORDERS = (
     OrderPair(2, 2),
@@ -160,7 +160,11 @@ def check_psi_divisor_identity(limit: int, ks=(2, 3, 4, 5)) -> SuiteResult:
 
 
 def check_qk_count(limit: int, ns=(1, 2, 6, 30, 210), ks=(2, 3)) -> SuiteResult:
-    """Formula-based k-free coprime counts match brute-force sieve counts."""
+    """Formula-based k-free coprime counts match brute-force sieve counts.
+
+    Each (n, k) builds one count table for every x <= limit; the public
+    ``qk_count`` is called once per pair, at x = limit.
+    """
     checked = 0
     for k in ks:
         qk = sieve_qk(1, limit, k, SieveConfig(segment_size=max(64, limit))).values
@@ -169,9 +173,10 @@ def check_qk_count(limit: int, ns=(1, 2, 6, 30, 210), ks=(2, 3)) -> SuiteResult:
             for p, _ in factorize(n).factors:
                 vals[p - 1 :: p] = 0
             brute = np.cumsum(vals)
+            counts = _KFreeCounts(limit, n, k)
             for x in range(1, limit + 1):
                 checked += 1
-                got = qk_count(x, n, k)
+                got = qk_count(x, n, k) if x == limit else counts.count(x)
                 if got != int(brute[x - 1]):
                     return SuiteResult(
                         "qk", checked, 1,

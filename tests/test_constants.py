@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from moebius_km import constants
 from moebius_km.constants import (
     ConstantEstimate,
     PrecisionError,
@@ -14,7 +18,35 @@ from moebius_km.constants import (
     zeta,
 )
 from moebius_km.functions import psi_k
-from moebius_km.primes import prime_list_up_to
+from moebius_km.primes import prime_list_up_to, primes_up_to
+
+# Values of the previous implementation (per-call p**-s powers over the
+# primes), as (value, tail_bound), keyed by prime limit.
+_OLD_A = {
+    10**3: {2: (0.42824950568692705, 1e-10), 3: (0.7446954979060676, 1e-10)},
+    10**5: {2: (0.4282495056770945, 1e-10), 3: (0.7446954979060675, 1e-10)},
+    10**6: {2: (0.4282495056770944, 1e-10), 3: (0.7446954979060675, 1e-10)},
+}
+_OLD_ALPHA = {
+    10**3: {
+        (2, 2): (0.7044422010153399, 1e-10),
+        (2, 3): (0.88151383972517, 1e-10),
+        (3, 4): (0.9543532539747432, 1e-10),
+        (2, 12): (0.9998358250793995, 1e-10),
+    },
+    10**5: {
+        (2, 2): (0.704442200999166, 1e-10),
+        (2, 3): (0.88151383972517, 1e-10),
+        (3, 4): (0.9543532539747432, 1e-10),
+        (2, 12): (0.9998358250793995, 1e-10),
+    },
+    10**6: {
+        (2, 2): (0.7044422009991659, 1e-10),
+        (2, 3): (0.88151383972517, 1e-10),
+        (3, 4): (0.9543532539747432, 1e-10),
+        (2, 12): (0.9998358250793995, 1e-10),
+    },
+}
 
 
 class TestZeta:
@@ -43,6 +75,16 @@ class TestZeta:
         for k in (2, 3, 5, 11):
             est = zeta(k, 1e-13)
             assert abs(est.value - float(mpmath.zeta(k))) <= est.tail_bound + 1e-15
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    def test_bound_dominates_error_with_rounding(self, tol):
+        # The difference is taken at 40 digits, so the float rounding of the
+        # returned value must sit inside tail_bound too.
+        with mpmath.workdps(40):
+            for k in range(2, 61):
+                est = zeta(k, tol)
+                err = abs(mpmath.mpf(est.value) - mpmath.zeta(k))
+                assert err <= est.tail_bound <= tol, (k, tol, float(err), est.tail_bound)
 
 
 class TestEulerFactor:
@@ -135,17 +177,65 @@ class TestProducts:
             apostol_A(1, 100)
 
 
+class TestPowerSumTable:
+    @pytest.mark.parametrize("limit", [10**3, 10**4, 10**6])
+    def test_matches_direct_powers(self, limit):
+        from moebius_km.constants import _SMAX, _prime_power_sums
+
+        pf = primes_up_to(limit).astype(np.float64)
+        sums = _prime_power_sums(limit)
+        for s in range(2, _SMAX + 2):
+            direct = float((pf ** float(-s)).sum())
+            assert abs(float(sums[s]) - direct) <= 2e-13, (limit, s)
+
+    @pytest.mark.parametrize("limit", [10**3, 10**5, 10**6])
+    def test_products_agree_with_previous_values(self, limit):
+        for k, (old, old_bound) in _OLD_A[limit].items():
+            est = apostol_A(k, limit)
+            assert abs(est.value - old) <= est.tail_bound + old_bound, (k, limit)
+        for km, (old, old_bound) in _OLD_ALPHA[limit].items():
+            est = alpha(km, limit)
+            assert abs(est.value - old) <= est.tail_bound + old_bound, (km, limit)
+
+    def test_cold_limit_from_many_threads(self):
+        # More threads than cores and a short switch interval: every thread
+        # must see the one cached table and the same estimate.
+        limit = 54_321
+        constants._power_sum_cache.pop(limit, None)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        tables = [None] * n_threads
+        results = [None] * n_threads
+
+        def work(i):
+            barrier.wait()
+            tables[i] = constants._prime_power_sums(limit)
+            results[i] = alpha((2, 3), limit)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(t is constants._power_sum_cache[limit] for t in tables)
+        assert results[0] is not None
+        assert all(r == results[0] for r in results)
+
+
 class TestTailMachinery:
     def test_power_tail_against_mpmath(self):
-        import numpy as np
-
         from moebius_km.constants import _power_tail
-        from moebius_km.primes import primes_up_to
 
         for s in (2, 3, 5):
             for limit in (10**4, 10**5):
                 pf = primes_up_to(limit).astype(np.float64)
-                got, err = _power_tail(s, limit, pf)
+                got, err = _power_tail(s, limit)
                 oracle = float(mpmath.primezeta(s)) - float((pf ** float(-s)).sum())
                 assert abs(got - oracle) <= err + 1e-14, (s, limit)
 
