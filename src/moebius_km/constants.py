@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import FactoredInteger, as_factored
-from .functions import OrderPair, as_order, mu
+from .functions import OrderPair, as_order
 from .primes import primes_up_to
 
 DEFAULT_PRIME_LIMIT = 1_000_000
@@ -63,6 +63,11 @@ _BERNOULLI = (
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
 )
 _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, 1))
+# mu(j) for j = 0..30, the weights of the prime-zeta series: it needs j <= 60 // s.
+_MU_SERIES = (
+    0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1,
+    0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1,
+)
 
 
 class PrecisionError(ArithmeticError):
@@ -131,6 +136,7 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
 _zeta_cache: dict[int, float] = {}
 _prime_zeta_cache: dict[int, tuple[float, float]] = {}
 _power_sum_cache: dict[int, np.ndarray] = {}
+_log_product_cache: dict[tuple, float] = {}
 _cache_lock = threading.Lock()
 
 
@@ -151,7 +157,7 @@ def _prime_zeta(s: int) -> tuple[float, float]:
     j_max = max(1, 60 // s)
     total = 0.0
     for j in range(1, j_max + 1):
-        mj = mu(j)
+        mj = _MU_SERIES[j]
         if mj:
             total += mj / j * math.log(_zeta_value(j * s))
     trunc = 2.0 ** (-(j_max + 1) * s + 2)
@@ -196,6 +202,25 @@ def _power_tail(s: int, prime_limit: int) -> tuple[float, float]:
     return pz - float(_prime_power_sums(prime_limit)[s]), pz_err + 2e-13
 
 
+def _log_product(key: tuple, prime_limit: int, log_factors) -> float:
+    """sum_{p <= prime_limit} log(factor_p), cached per (key, prime limit).
+
+    ``log_factors`` maps the primes as float64 to their log factors; the
+    key names the product and its order, so only one float per pair is kept.
+    """
+    cache_key = (*key, prime_limit)
+    base = _log_product_cache.get(cache_key)
+    if base is not None:
+        return base
+    with _cache_lock:
+        base = _log_product_cache.get(cache_key)
+        if base is None:
+            pf = primes_up_to(prime_limit).astype(np.float64)
+            base = float(log_factors(pf).sum())
+            _log_product_cache[cache_key] = base
+    return base
+
+
 def _nsum_tail(s: int, prime_limit: int) -> float:
     # Elementary bound sum_{n > P} n**-s <= P**(1-s)/(s-1); underflows to 0.0
     # harmlessly for large s.
@@ -227,11 +252,14 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
     k, m = o.k, o.m
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    pf = primes_up_to(prime_limit).astype(np.float64)
-    denom = np.zeros_like(pf)
-    for e in range(m - k + 1, m + 1):
-        denom += pf ** float(e)
-    base = float(np.log1p(-1.0 / denom).sum())
+
+    def log_factors(pf: np.ndarray) -> np.ndarray:
+        denom = np.zeros_like(pf)
+        for e in range(m - k + 1, m + 1):
+            denom += pf ** float(e)
+        return np.log1p(-1.0 / denom)
+
+    base = _log_product(("alpha", k, m), prime_limit, log_factors)
 
     if prime_limit < _CORRECTION_MIN_P:
         log_err = 2.0 * _nsum_tail(m, prime_limit)
@@ -267,8 +295,11 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
         raise ValueError(f"k must be >= 2, got {k}")
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    pf = primes_up_to(prime_limit).astype(np.float64)
-    base = float(np.log1p(-(2.0 * pf - 1.0) / pf ** float(k + 1)).sum())
+    base = _log_product(
+        ("apostol_A", k),
+        prime_limit,
+        lambda pf: np.log1p(-(2.0 * pf - 1.0) / pf ** float(k + 1)),
+    )
 
     if prime_limit < _CORRECTION_MIN_P:
         log_err = 4.0 * _nsum_tail(k, prime_limit)

@@ -28,12 +28,13 @@ from .constants import (
     zeta,
 )
 from .functions import OrderPair, mu, psi_k
-from .primes import iroot, prime_list_up_to
+from .primes import iroot, prime_list_up_to, primes_up_to
 from .sieve import MAX_RANGE, SieveConfig, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 13  # sum_convolution looks Q_k(y, n) up for y <= this
-_CHUNK = 1 << 12  # (g(d), x // d) pairs converted to NumPy at a time
+_SPAN = 1 << 13  # (node, prime) pairs the m-full walk expands per step
+_CELLS = 1 << 13  # floors y // e^k per block of the batched k-free counts
 
 
 @dataclass(frozen=True)
@@ -104,20 +105,43 @@ class _KFreeCounts:
         mus = mu_range(iroot(top, k))
         _zero_non_coprime(mus, n)
         e = np.flatnonzero(mus)
-        self._ek = e**k  # exact: e^k <= top <= 2^62
-        self._negative = mus[e] < 0
+        self._sign = mus[e]
+        self._ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62
+
+    def counts(self, ys: np.ndarray) -> np.ndarray:
+        """Q_k(y, n) for each y of the int64 array ``ys`` (1 <= y <= top).
+
+        The y are taken in descending order, in blocks of at most ``_CELLS``
+        floors: a block's rows share the e^k <= its largest y, and a floor
+        is 0 wherever e^k exceeds a smaller row's y.  A y that alone needs
+        more than ``_CELLS`` floors is split over column chunks.
+        """
+        order = np.argsort(ys)[::-1]
+        ys = ys[order]
+        cuts = np.searchsorted(self._ek, ys, side="right")
+        out = np.empty(len(ys), dtype=np.int64)
+        a = 0
+        while a < len(ys):
+            cut = int(cuts[a])
+            b = min(len(ys), a + max(1, _CELLS // cut))
+            rows = ys[a:b, None]
+            acc = np.zeros(b - a, dtype=np.int64)
+            for c in range(0, cut, _CELLS):
+                ek = self._ek[c : min(c + _CELLS, cut)]
+                z = rows // ek
+                if len(self._divs) > 1:
+                    w, part = z.copy(), np.empty_like(z)
+                    for d, s in self._divs[1:]:
+                        np.floor_divide(z, d, out=part)
+                        (np.add if s > 0 else np.subtract)(w, part, out=w)
+                    z = w
+                acc += z @ self._sign[c : c + len(ek)]
+            out[order[a:b]] = acc
+            a = b
+        return out
 
     def count(self, y: int) -> int:
-        cut = int(np.searchsorted(self._ek, y, side="right"))
-        z = y // self._ek[:cut]
-        if len(self._divs) > 1:
-            w, part = z.copy(), np.empty_like(z)
-            for d, s in self._divs[1:]:
-                np.floor_divide(z, d, out=part)
-                (np.add if s > 0 else np.subtract)(w, part, out=w)
-            z = w
-        np.negative(z, out=z, where=self._negative[:cut])
-        return int(z.sum())
+        return int(self.counts(np.array([y], dtype=np.int64))[0])
 
 
 def _small_table(top: int, n: int, k: int) -> np.ndarray:
@@ -157,71 +181,91 @@ def sum_direct(q: SumQuery, config: SieveConfig | None = None) -> int:
     return stream_sum(q.x, q.order, q.coprime_to, [q.x], config)[0][1]
 
 
-def _g_chunks(x: int, k: int, m: int, primes: list[int]):
-    """(g(d), x // d) over the m-full 1 < d <= x built from ``primes``, in chunks.
+def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
+    """(g(d), x // d) as int64 arrays over the m-full 1 < d <= x built from ``primes``.
 
     g(p^a) is -1 for a = m + jk, +1 for a = m + 1 + jk (j >= 0) and 0 for
-    every other a >= 1.  A depth-first walk visits each d with g(d) != 0
-    once; a node is (x // d, g(d), index of the next prime it may use), as
-    floor(floor(x/d) / p^a) = floor(x / (d p^a)).
+    every other a >= 1.  A node is (x // d, g(d), index of the next prime it
+    may use), as floor(floor(x/d) / p^a) = floor(x / (d p^a)).  A frontier
+    of nodes is expanded at most ``_SPAN`` (node, prime) pairs per step; each
+    pair steps its exponent by p and p^(k-1) in turn, flipping the sign, and
+    every y >= the next prime's p^m becomes a node of the step's child
+    frontier.  Frontiers sit on a stack, so the walk is depth-first over
+    them and its arrays stay bounded by the span times the depth.
     """
-    pms = [p**m for p in primes]
-    pms.append(x + 1)  # no prime after the last one
-    signs, ys = [], []
-    stack = [(x, 1, 0)]
+    pms = np.append(primes**m, x + 1)  # no prime after the last one
+    next_pms = pms[1:]
+    lifts = primes ** (k - 1)
+    stack = [(np.array([x]), np.array([1]), np.array([0]))]
     while stack:
-        rest, g, i = stack.pop()
-        for j in range(i, len(primes)):
-            pa = pms[j]
-            if pa > rest:
-                break
-            p = primes[j]
-            steps = (p, p ** (k - 1))
-            nxt = pms[j + 1]
-            sign, t = -g, 0
-            while pa <= rest:
-                y = rest // pa
-                signs.append(sign)
-                ys.append(y)
-                if y >= nxt:
-                    stack.append((y, sign, j + 1))
-                pa *= steps[t]
-                t ^= 1
-                sign = -sign
-            if len(ys) >= _CHUNK:
-                yield signs, ys
-                signs, ys = [], []
-    yield signs, ys
+        rest, g, start = stack.pop()
+        counts = np.searchsorted(pms, rest, side="right") - start
+        ends = np.cumsum(counts)
+        if ends[-1] > _SPAN:
+            cut = int(np.searchsorted(ends, _SPAN))
+            take = _SPAN - (int(ends[cut - 1]) if cut else 0)
+            later = start[cut:].copy()
+            later[0] += take
+            stack.append((rest[cut:], g[cut:], later))
+            rest, g, start = rest[: cut + 1], g[: cut + 1], start[: cut + 1]
+            counts = counts[: cut + 1].copy()
+            counts[-1] = take
+            ends = np.cumsum(counts)
+        if not ends[-1]:
+            continue
+        node = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(int(ends[-1])) - (ends - counts - start)[node]
+        y = rest[node] // pms[j]
+        sign = -g[node]
+        steps = (primes, lifts)
+        signs, ys, kids = [], [], []
+        t = 0
+        while len(y):
+            signs.append(sign)
+            ys.append(y)
+            kid = y >= next_pms[j]
+            kids.append((y[kid], sign[kid], j[kid] + 1))
+            y = y // steps[t][j]
+            live = y > 0
+            y, sign, j = y[live], -sign[live], j[live]
+            t ^= 1
+        rest, g, start = (np.concatenate(c) for c in zip(*kids))
+        if len(rest):
+            stack.append((rest, g, start))
+        yield np.concatenate(signs), np.concatenate(ys)
 
 
 def sum_convolution(q: SumQuery) -> int:
     """S(x; n) by the independent convolution route over k-free counts.
 
-    mu_{k,m} = q_k * g with g as in :func:`_g_chunks`, and all three are 1
+    mu_{k,m} = q_k * g with g as in :func:`_g_walk`, and all three are 1
     at primes dividing n, so S(x; n) = sum over m-full d <= x coprime to n
     of g(d) * Q_k(x // d, n).  The d = 1 term is :func:`qk_count`.  For
     d > 1, x // d is at most x / p^m with p the least prime not dividing n;
-    Q_k(y, n) is a table lookup for y <= ``_TABLE_TOP`` and a signed sum
-    over a Moebius table for that smaller top above it.
-    Cost: about x^(1/k) NumPy work plus about x^(1/m) Python walk nodes.
+    Q_k(y, n) is a table lookup for y <= ``_TABLE_TOP`` and a batched signed
+    sum over a Moebius table for that smaller top above it.
+    Cost: about x^(1/k) NumPy work and memory for the Moebius tables, plus
+    one entry per m-full d, walked in NumPy steps of at most ``_SPAN``
+    (node, prime) pairs and counted in blocks of at most ``_CELLS`` floors;
+    those two budgets, not x, bound the walk's and the counts' temporaries.
     """
     o = q.order
     x, n = q.x, q.coprime_to
     total = qk_count(x, n, o.k)
-    primes = [p for p in prime_list_up_to(iroot(x, o.m)) if n % p]
-    if not primes:
+    primes = primes_up_to(iroot(x, o.m))
+    primes = primes[n % primes != 0]
+    if not len(primes):
         return total
-    rest = x // primes[0] ** o.m
+    rest = x // int(primes[0]) ** o.m
     counts = _KFreeCounts(rest, n, o.k)
     top = min(rest, _TABLE_TOP)
     table = _small_table(top, n, o.k)
-    for signs, ys in _g_chunks(x, o.k, o.m, primes):
-        g = np.array(signs, dtype=np.int64)
-        y = np.array(ys, dtype=np.int64)
+    for g, y in _g_walk(x, o.k, o.m, primes):
         small = y <= top
         total += int(np.dot(g[small], table[y[small]]))
-        for s, v in zip(g[~small].tolist(), y[~small].tolist()):
-            total += s * counts.count(v)
+        large = ~small
+        if large.any():
+            total += int(np.dot(g[large], counts.counts(y[large])))
     return total
 
 

@@ -162,7 +162,7 @@ def check_psi_divisor_identity(limit: int, ks=(2, 3, 4, 5)) -> SuiteResult:
 def check_qk_count(limit: int, ns=(1, 2, 6, 30, 210), ks=(2, 3)) -> SuiteResult:
     """Formula-based k-free coprime counts match brute-force sieve counts.
 
-    Each (n, k) builds one count table for every x <= limit; the public
+    Each (n, k) counts every x < limit in one batched call; the public
     ``qk_count`` is called once per pair, at x = limit.
     """
     checked = 0
@@ -173,15 +173,16 @@ def check_qk_count(limit: int, ns=(1, 2, 6, 30, 210), ks=(2, 3)) -> SuiteResult:
             for p, _ in factorize(n).factors:
                 vals[p - 1 :: p] = 0
             brute = np.cumsum(vals)
-            counts = _KFreeCounts(limit, n, k)
-            for x in range(1, limit + 1):
-                checked += 1
-                got = qk_count(x, n, k) if x == limit else counts.count(x)
-                if got != int(brute[x - 1]):
-                    return SuiteResult(
-                        "qk", checked, 1,
-                        f"x={x} n={n} k={k}: formula={got} sieve={int(brute[x - 1])}",
-                    )
+            got = _KFreeCounts(limit, n, k).counts(np.arange(1, limit, dtype=np.int64))
+            got = np.append(got, qk_count(limit, n, k))
+            bad = np.flatnonzero(got != brute)
+            if len(bad):
+                x = int(bad[0]) + 1
+                return SuiteResult(
+                    "qk", checked + x, 1,
+                    f"x={x} n={n} k={k}: formula={int(got[x - 1])} sieve={int(brute[x - 1])}",
+                )
+            checked += limit
     return SuiteResult("qk", checked, 0)
 
 

@@ -17,7 +17,7 @@ from moebius_km.constants import (
     euler_factor,
     zeta,
 )
-from moebius_km.functions import psi_k
+from moebius_km.functions import mu, psi_k
 from moebius_km.primes import prime_list_up_to, primes_up_to
 
 # Values of the previous implementation (per-call p**-s powers over the
@@ -202,6 +202,7 @@ class TestPowerSumTable:
         # must see the one cached table and the same estimate.
         limit = 54_321
         constants._power_sum_cache.pop(limit, None)
+        constants._log_product_cache.pop(("alpha", 2, 3, limit), None)
         n_threads = 4
         barrier = threading.Barrier(n_threads)
         tables = [None] * n_threads
@@ -226,6 +227,31 @@ class TestPowerSumTable:
         assert all(t is constants._power_sum_cache[limit] for t in tables)
         assert results[0] is not None
         assert all(r == results[0] for r in results)
+
+    def test_log_product_cached_bit_identical(self, monkeypatch):
+        limit = 12_345
+        for key in ("alpha", 2, 3, limit), ("apostol_A", 3, limit):
+            constants._log_product_cache.pop(key, None)
+        a, a3 = alpha((2, 3), limit), apostol_A(3, limit)
+        pf = primes_up_to(limit).astype(np.float64)
+        denom = np.zeros_like(pf) + pf**2.0 + pf**3.0
+        assert constants._log_product_cache[("alpha", 2, 3, limit)] == float(
+            np.log1p(-1.0 / denom).sum()
+        )
+        assert constants._log_product_cache[("apostol_A", 3, limit)] == float(
+            np.log1p(-(2.0 * pf - 1.0) / pf**4.0).sum()
+        )
+
+        def forbidden(limit):
+            raise AssertionError("a cached product rebuilt its prime table")
+
+        monkeypatch.setattr(constants, "primes_up_to", forbidden)
+        assert alpha((2, 3), limit) == a and apostol_A(3, limit) == a3
+
+    def test_prime_zeta_weights_are_mu(self):
+        from moebius_km.constants import _MU_SERIES
+
+        assert _MU_SERIES == tuple(mu(j) if j else 0 for j in range(60 // 2 + 1))
 
 
 class TestTailMachinery:

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import oracle_mu
@@ -8,10 +10,12 @@ from moebius_km import sieve, summatory
 from moebius_km.arith import factorize, gcd, squarefree_divisors
 from moebius_km.constants import alpha, alpha_n, apostol_A
 from moebius_km.functions import OrderPair, mu, psi_k
-from moebius_km.primes import iroot
+from moebius_km.primes import iroot, primes_up_to
 from moebius_km.sieve import stream_sum
 from moebius_km.summatory import (
     _ARRAY_CAP,
+    _CELLS,
+    _SPAN,
     _TABLE_TOP,
     _conv_limit,
     L_n_sum,
@@ -28,6 +32,15 @@ from moebius_km.summatory import (
 )
 
 ORDERS = (OrderPair(2, 2), OrderPair(2, 3), OrderPair(2, 4), OrderPair(3, 3), OrderPair(3, 5))
+
+# (x, k, m, n, S(x; n)), values of the previous pure-Python route.
+TOP_VALUES = [
+    (2**62, 4, 5, 1, 4176936043790195401),
+    (2**62, 3, 4, 30, 1223393497237915710),
+    (2**62, 4, 4, 6, 1531230462645077727),
+    (2**62, 3, 3, 1, 3434301815679233033),
+    (10**11, 2, 2, 1, 42824950550),
+]
 
 
 class TestCoprimeCount:
@@ -84,10 +97,18 @@ class TestSums:
                     q = SumQuery(x, o, n)
                     assert sum_direct(q) == sum_convolution(q), (x, o, n)
 
-    @pytest.mark.parametrize("table_top", [16, _TABLE_TOP])
-    def test_convolution_matches_stream_seeded(self, monkeypatch, table_top):
+    @pytest.mark.parametrize(
+        "table_top,span,cells",
+        [(16, _SPAN, _CELLS), (_TABLE_TOP, _SPAN, _CELLS), (16, 3, 7)],
+        ids=["16", "8192", "16-span3-cells7"],
+    )
+    def test_convolution_matches_stream_seeded(self, monkeypatch, table_top, span, cells):
         # With a 16-entry table nearly every count takes the NumPy-sum route.
+        # A 3-pair span and 7-cell blocks cross every frontier split and
+        # block boundary, and split the columns of every count above 7 e^k.
         monkeypatch.setattr(summatory, "_TABLE_TOP", table_top)
+        monkeypatch.setattr(summatory, "_SPAN", span)
+        monkeypatch.setattr(summatory, "_CELLS", cells)
         rng = random.Random(20261018)
         orders = ((2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4))
         ns = (1, 8, 45, 220, 210)  # 0 to 4 distinct primes
@@ -106,16 +127,38 @@ class TestSums:
                     assert qk_count(x, n, k) == q, (x, k, n)
 
     @pytest.mark.parametrize(
-        "k,m,n,expected",
-        [
-            (4, 5, 1, 4176936043790195401),
-            (3, 4, 30, 1223393497237915710),
-            (4, 4, 6, 1531230462645077727),
-        ],
+        "x,k,m,n,expected", TOP_VALUES, ids=["-".join(map(str, v[1:])) for v in TOP_VALUES]
     )
-    def test_convolution_at_top_of_domain(self, k, m, n, expected):
-        # Values of the previous pure-Python route at x = 2^62.
-        assert sum_convolution(SumQuery(2**62, OrderPair(k, m), n)) == expected
+    def test_convolution_at_top_of_domain(self, x, k, m, n, expected):
+        assert sum_convolution(SumQuery(x, OrderPair(k, m), n)) == expected
+
+    def test_batched_counts_in_any_order(self, monkeypatch):
+        # Unsorted, repeated y over several blocks and column chunks.
+        monkeypatch.setattr(summatory, "_CELLS", 5)
+        rng = random.Random(7)
+        top = 3000
+        for k in (2, 3):
+            for n in (1, 6, 35):
+                ys = [rng.randint(1, top) for _ in range(60)] + [1, top, top]
+                got = summatory._KFreeCounts(top, n, k).counts(np.array(ys, dtype=np.int64))
+                ref = dict(stream_sum(top, (k, 12), n, sorted(set(ys))))
+                assert got.tolist() == [ref[y] for y in ys], (k, n)
+
+    def test_walk_memory_independent_of_x(self):
+        # The walk expands at most _SPAN pairs per step, so its peak grows
+        # only by its two arrays over the primes (16 bytes a prime, 1.2 MiB
+        # at 1e12); with the whole frontier expanded at once it is 55 MiB.
+        peaks = []
+        for x in (10**10, 10**12):
+            primes = primes_up_to(iroot(x, 2))
+            tracemalloc.start()
+            try:
+                entries = sum(len(y) for _, y in summatory._g_walk(x, 2, 2, primes))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert entries > 4 * _SPAN
+        assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
 
     def test_convolution_independent_of_sieve(self, monkeypatch):
         def forbidden(*args, **kwargs):
