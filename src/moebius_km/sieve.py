@@ -1,11 +1,24 @@
 """Segmented sieves streaming mu_{k,m} and k-free values in bounded memory.
 
-One NumPy kernel fills every block, and no step of it divides per cell.
-Primes whose k-th power fits in the block are applied with strided slice
-writes only.  Every other prime hits a block at most once, so those primes
-are applied in a vectorized pass over the prime array: first-hit offsets,
-then an exponent loop over the hits alone.  This is the bucket idea of
-Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).
+Every block starts as a copy of one pre-sieved periodic pattern.  The
+factor of a prime p at r depends only on min(v_p(r), m + 1), so it has
+period p**(m + 1) (p**k for the k-free indicator), and a prime p of the
+coprime filter zeroes the multiples of p, period p.  The smallest primes
+are multiplied into one period in ascending order while it stays within
+the default segment; the pattern holds their product for every residue,
+so no block writes them again.  Pre-sieving the smallest primes is the
+usual partner of the bucket sieve below (Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 83, 2014).  Each pattern is built once per (k, m or
+k-free, primes of the filter) and kept in a small, lock-guarded, bounded
+store.
+
+One NumPy kernel then applies every prime past the pattern, and no step
+of it divides per cell.  Primes whose k-th power fits in the block are
+applied with strided slice writes only.  Every other prime hits a block at
+most once, so those primes are applied in a vectorized pass over the prime
+array: first-hit offsets, then an exponent loop over the hits alone.  This
+is the bucket idea of the same paper.  Primes of the filter past the
+pattern are masked last.
 
 The public operations are deterministic: segments are reduced in ascending
 order and all arithmetic is exact integer arithmetic, so results do not
@@ -15,6 +28,7 @@ depend on the segment size or the worker count.
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,11 +41,18 @@ from .primes import _PRIME_TABLE_CAP, iroot, primes_up_to
 
 MAX_RANGE = 1 << 62
 
-# Peak bytes one worker holds per cell of its segment: the int8 block, the
-# saved exponent-m slice of the small-prime pass (at most a quarter cell) and
-# the large-prime temporaries (an int64 offset and a bool per prime, at most
-# one prime per eight cells), with room to spare.
+# Peak bytes one worker holds per cell of its segment: the int8 block (filled
+# from the pattern in place, with no temporary), the saved exponent-m slice of
+# the small-prime pass (at most a quarter cell) and the large-prime
+# temporaries (an int64 offset and a bool per prime, at most one prime per
+# eight cells), with room to spare.
 _CELL_BYTES = 3
+
+# A pattern's period stays within the default segment: at most this many
+# int8 cells.  The store keeps at most _PATTERN_STORE patterns, dropping the
+# oldest, so it never holds more than _PATTERN_STORE * _PATTERN_CELLS bytes.
+_PATTERN_CELLS = 1 << 20
+_PATTERN_STORE = 8
 
 
 def default_worker_count() -> int:
@@ -75,11 +96,13 @@ class SieveBlock:
 def segment_memory_estimate(config: SieveConfig) -> int:
     """Upper estimate (bytes) of the peak sieve working set for a config.
 
-    Counts the arrays each worker holds for its segment; the estimate is
-    independent of the range being streamed.  The shared prime table is
-    not included.
+    Counts the arrays each worker holds for its segment and the one
+    pre-sieved pattern a pass reads (at most ``_PATTERN_CELLS`` bytes, shared
+    by its workers); the estimate is independent of the range being
+    streamed.  The shared prime table and the other patterns of the store
+    (at most ``_PATTERN_STORE - 1`` more) are not included.
     """
-    return config.worker_count * config.segment_size * _CELL_BYTES
+    return config.worker_count * config.segment_size * _CELL_BYTES + _PATTERN_CELLS
 
 
 def _max_range(k: int) -> int:
@@ -99,14 +122,104 @@ def _validate_range(lo: int, hi: int, k: int) -> None:
         raise ValueError(f"hi={hi} exceeds the supported range {limit} for k={k}")
 
 
-def _sieve_block(lo: int, n_cells: int, k: int, m: int, primes, powers) -> np.ndarray:
+@dataclass(frozen=True)
+class _Pattern:
+    """One period of the pre-sieved factors of the smallest primes.
+
+    values[i] is the product of the factors of the ``held`` primes at every
+    r = i (mod len(values)).  values is read-only and shared by every block.
+    """
+
+    values: np.ndarray
+    held: tuple[int, ...]
+
+
+_pattern_lock = threading.Lock()
+_patterns: dict[tuple, _Pattern] = {}
+
+
+def _build_pattern(k: int, m: int | None, coprime_primes: tuple[int, ...]) -> _Pattern:
+    # Every prime, in ascending order, whose step still fits the period.  Once
+    # a step fails, no larger step of a prime outside coprime_primes fits, and
+    # the product of the primes up to 19 exceeds 2**20, so no prime past 19
+    # outside coprime_primes can fit.
+    period = 1
+    held: list[int] = []
+    for p in sorted({*primes_up_to(19).tolist(), *coprime_primes}):
+        step = p if p in coprime_primes else p ** (k if m is None else m + 1)
+        if period * step <= _PATTERN_CELLS:
+            period *= step
+            held.append(p)
+    values = np.ones(period, dtype=np.int8)
+    # Cell i stands for r = period + i: every held prime's step divides the
+    # period, so each first multiple sits at offset 0 as it does for r = i.
+    sieved = np.array([p for p in held if p not in coprime_primes], dtype=np.int64)
+    kernel_m = (2 * period).bit_length() if m is None else m
+    _apply_primes(values, period, k, kernel_m, sieved, sieved**k)
+    _mask_non_coprime(values, period, [p for p in held if p in coprime_primes])
+    values.flags.writeable = False
+    return _Pattern(values, tuple(held))
+
+
+def _pattern(k: int, m: int | None, coprime_primes: tuple[int, ...] = ()) -> _Pattern:
+    """The pattern of mu_{k,m} (k-free indicator if m is None) masked to the primes.
+
+    Built once per key under a lock, so concurrent callers share one object;
+    the store drops its oldest pattern beyond ``_PATTERN_STORE``.
+    """
+    key = (k, m, coprime_primes)
+    pattern = _patterns.get(key)
+    if pattern is not None:
+        return pattern
+    with _pattern_lock:
+        pattern = _patterns.get(key)
+        if pattern is None:
+            pattern = _build_pattern(k, m, coprime_primes)
+            while len(_patterns) >= _PATTERN_STORE:
+                del _patterns[next(iter(_patterns))]
+            _patterns[key] = pattern
+    return pattern
+
+
+def _kernel_primes(limit: int, k: int, pattern: _Pattern):
+    """(primes, primes**k) for the primes <= limit that the pattern does not hold."""
+    primes = primes_up_to(limit)
+    primes = np.delete(primes, np.searchsorted(primes, [p for p in pattern.held if p <= limit]))
+    return primes, primes**k
+
+
+def _sieve_block(
+    lo: int, n_cells: int, k: int, m: int, pattern: _Pattern, primes, powers
+) -> np.ndarray:
     """mu_{k,m}(lo + i) for i in range(n_cells) as an int8 array.
 
-    ``powers`` holds primes**k.  Only primes with p**k <= hi matter, since
-    exponents below k contribute a factor 1.  An m with 2**m > hi makes the
-    result the k-free indicator, as no exponent can equal m.
+    The block starts as the pattern's values at lo .. hi; ``primes`` are the
+    primes past the pattern and ``powers`` holds primes**k.  Only primes with
+    p**k <= hi matter, since exponents below k contribute a factor 1.  An m
+    with 2**m > hi makes the result the k-free indicator, as no exponent can
+    equal m.
     """
-    out = np.ones(n_cells, dtype=np.int8)
+    values = pattern.values
+    period = len(values)
+    out = np.empty(n_cells, dtype=np.int8)
+    off = lo % period
+    filled = min(n_cells, period - off)
+    out[:filled] = values[off : off + filled]
+    wrap = min(n_cells - filled, off)
+    out[filled : filled + wrap] = values[:wrap]
+    filled += wrap
+    # out[:filled] is now one whole period (or the whole block): double it.
+    while filled < n_cells:
+        step = min(filled, n_cells - filled)
+        out[filled : filled + step] = out[:step]
+        filled += step
+    _apply_primes(out, lo, k, m, primes, powers)
+    return out
+
+
+def _apply_primes(out: np.ndarray, lo: int, k: int, m: int, primes, powers) -> None:
+    """Multiply out[i] by the factors of ``primes`` at lo + i, in place."""
+    n_cells = len(out)
     hi = lo + n_cells - 1
     split = int(np.searchsorted(powers, n_cells, side="right"))
     end = int(np.searchsorted(powers, hi, side="right"))
@@ -151,7 +264,6 @@ def _sieve_block(lo: int, n_cells: int, k: int, m: int, primes, powers) -> np.nd
         # Two primes can flip one cell: an indexed assignment would apply
         # the repeated index once, multiply.at applies it twice.
         np.multiply.at(out, offs[flip], -1)
-    return out
 
 
 def _check_block(lo: int, hi: int, k: int, config: SieveConfig | None) -> int:
@@ -176,8 +288,9 @@ def sieve_mu_km(
     """
     o = as_order(order)
     n_cells = _check_block(lo, hi, o.k, config)
-    primes = primes_up_to(iroot(hi, o.k))
-    out = _sieve_block(lo, n_cells, o.k, o.m, primes, primes**o.k)
+    pattern = _pattern(o.k, o.m)
+    primes, powers = _kernel_primes(iroot(hi, o.k), o.k, pattern)
+    out = _sieve_block(lo, n_cells, o.k, o.m, pattern, primes, powers)
     return SieveBlock(lo, hi, out)
 
 
@@ -191,9 +304,10 @@ def sieve_qk(
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     n_cells = _check_block(lo, hi, k, config)
-    primes = primes_up_to(iroot(hi, k))
+    pattern = _pattern(k, None)
+    primes, powers = _kernel_primes(iroot(hi, k), k, pattern)
     # With m = hi.bit_length(), 2**m > hi: no exponent can equal m.
-    out = _sieve_block(lo, n_cells, k, hi.bit_length(), primes, primes**k)
+    out = _sieve_block(lo, n_cells, k, hi.bit_length(), pattern, primes, powers)
     return SieveBlock(lo, hi, out)
 
 
@@ -255,9 +369,10 @@ def stream_sum(
     if cps[0] < 1 or cps[-1] > x:
         raise ValueError("checkpoints must lie in [1, x]")
 
-    primes = primes_up_to(iroot(x, o.k))
-    powers = primes**o.k
-    coprime_primes = [p for p, _ in as_factored(coprime_to).factors]
+    coprime_primes = tuple(p for p, _ in as_factored(coprime_to).factors)
+    pattern = _pattern(o.k, o.m, coprime_primes)
+    primes, powers = _kernel_primes(iroot(x, o.k), o.k, pattern)
+    mask_primes = [p for p in coprime_primes if p not in pattern.held]
 
     seg = cfg.segment_size
     # Map checkpoints to their segment index (they are ascending).
@@ -267,8 +382,8 @@ def stream_sum(
 
     def segment_result(seg_lo: int):
         n_cells = min(seg, x - seg_lo + 1)
-        block = _sieve_block(seg_lo, n_cells, o.k, o.m, primes, powers)
-        _mask_non_coprime(block, seg_lo, coprime_primes)
+        block = _sieve_block(seg_lo, n_cells, o.k, o.m, pattern, primes, powers)
+        _mask_non_coprime(block, seg_lo, mask_primes)
         # Sum the block piece by piece between checkpoints.
         partials = []
         acc = 0

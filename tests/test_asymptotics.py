@@ -11,7 +11,7 @@ from moebius_km.asymptotics import (
     reference_shape,
     scan,
 )
-from moebius_km.summatory import SumQuery, sum_direct
+from moebius_km.summatory import SumQuery, sum_convolution, sum_direct
 from moebius_km.functions import OrderPair
 
 
@@ -61,6 +61,16 @@ class TestScan:
         for r in rows:
             assert r.S == sum_direct(SumQuery(r.x, OrderPair(2, 3), 6))
             assert r.E == float(r.S) - r.M
+
+    @pytest.mark.parametrize("n", [30, 42, 66, 78])
+    def test_s_column_equals_convolution_on_dense_grid(self, n):
+        # The benchmarked scan path (sieve, pattern, mask, checkpoints) against
+        # the independent convolution engine at every checkpoint.
+        cps = geometric_checkpoints(10**3, 10**7, 20)
+        assert len(cps) == 81
+        rows = scan((2, 3), coprime_to=n, checkpoints=cps, prime_limit=10**4)
+        for r in rows:
+            assert r.S == sum_convolution(SumQuery(r.x, OrderPair(2, 3), n)), (n, r.x)
 
     def test_ratio_consistency_identity(self):
         rows = scan((2, 3), checkpoints=[100, 1000, 10**4], prime_limit=10**4)

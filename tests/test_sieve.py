@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_mu_km, oracle_qk
-from moebius_km.arith import factorize, gcd
+from moebius_km import sieve
+from moebius_km.arith import as_factored, factorize, gcd
 from moebius_km.functions import mu_km, q_k
 from moebius_km.primes import _PRIME_TABLE_CAP, iroot
 from moebius_km.sieve import (
@@ -237,3 +240,95 @@ def test_memory_estimate_within_budget():
     cfg = SieveConfig(segment_size=1 << 20, worker_count=4)
     assert segment_memory_estimate(cfg) <= 64 * 2**20
 
+
+
+_WRAP_ORDERS = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 5), (4, 6)]
+# The last modulus is the product of the primes up to 23: its mask does not
+# fit in one pattern period, so 19 and 23 are masked block by block.
+_WRAP_MODULI = [1, 6, 30, 42, 210, 223092870]
+
+
+def _period(k, m, n):
+    primes = tuple(p for p, _ in as_factored(n).factors)
+    return len(sieve._pattern(k, m, primes).values)
+
+
+@pytest.mark.parametrize("segment_size", [64, 1000, 1 << 20])
+@pytest.mark.parametrize("order", _WRAP_ORDERS, ids=lambda o: f"{o[0]}-{o[1]}")
+def test_stream_sum_cell_by_cell_across_pattern_wraps(order, segment_size):
+    # A checkpoint at every integer of windows around the first period wrap
+    # (blocks starting just before and just after it) and around the segment
+    # boundary nearest to it; each step of the sum must be mu_km(r) when
+    # gcd(r, n) = 1 and 0 otherwise.
+    k, m = order
+    cfg = SieveConfig(segment_size=segment_size)
+    for n in _WRAP_MODULI:
+        period = _period(k, m, n)
+        boundary = 1 + segment_size * max(1, round((period - 1) / segment_size))
+        cells = sorted({r for c in (period, boundary) for r in range(max(1, c - 71), c + 71)})
+        got = stream_sum(cells[-1], order, n, cells, cfg)
+        checked = 0
+        for (r0, s0), (r, s) in zip(got, got[1:]):
+            if r0 == r - 1:
+                want = mu_km(r, order) if gcd(r, n) == 1 else 0
+                assert s - s0 == want, (order, n, segment_size, r)
+                checked += 1
+        assert checked >= 99, (order, n, segment_size)
+
+
+def test_blocks_starting_at_every_phase_near_a_wrap():
+    # Blocks whose first cell sits at the last cells of a period, on its
+    # first cell, or just past it (stream_sum's blocks start at odd r only).
+    for order in _WRAP_ORDERS:
+        period = _period(*order, 1)
+        for lo in (period - 2, period - 1, period, period + 1, 2 * period - 1, 2 * period):
+            values = sieve_mu_km(lo, lo + 99, order).values.tolist()
+            assert values == [mu_km(r, order) for r in range(lo, lo + 100)], (order, lo)
+    for k in (2, 3, 4):
+        period = len(sieve._pattern(k, None).values)
+        for lo in (period - 1, period, period + 1):
+            values = sieve_qk(lo, lo + 99, k).values.tolist()
+            assert values == [q_k(r, k) for r in range(lo, lo + 100)], (k, lo)
+
+
+def test_pattern_store_stays_bounded(monkeypatch):
+    monkeypatch.setattr(sieve, "_patterns", {})
+    for k in (2, 3):
+        for m in range(k, k + 4):
+            for n in (1, 2, 6, 10, 30):
+                primes = tuple(p for p, _ in as_factored(n).factors)
+                sieve._pattern(k, m, primes)
+                assert len(sieve._patterns) <= sieve._PATTERN_STORE
+    assert len(sieve._patterns) == sieve._PATTERN_STORE
+    # The newest patterns are the ones kept, and a dropped one is rebuilt.
+    assert (3, 6, (2, 3, 5)) in sieve._patterns
+    assert (2, 2, ()) not in sieve._patterns
+    assert stream_sum(12, (2, 2), 1, [12]) == [(12, 5)]
+    assert all(p.values.nbytes <= sieve._PATTERN_CELLS for p in sieve._patterns.values())
+
+
+def test_cold_pattern_from_many_threads(monkeypatch):
+    # More threads than cores and a short switch interval: every thread must
+    # get the one pattern object the store keeps.
+    monkeypatch.setattr(sieve, "_patterns", {})
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    got = [None] * n_threads
+
+    def work(i):
+        barrier.wait()
+        got[i] = sieve._pattern(2, 3, (3, 7))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(p is sieve._patterns[(2, 3, (3, 7))] for p in got)
+    assert not got[0].values.flags.writeable
