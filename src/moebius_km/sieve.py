@@ -1,16 +1,28 @@
 """Segmented sieves streaming mu_{k,m} and k-free values in bounded memory.
 
+A pass sieves only the integers coprime to its wheel W: the product of the
+primes of the coprime filter among 2 and 3, so W is 1, 2, 3 or 6 and
+follows from the filter.  Each residue c mod W coprime to W is one column,
+and its cell t stands for r = W t + c; a block holds ``segment_size`` cells
+of one column, so a segment covers W * ``segment_size`` integers and the
+cells a filter prime of W would zero are never written.  This is the wheel
+of Pritchard ("Explaining the wheel sieve", Acta Informatica 17, 1982).  A
+prime power q coprime to W hits a column with stride q, starting at
+(-lo) W^-1 mod q.  Without a filter W = 1 and a block is a plain range.
+
 Every block starts as a copy of one pre-sieved periodic pattern.  The
 factor of a prime p at r depends only on min(v_p(r), m + 1), so it has
 period p**(m + 1) (p**k for the k-free indicator), and a prime p of the
 coprime filter zeroes the multiples of p, period p.  The smallest primes
-are multiplied into one period in ascending order while it stays within
-the default segment; the pattern holds their product for every residue,
-so no block writes them again.  Pre-sieving the smallest primes is the
-usual partner of the bucket sieve below (Oliveira e Silva, Herzog and
-Pardi, Math. Comp. 83, 2014).  Each pattern is built once per (k, m or
-k-free, primes of the filter) and kept in a small, lock-guarded, bounded
-store.
+outside W are multiplied into one period P in ascending order while it
+stays within the default segment; the pattern holds their product for
+every residue, so no block writes them again.  A factor depends only on
+the valuation of its prime, which the unit W does not change, so a column
+reads the pattern contiguously from lo W^-1 mod P.  Pre-sieving the
+smallest primes is the usual partner of the bucket sieve below (Oliveira e
+Silva, Herzog and Pardi, Math. Comp. 83, 2014).  Each pattern is built
+once per (k, m or k-free, primes of the filter) and kept in a small,
+lock-guarded, bounded store.
 
 One NumPy kernel then applies every prime past the pattern, and no step
 of it divides per cell.  Primes whose k-th power fits in the block are
@@ -18,7 +30,7 @@ applied with strided slice writes only.  Every other prime hits a block at
 most once, so those primes are applied in a vectorized pass over the prime
 array: first-hit offsets, then an exponent loop over the hits alone.  This
 is the bucket idea of the same paper.  Primes of the filter past the
-pattern are masked last.
+pattern and the wheel are masked last.
 
 The public operations are deterministic: segments are reduced in ascending
 order and all arithmetic is exact integer arithmetic, so results do not
@@ -27,6 +39,7 @@ depend on the segment size or the worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import deque
@@ -41,12 +54,17 @@ from .primes import _PRIME_TABLE_CAP, iroot, primes_up_to
 
 MAX_RANGE = 1 << 62
 
-# Peak bytes one worker holds per cell of its segment: the int8 block (filled
-# from the pattern in place, with no temporary), the saved exponent-m slice of
-# the small-prime pass (at most a quarter cell) and the large-prime
-# temporaries (an int64 offset and a bool per prime, at most one prime per
-# eight cells), with room to spare.
-_CELL_BYTES = 3
+# Peak bytes one worker holds per cell of its segment: the int8 block and the
+# bool scratch of the reduction (both reused from segment to segment), the
+# saved exponent-m slice of the small-prime pass (at most a quarter cell) and
+# the large-prime temporaries (at most _PRIME_BYTES per prime, at most one
+# prime per _CELLS_PER_PRIME cells), with room to spare.  Small blocks still
+# take _MIN_PRIMES primes per round, which adds _MIN_PRIMES * _PRIME_BYTES
+# bytes per worker.
+_CELL_BYTES = 4
+_CELLS_PER_PRIME = 64
+_MIN_PRIMES = 4096
+_PRIME_BYTES = 64
 
 # A pattern's period stays within the default segment: at most this many
 # int8 cells.  The store keeps at most _PATTERN_STORE patterns, dropping the
@@ -96,13 +114,16 @@ class SieveBlock:
 def segment_memory_estimate(config: SieveConfig) -> int:
     """Upper estimate (bytes) of the peak sieve working set for a config.
 
-    Counts the arrays each worker holds for its segment and the one
-    pre-sieved pattern a pass reads (at most ``_PATTERN_CELLS`` bytes, shared
-    by its workers); the estimate is independent of the range being
-    streamed.  The shared prime table and the other patterns of the store
-    (at most ``_PATTERN_STORE - 1`` more) are not included.
+    Counts the arrays each worker holds for its segment (``segment_size``
+    cells of one wheel column, reused across segments and columns), the
+    large-prime temporaries of the smallest round, and the one pre-sieved
+    pattern a pass reads (at most ``_PATTERN_CELLS`` bytes, shared by its
+    workers); the estimate is independent of the range being streamed.  The
+    shared prime table and the other patterns of the store (at most
+    ``_PATTERN_STORE - 1`` more) are not included.
     """
-    return config.worker_count * config.segment_size * _CELL_BYTES + _PATTERN_CELLS
+    per_worker = config.segment_size * _CELL_BYTES + _MIN_PRIMES * _PRIME_BYTES
+    return config.worker_count * per_worker + _PATTERN_CELLS
 
 
 def _max_range(k: int) -> int:
@@ -122,16 +143,43 @@ def _validate_range(lo: int, hi: int, k: int) -> None:
         raise ValueError(f"hi={hi} exceeds the supported range {limit} for k={k}")
 
 
+def _first_cells(lo: int, wheel: int, q):
+    """First t >= 0 with q | lo + wheel * t, for each q coprime to wheel.
+
+    q is an int or an int64 array.  t = (s + a q) / wheel, where s = -lo
+    mod q and a in [0, wheel) makes the numerator divisible; every unit mod
+    2, 3 or 6 is its own inverse, so a = -s q mod wheel.  The numerator can
+    pass 2**63, so it is split into quotients and remainders by wheel, each
+    term below q.
+    """
+    s = -lo % q
+    if wheel == 1:
+        return s
+    # In-place steps keep an array call at five temporaries of q's size.
+    s_rem = s % wheel
+    a = -s_rem * (q % wheel) % wheel
+    s //= wheel
+    s += a * (q // wheel)
+    s_rem += a * (q % wheel)
+    s_rem //= wheel
+    s += s_rem
+    return s
+
+
 @dataclass(frozen=True)
 class _Pattern:
     """One period of the pre-sieved factors of the smallest primes.
 
     values[i] is the product of the factors of the ``held`` primes at every
-    r = i (mod len(values)).  values is read-only and shared by every block.
+    r = i (mod len(values)).  No held prime divides ``wheel``, and a factor
+    depends only on the valuation of its prime, which a unit such as
+    ``wheel`` does not change: values[wheel * t mod len(values)] = values[t].
+    values is read-only and shared by every block.
     """
 
     values: np.ndarray
     held: tuple[int, ...]
+    wheel: int
 
 
 _pattern_lock = threading.Lock()
@@ -139,15 +187,16 @@ _patterns: dict[tuple, _Pattern] = {}
 
 
 def _build_pattern(k: int, m: int | None, coprime_primes: tuple[int, ...]) -> _Pattern:
-    # Every prime, in ascending order, whose step still fits the period.  Once
-    # a step fails, no larger step of a prime outside coprime_primes fits, and
-    # the product of the primes up to 19 exceeds 2**20, so no prime past 19
-    # outside coprime_primes can fit.
+    # Every prime outside the wheel, in ascending order, whose step still
+    # fits the period.  Once a step fails, no larger step of a prime outside
+    # coprime_primes fits, and the product of the primes from 5 to 19
+    # exceeds 2**20, so no prime past 19 outside coprime_primes can fit.
+    wheel = math.prod(p for p in coprime_primes if p < 5)  # 1, 2, 3 or 6
     period = 1
     held: list[int] = []
     for p in sorted({*primes_up_to(19).tolist(), *coprime_primes}):
         step = p if p in coprime_primes else p ** (k if m is None else m + 1)
-        if period * step <= _PATTERN_CELLS:
+        if wheel % p and period * step <= _PATTERN_CELLS:
             period *= step
             held.append(p)
     values = np.ones(period, dtype=np.int8)
@@ -155,10 +204,10 @@ def _build_pattern(k: int, m: int | None, coprime_primes: tuple[int, ...]) -> _P
     # period, so each first multiple sits at offset 0 as it does for r = i.
     sieved = np.array([p for p in held if p not in coprime_primes], dtype=np.int64)
     kernel_m = (2 * period).bit_length() if m is None else m
-    _apply_primes(values, period, k, kernel_m, sieved, sieved**k)
-    _mask_non_coprime(values, period, [p for p in held if p in coprime_primes])
+    _apply_primes(values, period, 1, k, kernel_m, sieved, sieved**k)
+    _mask_non_coprime(values, period, 1, [p for p in held if p in coprime_primes])
     values.flags.writeable = False
-    return _Pattern(values, tuple(held))
+    return _Pattern(values, tuple(held), wheel)
 
 
 def _pattern(k: int, m: int | None, coprime_primes: tuple[int, ...] = ()) -> _Pattern:
@@ -182,27 +231,30 @@ def _pattern(k: int, m: int | None, coprime_primes: tuple[int, ...] = ()) -> _Pa
 
 
 def _kernel_primes(limit: int, k: int, pattern: _Pattern):
-    """(primes, primes**k) for the primes <= limit that the pattern does not hold."""
+    """(primes, primes**k) for the primes <= limit outside the pattern and the wheel."""
     primes = primes_up_to(limit)
-    primes = np.delete(primes, np.searchsorted(primes, [p for p in pattern.held if p <= limit]))
+    skip = sorted({*pattern.held, *(p for p in (2, 3) if pattern.wheel % p == 0)})
+    primes = np.delete(primes, np.searchsorted(primes, [p for p in skip if p <= limit]))
     return primes, primes**k
 
 
 def _sieve_block(
-    lo: int, n_cells: int, k: int, m: int, pattern: _Pattern, primes, powers
-) -> np.ndarray:
-    """mu_{k,m}(lo + i) for i in range(n_cells) as an int8 array.
+    out: np.ndarray, lo: int, k: int, m: int, pattern: _Pattern, primes, powers
+) -> None:
+    """Write mu_{k,m}(lo + wheel * t) into out[t], wheel being the pattern's.
 
-    The block starts as the pattern's values at lo .. hi; ``primes`` are the
-    primes past the pattern and ``powers`` holds primes**k.  Only primes with
-    p**k <= hi matter, since exponents below k contribute a factor 1.  An m
-    with 2**m > hi makes the result the k-free indicator, as no exponent can
-    equal m.
+    The block starts as the pattern's values from the cell of lo on;
+    ``primes`` are the primes past the pattern and the wheel, and ``powers``
+    holds primes**k.  Only primes with p**k <= hi matter, since exponents
+    below k contribute a factor 1.  An m with 2**m > hi makes the result the
+    k-free indicator, as no exponent can equal m.
     """
     values = pattern.values
     period = len(values)
-    out = np.empty(n_cells, dtype=np.int8)
-    off = lo % period
+    n_cells = len(out)
+    # The factors at lo + wheel * t equal those at lo / wheel + t, as wheel
+    # is a unit mod period: a column reads the pattern contiguously.
+    off = lo * pow(pattern.wheel, -1, period) % period
     filled = min(n_cells, period - off)
     out[:filled] = values[off : off + filled]
     wrap = min(n_cells - filled, off)
@@ -213,46 +265,45 @@ def _sieve_block(
         step = min(filled, n_cells - filled)
         out[filled : filled + step] = out[:step]
         filled += step
-    _apply_primes(out, lo, k, m, primes, powers)
-    return out
+    _apply_primes(out, lo, pattern.wheel, k, m, primes, powers)
 
 
-def _apply_primes(out: np.ndarray, lo: int, k: int, m: int, primes, powers) -> None:
-    """Multiply out[i] by the factors of ``primes`` at lo + i, in place."""
+def _apply_primes(out: np.ndarray, lo: int, wheel: int, k: int, m: int, primes, powers) -> None:
+    """Multiply out[t] by the factors of ``primes`` at lo + wheel * t, in place."""
     n_cells = len(out)
-    hi = lo + n_cells - 1
+    hi = lo + wheel * (n_cells - 1)
     split = int(np.searchsorted(powers, n_cells, side="right"))
     end = int(np.searchsorted(powers, hi, side="right"))
 
     # Small primes: exponent in [k, m) or above m zeroes a cell, exponent m
     # flips it.  Save the multiples of p**m, zero the multiples of p**k,
     # write the saved values back negated, then zero the multiples of p**(m+1).
-    for p in primes[:split].tolist():
-        q = p**k
+    first = _first_cells(lo, wheel, powers[:split]).tolist()
+    for p, q, t in zip(primes[:split].tolist(), powers[:split].tolist(), first):
         pm = p**m
         if pm > hi:
-            out[-lo % q :: q] = 0
+            out[t::q] = 0
             continue
-        s_m = -lo % pm
-        flipped = -out[s_m::pm]
-        out[-lo % q :: q] = 0
-        out[s_m::pm] = flipped
+        t_m = _first_cells(lo, wheel, pm)
+        flipped = -out[t_m::pm]
+        out[t::q] = 0
+        out[t_m::pm] = flipped
         pm1 = pm * p
         if pm1 <= hi:
-            out[-lo % pm1 :: pm1] = 0
+            out[_first_cells(lo, wheel, pm1) :: pm1] = 0
 
     # Large primes hit the block at most once each; a chunk of them is
     # processed at a time so the temporaries stay proportional to the block.
-    chunk = max(1, n_cells // 8)
+    chunk = max(_MIN_PRIMES, n_cells // _CELLS_PER_PRIME)
     for start in range(split, end, chunk):
         stop = min(start + chunk, end)
-        offs = -lo % powers[start:stop]
+        offs = _first_cells(lo, wheel, powers[start:stop])
         hit = np.flatnonzero(offs < n_cells)
         if not hit.size:
             continue
         offs = offs[hit]
         hit_p = primes[start:stop][hit]
-        cofactor = (lo + offs) // powers[start:stop][hit]
+        cofactor = (lo + wheel * offs) // powers[start:stop][hit]
         extra = np.zeros(hit.size, dtype=np.int64)  # exponent minus k
         live = np.flatnonzero(cofactor % hit_p == 0)
         while live.size:
@@ -287,10 +338,10 @@ def sieve_mu_km(
     :func:`stream_sum` for longer ranges.
     """
     o = as_order(order)
-    n_cells = _check_block(lo, hi, o.k, config)
+    out = np.empty(_check_block(lo, hi, o.k, config), dtype=np.int8)
     pattern = _pattern(o.k, o.m)
     primes, powers = _kernel_primes(iroot(hi, o.k), o.k, pattern)
-    out = _sieve_block(lo, n_cells, o.k, o.m, pattern, primes, powers)
+    _sieve_block(out, lo, o.k, o.m, pattern, primes, powers)
     return SieveBlock(lo, hi, out)
 
 
@@ -303,27 +354,27 @@ def sieve_qk(
     """k-free indicator values over [lo, hi] as one block."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    n_cells = _check_block(lo, hi, k, config)
+    out = np.empty(_check_block(lo, hi, k, config), dtype=np.int8)
     pattern = _pattern(k, None)
     primes, powers = _kernel_primes(iroot(hi, k), k, pattern)
     # With m = hi.bit_length(), 2**m > hi: no exponent can equal m.
-    out = _sieve_block(lo, n_cells, k, hi.bit_length(), pattern, primes, powers)
+    _sieve_block(out, lo, k, hi.bit_length(), pattern, primes, powers)
     return SieveBlock(lo, hi, out)
 
 
-def _mask_non_coprime(block: np.ndarray, seg_lo: int, coprime_primes: list[int]) -> None:
+def _mask_non_coprime(block: np.ndarray, lo: int, wheel: int, coprime_primes: list[int]) -> None:
     # Zero the cells sharing a factor with the filter modulus.  Stepping the
     # distinct primes of the modulus is exact: gcd > 1 iff some prime hits.
     for p in coprime_primes:
-        start = ((seg_lo + p - 1) // p) * p - seg_lo
-        if start < len(block):
-            block[start::p] = 0
+        block[_first_cells(lo, wheel, p) :: p] = 0
 
 
-def _block_sum(block: np.ndarray) -> int:
+def _block_sum(block: np.ndarray, scratch: np.ndarray) -> int:
     # Entries are in {-1, 0, 1}: (#1) - (#-1) = 2 * (#positive) - (#nonzero),
-    # which counts without the int64 widening a sum would need.
-    return 2 * int(np.count_nonzero(block > 0)) - int(np.count_nonzero(block))
+    # which counts without the int64 widening a sum would need; the bool
+    # scratch holds block > 0, so no temporary is allocated.
+    positive = np.greater(block, 0, out=scratch[: len(block)])
+    return 2 * int(np.count_nonzero(positive)) - int(np.count_nonzero(block))
 
 
 def _ordered_map(fn, items, workers: int):
@@ -353,7 +404,8 @@ def stream_sum(
     One streaming pass over [1, x]; returns (checkpoint, sum) pairs in input
     order.  Checkpoints must be ascending (duplicates allowed) and <= x.
     The result is exact and identical for every segment size and worker
-    count.
+    count.  When 2 or 3 divides coprime_to, only the wheel columns coprime
+    to them are sieved, ``segment_size`` cells of each per segment.
     """
     o = as_order(order)
     cfg = config or SieveConfig()
@@ -371,34 +423,53 @@ def stream_sum(
 
     coprime_primes = tuple(p for p, _ in as_factored(coprime_to).factors)
     pattern = _pattern(o.k, o.m, coprime_primes)
+    wheel = pattern.wheel
     primes, powers = _kernel_primes(iroot(x, o.k), o.k, pattern)
-    mask_primes = [p for p in coprime_primes if p not in pattern.held]
+    mask_primes = [p for p in coprime_primes if p not in pattern.held and wheel % p]
+    # Column c holds r = wheel * t + c for t >= 0.
+    columns = [c for c in range(1, wheel + 1) if math.gcd(c, wheel) == 1]
 
     seg = cfg.segment_size
-    # Map checkpoints to their segment index (they are ascending).
+    # Segment j holds the cells t in [j * seg, (j + 1) * seg) of every
+    # column: the integers in (j * span, (j + 1) * span].  Map checkpoints
+    # to their segment index (they are ascending).
+    span = wheel * seg
     cps_by_seg: dict[int, list[int]] = {}
-    for c in cps:
-        cps_by_seg.setdefault((c - 1) // seg, []).append(c)
+    for cp in cps:
+        cps_by_seg.setdefault((cp - 1) // span, []).append(cp)
+    buffers = threading.local()
 
-    def segment_result(seg_lo: int):
-        n_cells = min(seg, x - seg_lo + 1)
-        block = _sieve_block(seg_lo, n_cells, o.k, o.m, pattern, primes, powers)
-        _mask_non_coprime(block, seg_lo, mask_primes)
-        # Sum the block piece by piece between checkpoints.
-        partials = []
-        acc = 0
-        start = 0
-        for c in cps_by_seg.get((seg_lo - 1) // seg, ()):
-            stop = c - seg_lo + 1
-            acc += _block_sum(block[start:stop])
-            start = stop
-            partials.append((c, acc))
-        return acc + _block_sum(block[start:]), partials
+    def segment_result(t_lo: int):
+        if not hasattr(buffers, "block"):
+            buffers.block = np.empty(seg, dtype=np.int8)
+            buffers.scratch = np.empty(seg, dtype=np.bool_)
+        here = cps_by_seg.get(t_lo // seg, ())
+        partials = [0] * len(here)
+        total = 0
+        for c in columns:
+            n_cells = min(seg, (x - c) // wheel + 1 - t_lo)
+            if n_cells <= 0:
+                continue
+            block = buffers.block[:n_cells]
+            lo = wheel * t_lo + c
+            _sieve_block(block, lo, o.k, o.m, pattern, primes, powers)
+            _mask_non_coprime(block, lo, wheel, mask_primes)
+            # Sum the block piece by piece between checkpoints; the cells
+            # up to checkpoint X are those with t <= (X - c) // wheel.
+            acc = 0
+            start = 0
+            for i, cp in enumerate(here):
+                stop = (cp - c) // wheel - t_lo + 1
+                acc += _block_sum(block[start:stop], buffers.scratch)
+                start = stop
+                partials[i] += acc
+            total += acc + _block_sum(block[start:], buffers.scratch)
+        return total, zip(here, partials)
 
     results: list[tuple[int, int]] = []
     running = 0
     for total, partials in _ordered_map(
-        segment_result, range(1, x + 1, seg), cfg.worker_count
+        segment_result, range(0, (x - 1) // wheel + 1, seg), cfg.worker_count
     ):
         results.extend((c, running + s) for c, s in partials)
         running += total

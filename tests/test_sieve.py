@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -217,6 +218,31 @@ def test_stream_sum_memory_independent_of_segment_count():
     assert large <= small + 64 * 1024, (small, large)
 
 
+@pytest.mark.parametrize("coprime_primes", [(), (2, 3)], ids=["w1", "w6"])
+@pytest.mark.parametrize("segment_size", [64, 4096, 1 << 16])
+def test_block_peak_within_per_worker_estimate(coprime_primes, segment_size):
+    # Near 2**61 every round of the large-prime pass is full, including the
+    # _MIN_PRIMES floor of small blocks: the block, the scratch and the
+    # kernel's temporaries must fit one worker's share of the estimate.
+    k, m = 3, 4
+    pattern = sieve._pattern(k, m, coprime_primes)
+    lo = 2**61 + 1
+    hi = lo + pattern.wheel * (segment_size - 1)
+    primes, powers = sieve._kernel_primes(iroot(hi, k), k, pattern)
+    assert len(primes) > 4 * sieve._MIN_PRIMES
+    share = segment_memory_estimate(SieveConfig(segment_size, 1)) - sieve._PATTERN_CELLS
+    tracemalloc.start()
+    try:
+        block = np.empty(segment_size, dtype=np.int8)
+        scratch = np.empty(segment_size, dtype=np.bool_)
+        sieve._sieve_block(block, lo, k, m, pattern, primes, powers)
+        sieve._block_sum(block, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= share, (peak, share)
+
+
 @given(
     st.integers(min_value=1, max_value=1500),
     st.integers(min_value=1, max_value=60),
@@ -244,43 +270,102 @@ def test_memory_estimate_within_budget():
 
 _WRAP_ORDERS = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 5), (4, 6)]
 # The last modulus is the product of the primes up to 23: its mask does not
-# fit in one pattern period, so 19 and 23 are masked block by block.
-_WRAP_MODULI = [1, 6, 30, 42, 210, 223092870]
+# fit in one pattern period, so 19 and 23 are masked block by block.  The
+# moduli from 2 to 15 give the wheels 2, 3 and 6 with and without 5 in n.
+_WRAP_MODULI = [1, 2, 3, 4, 6, 9, 10, 12, 15, 30, 42, 210, 223092870]
 
 
-def _period(k, m, n):
-    primes = tuple(p for p, _ in as_factored(n).factors)
-    return len(sieve._pattern(k, m, primes).values)
+def _pattern_of(k, m, n):
+    return sieve._pattern(k, m, tuple(p for p, _ in as_factored(n).factors))
+
+
+def _assert_steps_pointwise(got, order, n, label):
+    # Each step between consecutive integer checkpoints must be mu_km(r)
+    # when gcd(r, n) = 1 and 0 otherwise; returns the number of steps.
+    checked = 0
+    for (r0, s0), (r, s) in zip(got, got[1:]):
+        if r0 == r - 1:
+            want = mu_km(r, order) if gcd(r, n) == 1 else 0
+            assert s - s0 == want, (order, n, label, r)
+            checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("segment_size", [64, 1000, 1 << 20])
 @pytest.mark.parametrize("order", _WRAP_ORDERS, ids=lambda o: f"{o[0]}-{o[1]}")
 def test_stream_sum_cell_by_cell_across_pattern_wraps(order, segment_size):
-    # A checkpoint at every integer of windows around the first period wrap
-    # (blocks starting just before and just after it) and around the segment
-    # boundary nearest to it; each step of the sum must be mu_km(r) when
-    # gcd(r, n) = 1 and 0 otherwise.
+    # A checkpoint at every integer of windows around the pattern wraps and
+    # around the segment boundary nearest to the first one.  A segment holds
+    # segment_size cells of each wheel column, so it spans wheel *
+    # segment_size integers.  Column c wraps where r = 0 mod period, first
+    # at r = j * period with j = c / period mod wheel; the windows around
+    # j * period for j <= wheel coprime to it cover every column.  Past
+    # 2**20 only the first wrap is kept: streaming to 6 * 2**20 in 64-cell
+    # segments takes seconds per modulus.
     k, m = order
     cfg = SieveConfig(segment_size=segment_size)
     for n in _WRAP_MODULI:
-        period = _period(k, m, n)
-        boundary = 1 + segment_size * max(1, round((period - 1) / segment_size))
-        cells = sorted({r for c in (period, boundary) for r in range(max(1, c - 71), c + 71)})
+        pattern = _pattern_of(k, m, n)
+        period, wheel = len(pattern.values), pattern.wheel
+        span = wheel * segment_size
+        boundary = 1 + span * max(1, round((period - 1) / span))
+        wraps = [j * period for j in range(1, wheel + 1) if gcd(j, wheel) == 1]
+        wraps = [r for r in wraps if r <= 2**20] or wraps[:1]
+        cells = sorted({r for c in (*wraps, boundary) for r in range(max(1, c - 71), c + 71)})
         got = stream_sum(cells[-1], order, n, cells, cfg)
-        checked = 0
-        for (r0, s0), (r, s) in zip(got, got[1:]):
-            if r0 == r - 1:
-                want = mu_km(r, order) if gcd(r, n) == 1 else 0
-                assert s - s0 == want, (order, n, segment_size, r)
-                checked += 1
-        assert checked >= 99, (order, n, segment_size)
+        assert _assert_steps_pointwise(got, order, n, segment_size) >= 99 * len(wraps)
+
+
+@pytest.mark.parametrize("segment_size", [64, 1000, 1 << 20])
+@pytest.mark.parametrize("order", _WRAP_ORDERS, ids=lambda o: f"{o[0]}-{o[1]}")
+def test_stream_sum_ends_at_every_residue_mod_six(order, segment_size):
+    # x = 6 * segment_size + d ends just past the first segment of the
+    # 6-wheel (and of the 2- and 3-wheels a few segments on), so the last
+    # segment holds 0 or 1 cells of some columns; every x mod 6 occurs.
+    # Steps are checked over the last 40 integers and across the boundary.
+    cfg = SieveConfig(segment_size=segment_size)
+    top = 6 * segment_size
+    for n in _WRAP_MODULI:
+        for d in range(6):
+            x = top + d
+            cells = list(range(max(1, top - 40), x + 1))
+            got = stream_sum(x, order, n, cells, cfg)
+            assert got[-1][0] == x
+            assert _assert_steps_pointwise(got, order, n, (segment_size, x)) == len(cells) - 1
+
+
+@pytest.mark.parametrize("coprime_primes", [(2,), (3,), (2, 3)], ids=["w2", "w3", "w6"])
+def test_wheel_block_at_top_of_domain(coprime_primes):
+    # One block of a wheel column ending at the top of the domain for k = 3:
+    # first-hit offsets of prime powers near 2**62 must be exact with no
+    # int64 overflow; checked pointwise, as test_kernel_at_top_of_domain
+    # does for plain blocks.
+    n_cells = 400
+    wheel = math.prod(coprime_primes)
+    lo = 2**62 - wheel * (n_cells - 1)
+    while gcd(lo, wheel) != 1:
+        lo -= 1
+    hi = lo + wheel * (n_cells - 1)
+    assert hi <= 2**62
+    blocks = {}
+    for order in [(3, 4), (4, 6)]:
+        k, m = order
+        pattern = sieve._pattern(k, m, coprime_primes)
+        assert pattern.wheel == wheel
+        primes, powers = sieve._kernel_primes(iroot(hi, k), k, pattern)
+        blocks[order] = np.empty(n_cells, dtype=np.int8)
+        sieve._sieve_block(blocks[order], lo, k, m, pattern, primes, powers)
+    for t in range(n_cells):
+        fn = factorize(lo + wheel * t)
+        for order, values in blocks.items():
+            assert values[t] == mu_km(fn, order), (order, wheel, lo + wheel * t)
 
 
 def test_blocks_starting_at_every_phase_near_a_wrap():
     # Blocks whose first cell sits at the last cells of a period, on its
     # first cell, or just past it (stream_sum's blocks start at odd r only).
     for order in _WRAP_ORDERS:
-        period = _period(*order, 1)
+        period = len(_pattern_of(*order, 1).values)
         for lo in (period - 2, period - 1, period, period + 1, 2 * period - 1, 2 * period):
             values = sieve_mu_km(lo, lo + 99, order).values.tolist()
             assert values == [mu_km(r, order) for r in range(lo, lo + 100)], (order, lo)
@@ -289,6 +374,18 @@ def test_blocks_starting_at_every_phase_near_a_wrap():
         for lo in (period - 1, period, period + 1):
             values = sieve_qk(lo, lo + 99, k).values.tolist()
             assert values == [q_k(r, k) for r in range(lo, lo + 100)], (k, lo)
+
+
+def test_pattern_is_invariant_under_the_wheel():
+    # Column blocks read the pattern contiguously from lo / wheel: that
+    # needs values[wheel * t mod period] = values[t], as the wheel is a unit
+    # mod the period and the held factors depend only on valuations.
+    for order in _WRAP_ORDERS:
+        for n in _WRAP_MODULI:
+            pattern = _pattern_of(*order, n)
+            values, wheel = pattern.values, pattern.wheel
+            t = np.arange(len(values))
+            assert np.array_equal(values[wheel * t % len(values)], values), (order, n)
 
 
 def test_pattern_store_stays_bounded(monkeypatch):
