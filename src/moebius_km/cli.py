@@ -17,7 +17,9 @@ import time
 from decimal import Decimal, InvalidOperation
 
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
-from .constants import PrecisionError, alpha, apostol_A, default_prime_limit, zeta
+from .constants import (
+    PrecisionError, alpha, apostol_A, default_prime_limit, identity_gap, zeta,
+)
 from .functions import OrderPair, mu_km
 from .sieve import SieveConfig, default_worker_count, segment_memory_estimate, stream_sum
 from .summatory import SumQuery, sum_convolution, sum_direct
@@ -178,13 +180,7 @@ def _cmd_constants(args) -> int:
     print(f"A({order.k}),{fmt_float(a_k.value)},{fmt_float(a_k.tail_bound)}")
     print(f"alpha({order.k};{order.m}),{fmt_float(a_km.value)},{fmt_float(a_km.tail_bound)}")
     if order.conjecture_mode:
-        diff = abs(a_km.value - z.value * a_k.value)
-        combined = (
-            a_km.tail_bound
-            + z.value * a_k.tail_bound
-            + a_k.value * z.tail_bound
-            + z.tail_bound * a_k.tail_bound
-        )
+        diff, combined = identity_gap(a_km, z, a_k)
         status = "PASS" if diff <= combined else "FAIL"
         print(
             f"identity({order.k}),{fmt_float(diff)},{fmt_float(combined)},{status}"

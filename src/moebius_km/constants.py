@@ -18,18 +18,20 @@ Tail handling, documented here because the bound choice is load-bearing:
   first omitted (eighth) correction.  The bound is that correction plus the
   fixed-point floors plus half an ulp of the returned float: about 2e-16
   for every k, so every tol down to 1e-13 costs the same few microseconds.
-* products at prime_limit >= 1000: the truncated log-product is corrected by
-  the leading terms of sum_{p>P} log(factor_p), expanded exactly into prime
-  power sums sum_{p>P} p^-s.  Those are evaluated as prime_zeta(s) minus
-  the partial sum over p <= P, with prime_zeta from its Moebius-weighted
-  log-zeta series.  The partial sums for every s = 2..55 come from one
-  pass over the primes, cached per prime limit and shared by every call.
-  The bound collects the series truncations, the second-order remainder
-  (<= 0.6 * sum_{p>P} p^-2s), and float slack, then is floored at 1e-10
-  so it never understates accumulated rounding.
+* products: alpha_{k,m} and A_k share one tail routine.  At prime_limit
+  >= 1000 the cached log of the product over p <= P is corrected by the
+  leading terms of sum_{p>P} log(factor_p), expanded exactly into prime
+  power sums sum_{p>P} p^-s (A_k first adds its log(1 - p^-k) series).
+  Each is prime_zeta(s), from one table for s = 2..55 built once from its
+  Moebius-weighted log-zeta series, minus the partial sum over p <= P,
+  from one pass over the primes cached per prime limit.  The bound
+  collects the series truncations, the second-order remainder
+  (<= 0.6 * sum_{p>P} p^-2m) and the float slacks, then is floored at
+  _TAIL_FLOOR so it never understates accumulated rounding; the floor and
+  each slack are named once below.
 * products at prime_limit < 1000 stay plain truncated products with the
-  loose elementary bound 2 * sum_{n>P} n^-m (factor-sum form), so tiny
-  prime limits return the literal few-factor product.
+  loose elementary bound 2 * sum_{n>P} n^-m per factor (factor-sum form),
+  so tiny prime limits return the literal few-factor product.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ DEFAULT_TOL = 1e-12
 _MIN_TOL = 1e-13
 _SMAX = 54  # power sums with exponent above this fall below 2**-54 termwise
 _CORRECTION_MIN_P = 1000
-_TAIL_FLOOR = 1e-10
+_TAIL_FLOOR = 1e-10  # floor of every corrected product's bound
+_LOG_SUM_SLACK = 1e-12  # float slack of the log-sum over p <= P
+_PRIME_ZETA_SLACK = 1e-12  # float slack of one prime zeta value
+_POWER_SUM_SLACK = 2e-13  # float slack of one partial sum over p <= P
 _NEGLIGIBLE = 1e-30  # p**-s below this leaves the power-sum pass
 
 _ZETA_CUTOFF = 10  # Euler-Maclaurin cutoff N: the terms n < N are summed one by one
@@ -107,8 +112,8 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
     """
     if k < 2:
         raise ValueError(f"zeta requires k >= 2, got {k}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # also rejects NaN
+        raise ValueError(f"tol must be positive, got {tol}")
     if tol < _MIN_TOL:
         raise PrecisionError(f"tolerance {tol} below float-certifiable floor {_MIN_TOL}")
     n = _ZETA_CUTOFF
@@ -133,38 +138,37 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
     return ConstantEstimate(value, math.nextafter(bound, math.inf), n)
 
 
-_zeta_cache: dict[int, float] = {}
-_prime_zeta_cache: dict[int, tuple[float, float]] = {}
-_power_sum_cache: dict[int, np.ndarray] = {}
-_log_product_cache: dict[tuple, float] = {}
+_cache: dict[tuple, object] = {}  # prime-zeta table, power sums, log-products
 _cache_lock = threading.Lock()
 
 
-def _zeta_value(s: int) -> float:
-    v = _zeta_cache.get(s)
-    if v is None:
-        v = zeta(s, _MIN_TOL).value
+def _cached(key: tuple, build, *args):
+    """_cache[key], built once by build(*args): threads racing on it share one object."""
+    value = _cache.get(key)
+    if value is None:
         with _cache_lock:
-            _zeta_cache[s] = v
-    return v
+            value = _cache.get(key)
+            if value is None:
+                value = _cache[key] = build(*args)
+    return value
 
 
-def _prime_zeta(s: int) -> tuple[float, float]:
-    """(value, error bound) for sum_p p**-s, via sum_j mu(j)/j * log zeta(js)."""
-    cached = _prime_zeta_cache.get(s)
-    if cached is not None:
-        return cached
-    j_max = max(1, 60 // s)
-    total = 0.0
-    for j in range(1, j_max + 1):
-        mj = _MU_SERIES[j]
-        if mj:
-            total += mj / j * math.log(_zeta_value(j * s))
-    trunc = 2.0 ** (-(j_max + 1) * s + 2)
-    result = (total, trunc + 1e-12)
-    with _cache_lock:
-        _prime_zeta_cache[s] = result
-    return result
+def _prime_zeta_table() -> tuple[tuple[float, float], ...]:
+    """table[s] = (value, error bound) for sum_p p**-s, s = 2.._SMAX+1.
+
+    Each value is the series sum_j mu(j)/j * log zeta(js) over js <= 60.
+    """
+    log_zeta = [math.nan] * 2 + [math.log(zeta(t, _MIN_TOL).value) for t in range(2, 61)]
+    table = [(math.nan, math.nan)] * 2
+    for s in range(2, _SMAX + 2):
+        j_max = 60 // s
+        total = 0.0
+        for j in range(1, j_max + 1):
+            mj = _MU_SERIES[j]
+            if mj:
+                total += mj / j * log_zeta[j * s]
+        table.append((total, 2.0 ** (-(j_max + 1) * s + 2) + _PRIME_ZETA_SLACK))
+    return tuple(table)
 
 
 def _prime_power_sums(prime_limit: int) -> np.ndarray:
@@ -173,33 +177,27 @@ def _prime_power_sums(prime_limit: int) -> np.ndarray:
     p**-s is 1/p times itself s - 1 times: at most 2s - 1 roundings, so
     about 55 ulp of relative error at s = 55, and pairwise summation adds a
     few more.  The sums are below 0.46, so the absolute error stays under
-    1e-14, which the 2e-13 slack of :func:`_power_tail` dwarfs.  A prime
-    leaves the pass once its power falls below _NEGLIGIBLE; the dropped
-    terms add less than pi(P) * 1e-30 < 1e-23 up to the prime table cap.
-    Only these sums are cached, never an array over the primes.
+    1e-14, which _POWER_SUM_SLACK dwarfs.  A prime leaves the pass once its
+    power falls below _NEGLIGIBLE; the dropped terms add less than
+    pi(P) * 1e-30 < 1e-23 up to the prime table cap.  Only these sums are
+    cached, never an array over the primes.
     """
-    sums = _power_sum_cache.get(prime_limit)
-    if sums is not None:
-        return sums
-    with _cache_lock:
-        sums = _power_sum_cache.get(prime_limit)
-        if sums is None:
-            inv = 1.0 / primes_up_to(prime_limit)
-            sums = np.full(_SMAX + 2, np.nan)
-            power = inv * inv
-            for s in range(2, _SMAX + 2):
-                power = power[: np.count_nonzero(power >= _NEGLIGIBLE)]
-                sums[s] = power.sum()
-                power *= inv[: len(power)]
-            sums.flags.writeable = False
-            _power_sum_cache[prime_limit] = sums
+    inv = 1.0 / primes_up_to(prime_limit)
+    sums = np.full(_SMAX + 2, np.nan)
+    power = inv * inv
+    for s in range(2, _SMAX + 2):
+        power = power[: np.count_nonzero(power >= _NEGLIGIBLE)]
+        sums[s] = power.sum()
+        power *= inv[: len(power)]
+    sums.flags.writeable = False
     return sums
 
 
 def _power_tail(s: int, prime_limit: int) -> tuple[float, float]:
     """(value, error bound) for sum_{p > prime_limit} p**-s."""
-    pz, pz_err = _prime_zeta(s)
-    return pz - float(_prime_power_sums(prime_limit)[s]), pz_err + 2e-13
+    pz, pz_err = _cached(("prime_zeta",), _prime_zeta_table)[s]
+    partial = _cached(("power_sums", prime_limit), _prime_power_sums, prime_limit)[s]
+    return pz - float(partial), pz_err + _POWER_SUM_SLACK
 
 
 def _log_product(key: tuple, prime_limit: int, log_factors) -> float:
@@ -208,17 +206,13 @@ def _log_product(key: tuple, prime_limit: int, log_factors) -> float:
     ``log_factors`` maps the primes as float64 to their log factors; the
     key names the product and its order, so only one float per pair is kept.
     """
-    cache_key = (*key, prime_limit)
-    base = _log_product_cache.get(cache_key)
-    if base is not None:
-        return base
-    with _cache_lock:
-        base = _log_product_cache.get(cache_key)
-        if base is None:
-            pf = primes_up_to(prime_limit).astype(np.float64)
-            base = float(log_factors(pf).sum())
-            _log_product_cache[cache_key] = base
-    return base
+
+    def build() -> float:
+        pf = primes_up_to(prime_limit).astype(np.float64)
+        with np.errstate(over="ignore"):  # p**e = inf only where the factor is 1.0
+            return float(log_factors(pf).sum())
+
+    return _cached((*key, prime_limit), build)
 
 
 def _nsum_tail(s: int, prime_limit: int) -> float:
@@ -246,6 +240,43 @@ def alpha_n(order: OrderPair | tuple[int, int], n: int | FactoredInteger) -> Fra
     return result
 
 
+def _product_estimate(
+    base: float, prime_limit: int, m: int, k: int, loose: float, head=None
+) -> ConstantEstimate:
+    """The estimate of prod_p (1 - x_p), x_p = 1/(p^(m-k+1) + ... + p^m).
+
+    ``base`` is the log of the product over p <= prime_limit.  Below
+    _CORRECTION_MIN_P its exp is returned with the bound ``loose`` *
+    sum_{n>P} n^-m on the log.  Above, each p > P adds log(1 - x_p) =
+    -x_p - r_p, with x_p = sum_{i>=0} [p^-(m+ik) - p^-(m+1+ik)] exactly and
+    r_p = sum_{j>=2} x_p^j / j <= 0.6 x_p^2 <= 0.6 p^-2m.  ``head``, if
+    given, returns the (correction, error) of further log factors, which
+    are summed first.
+    """
+    if prime_limit < _CORRECTION_MIN_P:
+        log_err = loose * _nsum_tail(m, prime_limit)
+        value = math.exp(base)
+        return ConstantEstimate(value, value * math.expm1(log_err), prime_limit)
+    corr, err = head() if head is not None else (0.0, 0.0)
+    i = 0
+    while m + i * k <= _SMAX:
+        t1, e1 = _power_tail(m + i * k, prime_limit)
+        t2, e2 = _power_tail(m + 1 + i * k, prime_limit)
+        corr -= t1 - t2
+        err += e1 + e2
+        i += 1
+    err += 2.0 * _nsum_tail(m + i * k, prime_limit)  # dropped expansion terms
+    if 2 * m <= _SMAX:
+        t, e = _power_tail(2 * m, prime_limit)
+        err += 0.6 * (abs(t) + e)
+    else:
+        err += 0.6 * _nsum_tail(2 * m, prime_limit)
+    err += _LOG_SUM_SLACK
+    value = math.exp(base + corr)
+    bound = max(value * math.expm1(err), _TAIL_FLOOR)
+    return ConstantEstimate(value, bound, prime_limit)
+
+
 def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstimate:
     """Density constant alpha_{k,m} with a certified truncation bound."""
     o = as_order(order)
@@ -260,33 +291,7 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
         return np.log1p(-1.0 / denom)
 
     base = _log_product(("alpha", k, m), prime_limit, log_factors)
-
-    if prime_limit < _CORRECTION_MIN_P:
-        log_err = 2.0 * _nsum_tail(m, prime_limit)
-        value = math.exp(base)
-        return ConstantEstimate(value, value * math.expm1(log_err), prime_limit)
-
-    # 1/D_p = sum_{i>=0} [p^-(m+ik) - p^-(m+1+ik)]  (exact geometric expansion)
-    corr = 0.0
-    err = 0.0
-    i = 0
-    while m + i * k <= _SMAX:
-        t1, e1 = _power_tail(m + i * k, prime_limit)
-        t2, e2 = _power_tail(m + 1 + i * k, prime_limit)
-        corr -= t1 - t2
-        err += e1 + e2
-        i += 1
-    err += 2.0 * _nsum_tail(m + i * k, prime_limit)  # dropped expansion terms
-    # second-order log remainder: sum x^2/(2(1-x)) with x = 1/D_p <= p^-m
-    if 2 * m <= _SMAX:
-        t, e = _power_tail(2 * m, prime_limit)
-        err += 0.6 * (abs(t) + e)
-    else:
-        err += 0.6 * _nsum_tail(2 * m, prime_limit)
-    err += 1e-12  # float slack for the 78k-term log sum
-    value = math.exp(base + corr)
-    bound = max(value * math.expm1(err), _TAIL_FLOOR)
-    return ConstantEstimate(value, bound, prime_limit)
+    return _product_estimate(base, prime_limit, m, k, 2.0)
 
 
 def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
@@ -301,36 +306,34 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
         lambda pf: np.log1p(-(2.0 * pf - 1.0) / pf ** float(k + 1)),
     )
 
-    if prime_limit < _CORRECTION_MIN_P:
-        log_err = 4.0 * _nsum_tail(k, prime_limit)
-        value = math.exp(base)
-        return ConstantEstimate(value, value * math.expm1(log_err), prime_limit)
+    # factor = (1 - u) * (1 - w), u = p^-k, w = (u - u/p)/(1 - u): w is x_p of
+    # alpha_{k,k}, and log(1 - u) = -sum_{j>=1} p^-(jk)/j.
+    def log_series() -> tuple[float, float]:
+        corr = err = 0.0
+        j = 1
+        while j * k <= _SMAX:
+            t, e = _power_tail(j * k, prime_limit)
+            corr -= t / j
+            err += e / j
+            j += 1
+        return corr, err + 2.0 * _nsum_tail(j * k, prime_limit)
 
-    # factor = (1 - u) * (1 - w), u = p^-k, w = (u - u/p)/(1 - u):
-    # log(1-u) expands over p^-(jk); w expands over p^-(k+ik) - p^-(k+1+ik).
-    corr = 0.0
-    err = 0.0
-    j = 1
-    while j * k <= _SMAX:
-        t, e = _power_tail(j * k, prime_limit)
-        corr -= t / j
-        err += e / j
-        j += 1
-    err += 2.0 * _nsum_tail(j * k, prime_limit)
-    i = 0
-    while k + i * k <= _SMAX:
-        t1, e1 = _power_tail(k + i * k, prime_limit)
-        t2, e2 = _power_tail(k + 1 + i * k, prime_limit)
-        corr -= t1 - t2
-        err += e1 + e2
-        i += 1
-    err += 2.0 * _nsum_tail(k + i * k, prime_limit)
-    if 2 * k <= _SMAX:
-        t, e = _power_tail(2 * k, prime_limit)
-        err += 0.6 * (abs(t) + e)
-    else:
-        err += 0.6 * _nsum_tail(2 * k, prime_limit)
-    err += 1e-12
-    value = math.exp(base + corr)
-    bound = max(value * math.expm1(err), _TAIL_FLOOR)
-    return ConstantEstimate(value, bound, prime_limit)
+    return _product_estimate(base, prime_limit, k, k, 4.0, log_series)
+
+
+def identity_gap(
+    alpha_kk: ConstantEstimate, zeta_k: ConstantEstimate, a_k: ConstantEstimate
+) -> tuple[float, float]:
+    """(|alpha_{k,k} - zeta(k) A_k|, the bound the identity allows it).
+
+    alpha_{k,k} = zeta(k) A_k holds exactly, so the gap of the estimates is
+    at most alpha's bound plus the bound on the product of the other two.
+    """
+    diff = abs(alpha_kk.value - zeta_k.value * a_k.value)
+    combined = (
+        alpha_kk.tail_bound
+        + zeta_k.value * a_k.tail_bound
+        + a_k.value * zeta_k.tail_bound
+        + zeta_k.tail_bound * a_k.tail_bound
+    )
+    return diff, combined

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FactoredInteger, factorize, squarefree_divisors
-from .constants import DEFAULT_TOL, alpha, apostol_A, zeta
+from .constants import DEFAULT_TOL, alpha, apostol_A, identity_gap, zeta
 from .functions import OrderPair, as_order, mu, mu_apostol, mu_km, psi_k
 from .primes import iroot
 from .sieve import SieveConfig, sieve_mu_km, sieve_qk, stream_sum
@@ -217,15 +217,8 @@ def check_constants_identity(
     checked = 0
     for k in ks:
         checked += 1
-        a = alpha((k, k), prime_limit)
-        z = zeta(k, tol)
-        ak = apostol_A(k, prime_limit)
-        diff = abs(a.value - z.value * ak.value)
-        combined = (
-            a.tail_bound
-            + z.value * ak.tail_bound
-            + ak.value * z.tail_bound
-            + z.tail_bound * ak.tail_bound
+        diff, combined = identity_gap(
+            alpha((k, k), prime_limit), zeta(k, tol), apostol_A(k, prime_limit)
         )
         if diff > combined:
             return SuiteResult(

@@ -102,6 +102,18 @@ class TestConstants:
         assert code == 3
         assert "precision" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants", "--k", "2"),
+            ("scan", "--k", "2", "--m", "3", "--from", "10", "--to", "100"),
+        ],
+    )
+    def test_nan_tolerance_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--tol", "nan", "--prime-limit", "100")
+        assert code == 1
+        assert "tol" in err and not out
+
 
 class TestScan:
     def test_csv_schema_and_roundtrip(self, capsys, tmp_path):

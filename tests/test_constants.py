@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from moebius_km.constants import (
     alpha_n,
     apostol_A,
     euler_factor,
+    identity_gap,
     zeta,
 )
 from moebius_km.functions import mu, psi_k
@@ -70,6 +72,8 @@ class TestZeta:
             zeta(1, 1e-6)
         with pytest.raises(ValueError):
             zeta(3, 0.0)
+        with pytest.raises(ValueError):
+            zeta(3, float("nan"))
 
     def test_against_mpmath(self):
         for k in (2, 3, 5, 11):
@@ -158,17 +162,28 @@ class TestProducts:
 
     def test_closing_identity_within_combined_bounds(self):
         for k in (2, 3):
-            a = alpha((k, k), 10**5)
-            z = zeta(k, 1e-12)
-            ak = apostol_A(k, 10**5)
-            diff = abs(a.value - z.value * ak.value)
-            combined = (
-                a.tail_bound
-                + z.value * ak.tail_bound
-                + ak.value * z.tail_bound
-                + z.tail_bound * ak.tail_bound
+            diff, combined = identity_gap(
+                alpha((k, k), 10**5), zeta(k, 1e-12), apostol_A(k, 10**5)
             )
             assert diff <= combined
+
+    def test_identity_gap_combines_the_three_bounds(self):
+        a = ConstantEstimate(0.5, 0.125, 0)
+        z = ConstantEstimate(2.0, 0.25, 0)
+        ak = ConstantEstimate(0.375, 0.0625, 0)
+        # |0.5 - 0.75|, and 0.125 + 2 * 0.0625 + 0.375 * 0.25 + 0.25 * 0.0625
+        assert identity_gap(a, z, ak) == (0.25, 0.359375)
+
+    @pytest.mark.parametrize("limit", [30_011, 10**5])
+    def test_large_k_warns_nothing(self, limit):
+        # p**70 and p**71 overflow float64 above p = 25000; the factor there
+        # is exactly 1.
+        for key in ("alpha", 70, 70, limit), ("apostol_A", 70, limit):
+            constants._cache.pop(key, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, ak = alpha((70, 70), limit), apostol_A(70, limit)
+        assert a.value == ak.value == 1.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -199,18 +214,24 @@ class TestPowerSumTable:
 
     def test_cold_limit_from_many_threads(self):
         # More threads than cores and a short switch interval: every thread
-        # must see the one cached table and the same estimate.
+        # must see the one cached prime-zeta table, the one cached power-sum
+        # table and the same estimate.
         limit = 54_321
-        constants._power_sum_cache.pop(limit, None)
-        constants._log_product_cache.pop(("alpha", 2, 3, limit), None)
+        for key in ("prime_zeta",), ("power_sums", limit), ("alpha", 2, 3, limit):
+            constants._cache.pop(key, None)
         n_threads = 4
         barrier = threading.Barrier(n_threads)
+        zeta_tables = [None] * n_threads
         tables = [None] * n_threads
         results = [None] * n_threads
 
         def work(i):
             barrier.wait()
-            tables[i] = constants._prime_power_sums(limit)
+            zeta_tables[i] = constants._cached(("prime_zeta",), constants._prime_zeta_table)
+            barrier.wait()
+            tables[i] = constants._cached(
+                ("power_sums", limit), constants._prime_power_sums, limit
+            )
             results[i] = alpha((2, 3), limit)
 
         old_interval = sys.getswitchinterval()
@@ -224,21 +245,22 @@ class TestPowerSumTable:
         finally:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
-        assert all(t is constants._power_sum_cache[limit] for t in tables)
+        assert all(t is constants._cache[("prime_zeta",)] for t in zeta_tables)
+        assert all(t is constants._cache[("power_sums", limit)] for t in tables)
         assert results[0] is not None
         assert all(r == results[0] for r in results)
 
     def test_log_product_cached_bit_identical(self, monkeypatch):
         limit = 12_345
         for key in ("alpha", 2, 3, limit), ("apostol_A", 3, limit):
-            constants._log_product_cache.pop(key, None)
+            constants._cache.pop(key, None)
         a, a3 = alpha((2, 3), limit), apostol_A(3, limit)
         pf = primes_up_to(limit).astype(np.float64)
         denom = np.zeros_like(pf) + pf**2.0 + pf**3.0
-        assert constants._log_product_cache[("alpha", 2, 3, limit)] == float(
+        assert constants._cache[("alpha", 2, 3, limit)] == float(
             np.log1p(-1.0 / denom).sum()
         )
-        assert constants._log_product_cache[("apostol_A", 3, limit)] == float(
+        assert constants._cache[("apostol_A", 3, limit)] == float(
             np.log1p(-(2.0 * pf - 1.0) / pf**4.0).sum()
         )
 
@@ -247,6 +269,13 @@ class TestPowerSumTable:
 
         monkeypatch.setattr(constants, "primes_up_to", forbidden)
         assert alpha((2, 3), limit) == a and apostol_A(3, limit) == a3
+
+    def test_prime_zeta_table_against_mpmath(self):
+        table = constants._cached(("prime_zeta",), constants._prime_zeta_table)
+        assert len(table) == constants._SMAX + 2
+        for s in range(2, constants._SMAX + 2):
+            value, bound = table[s]
+            assert abs(value - float(mpmath.primezeta(s))) <= bound, s
 
     def test_prime_zeta_weights_are_mu(self):
         from moebius_km.constants import _MU_SERIES
