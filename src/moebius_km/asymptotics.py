@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import DEFAULT_TOL, alpha, alpha_n, default_prime_limit, zeta
+from .constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
 from .sieve import SieveConfig, stream_sum
 from .summatory import _main_value
@@ -78,7 +78,7 @@ def scan(
     order: OrderPair | tuple[int, int],
     coprime_to: int = 1,
     checkpoints: list[int] | None = None,
-    prime_limit: int | None = None,
+    prime_limit: int = DEFAULT_PRIME_LIMIT,
     tol: float = DEFAULT_TOL,
     config: SieveConfig | None = None,
 ) -> list[ScanRow]:
@@ -90,9 +90,8 @@ def scan(
     o = as_order(order)
     if not checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
-    limit = default_prime_limit() if prime_limit is None else prime_limit
     n = coprime_to
-    a = alpha(o, limit)
+    a = alpha(o, prime_limit)
     z = zeta(o.k, tol)
     psi_f = float(psi_k(n, o.k))
     an_f = float(alpha_n(o, n))
@@ -112,7 +111,7 @@ def conjecture_scan(
     k: int,
     coprime_to: int = 1,
     checkpoints: list[int] | None = None,
-    prime_limit: int | None = None,
+    prime_limit: int = DEFAULT_PRIME_LIMIT,
     tol: float = DEFAULT_TOL,
     config: SieveConfig | None = None,
 ) -> list[ScanRow]:

@@ -18,7 +18,7 @@ from decimal import Decimal, InvalidOperation
 
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
 from .constants import (
-    PrecisionError, alpha, apostol_A, default_prime_limit, identity_gap, zeta,
+    DEFAULT_PRIME_LIMIT, PrecisionError, alpha, apostol_A, identity_gap, zeta,
 )
 from .functions import OrderPair, mu_km
 from .sieve import SieveConfig, default_worker_count, segment_memory_estimate, stream_sum
@@ -30,6 +30,10 @@ EXIT_VERIFY = 2
 EXIT_PRECISION = 3
 
 CSV_HEADER = "x,S,M,E,ratio_uncond,ratio_rh,conjecture_mode"
+_TOL_HELP = (
+    "certified error of zeta(k) only; A_k and alpha keep their own tail_bound,"
+    " floored at 1e-10"
+)
 
 
 class _UsageError(Exception):
@@ -108,8 +112,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("constants", help="zeta(k), A_k and alpha_{k,m} with bounds")
     p.add_argument("--k", type=_int_flag, required=True)
     p.add_argument("--m", type=_int_flag, default=None)
-    p.add_argument("--prime-limit", type=_int_flag, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
+    p.add_argument("--tol", type=float, default=1e-12, help=_TOL_HELP)
 
     p = sub.add_parser("scan", help="error-term scan over a checkpoint grid")
     p.add_argument("--k", type=_int_flag, required=True)
@@ -121,8 +125,8 @@ def build_parser() -> _Parser:
     p.add_argument("--fit", action="store_true")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--prime-limit", type=_int_flag, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
+    p.add_argument("--tol", type=float, default=1e-12, help=_TOL_HELP)
 
     p = sub.add_parser("verify", help="run cross-check suites")
     p.add_argument(
@@ -171,10 +175,9 @@ def _cmd_sum(args) -> int:
 
 def _cmd_constants(args) -> int:
     order = _order_from(args)
-    limit = args.prime_limit if args.prime_limit is not None else default_prime_limit()
     z = zeta(order.k, args.tol)
-    a_k = apostol_A(order.k, limit)
-    a_km = alpha(order, limit)
+    a_k = apostol_A(order.k, args.prime_limit)
+    a_km = alpha(order, args.prime_limit)
     print("constant,value,tail_bound")
     print(f"zeta({order.k}),{fmt_float(z.value)},{fmt_float(z.tail_bound)}")
     print(f"A({order.k}),{fmt_float(a_k.value)},{fmt_float(a_k.tail_bound)}")

@@ -37,7 +37,6 @@ Tail handling, documented here because the bound choice is load-bearing:
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,16 +91,6 @@ class ConstantEstimate:
     value: float
     tail_bound: float
     prime_limit: int
-
-
-def default_prime_limit() -> int:
-    raw = os.environ.get("MOEBIUS_PRIME_LIMIT")
-    if raw is None:
-        return DEFAULT_PRIME_LIMIT
-    limit = int(raw)
-    if limit < 2:
-        raise ValueError("MOEBIUS_PRIME_LIMIT must be >= 2")
-    return limit
 
 
 def zeta(k: int, tol: float) -> ConstantEstimate:

@@ -12,17 +12,19 @@ prime power q coprime to W hits a column with stride q, starting at
 
 Every block starts as a copy of one pre-sieved periodic pattern.  The
 factor of a prime p at r depends only on min(v_p(r), m + 1), so it has
-period p**(m + 1) (p**k for the k-free indicator), and a prime p of the
-coprime filter zeroes the multiples of p, period p.  The smallest primes
-outside W are multiplied into one period P in ascending order while it
-stays within the default segment; the pattern holds their product for
-every residue, so no block writes them again.  A factor depends only on
-the valuation of its prime, which the unit W does not change, so a column
-reads the pattern contiguously from lo W^-1 mod P.  Pre-sieving the
+period p**(m + 1); when p**m > MAX_RANGE the exponent m never occurs in
+the domain, and the period is p**k.  A prime p of the coprime filter
+zeroes the multiples of p, period p.  The primes up to 19 and those of
+the filter, outside W, are multiplied into one period P in ascending order
+while it stays within the default segment; the pattern holds their product
+for every residue, so no block writes them again.  A factor depends only
+on the valuation of its prime, which the unit W does not change, so a
+column reads the pattern contiguously from lo W^-1 mod P.  Pre-sieving the
 smallest primes is the usual partner of the bucket sieve below (Oliveira e
 Silva, Herzog and Pardi, Math. Comp. 83, 2014).  Each pattern is built
-once per (k, m or k-free, primes of the filter) and kept in a small,
-lock-guarded, bounded store.
+once per (k, m, primes of the filter) and kept in a small, lock-guarded,
+bounded store.  The k-free indicator is mu_{k,m} with m = max(k, 63): no
+exponent reaches 63 below 2**63, so it shares this one path.
 
 One NumPy kernel then applies every prime past the pattern, and no step
 of it divides per cell.  Primes whose k-th power fits in the block are
@@ -186,16 +188,19 @@ _pattern_lock = threading.Lock()
 _patterns: dict[tuple, _Pattern] = {}
 
 
-def _build_pattern(k: int, m: int | None, coprime_primes: tuple[int, ...]) -> _Pattern:
-    # Every prime outside the wheel, in ascending order, whose step still
-    # fits the period.  Once a step fails, no larger step of a prime outside
-    # coprime_primes fits, and the product of the primes from 5 to 19
-    # exceeds 2**20, so no prime past 19 outside coprime_primes can fit.
+def _build_pattern(k: int, m: int, coprime_primes: tuple[int, ...]) -> _Pattern:
+    # Every candidate outside the wheel, in ascending order, whose step
+    # still fits the period.  The candidates stop at 19 and the primes of
+    # coprime_primes: a prime left out is applied by the kernel instead, so
+    # the held set only saves work and correctness does not depend on it.
     wheel = math.prod(p for p in coprime_primes if p < 5)  # 1, 2, 3 or 6
     period = 1
     held: list[int] = []
     for p in sorted({*primes_up_to(19).tolist(), *coprime_primes}):
-        step = p if p in coprime_primes else p ** (k if m is None else m + 1)
+        if p in coprime_primes:
+            step = p
+        else:
+            step = p**k if p**m > MAX_RANGE else p ** (m + 1)
         if wheel % p and period * step <= _PATTERN_CELLS:
             period *= step
             held.append(p)
@@ -203,15 +208,14 @@ def _build_pattern(k: int, m: int | None, coprime_primes: tuple[int, ...]) -> _P
     # Cell i stands for r = period + i: every held prime's step divides the
     # period, so each first multiple sits at offset 0 as it does for r = i.
     sieved = np.array([p for p in held if p not in coprime_primes], dtype=np.int64)
-    kernel_m = (2 * period).bit_length() if m is None else m
-    _apply_primes(values, period, 1, k, kernel_m, sieved, sieved**k)
+    _apply_primes(values, period, 1, k, m, sieved, sieved**k)
     _mask_non_coprime(values, period, 1, [p for p in held if p in coprime_primes])
     values.flags.writeable = False
     return _Pattern(values, tuple(held), wheel)
 
 
-def _pattern(k: int, m: int | None, coprime_primes: tuple[int, ...] = ()) -> _Pattern:
-    """The pattern of mu_{k,m} (k-free indicator if m is None) masked to the primes.
+def _pattern(k: int, m: int, coprime_primes: tuple[int, ...] = ()) -> _Pattern:
+    """The pattern of mu_{k,m} masked to the primes.
 
     Built once per key under a lock, so concurrent callers share one object;
     the store drops its oldest pattern beyond ``_PATTERN_STORE``.
@@ -317,15 +321,6 @@ def _apply_primes(out: np.ndarray, lo: int, wheel: int, k: int, m: int, primes, 
         np.multiply.at(out, offs[flip], -1)
 
 
-def _check_block(lo: int, hi: int, k: int, config: SieveConfig | None) -> int:
-    _validate_range(lo, hi, k)
-    n_cells = hi - lo + 1
-    segment_size = (config or SieveConfig()).segment_size
-    if n_cells > segment_size:
-        raise ValueError(f"block length {n_cells} exceeds segment_size {segment_size}")
-    return n_cells
-
-
 def sieve_mu_km(
     lo: int,
     hi: int,
@@ -338,7 +333,12 @@ def sieve_mu_km(
     :func:`stream_sum` for longer ranges.
     """
     o = as_order(order)
-    out = np.empty(_check_block(lo, hi, o.k, config), dtype=np.int8)
+    _validate_range(lo, hi, o.k)
+    n_cells = hi - lo + 1
+    segment_size = (config or SieveConfig()).segment_size
+    if n_cells > segment_size:
+        raise ValueError(f"block length {n_cells} exceeds segment_size {segment_size}")
+    out = np.empty(n_cells, dtype=np.int8)
     pattern = _pattern(o.k, o.m)
     primes, powers = _kernel_primes(iroot(hi, o.k), o.k, pattern)
     _sieve_block(out, lo, o.k, o.m, pattern, primes, powers)
@@ -351,15 +351,12 @@ def sieve_qk(
     k: int,
     config: SieveConfig | None = None,
 ) -> SieveBlock:
-    """k-free indicator values over [lo, hi] as one block."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    out = np.empty(_check_block(lo, hi, k, config), dtype=np.int8)
-    pattern = _pattern(k, None)
-    primes, powers = _kernel_primes(iroot(hi, k), k, pattern)
-    # With m = hi.bit_length(), 2**m > hi: no exponent can equal m.
-    _sieve_block(out, lo, k, hi.bit_length(), pattern, primes, powers)
-    return SieveBlock(lo, hi, out)
+    """k-free indicator values over [lo, hi] as one block.
+
+    This is mu_{k,m} with m = max(k, 63): 2**m > MAX_RANGE, so no exponent
+    can equal m.
+    """
+    return sieve_mu_km(lo, hi, (k, max(k, 63)), config)
 
 
 def _mask_non_coprime(block: np.ndarray, lo: int, wheel: int, coprime_primes: list[int]) -> None:

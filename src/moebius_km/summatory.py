@@ -20,16 +20,16 @@ import numpy as np
 
 from .arith import as_factored, squarefree_divisors
 from .constants import (
+    DEFAULT_PRIME_LIMIT,
     DEFAULT_TOL,
     ConstantEstimate,
     alpha,
     alpha_n,
-    default_prime_limit,
     zeta,
 )
 from .functions import OrderPair, mu, psi_k
 from .primes import iroot, prime_list_up_to, primes_up_to
-from .sieve import MAX_RANGE, SieveConfig, stream_sum
+from .sieve import MAX_RANGE, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 13  # sum_convolution looks Q_k(y, n) up for y <= this
@@ -176,9 +176,9 @@ def qk_count(x: int, n: int, k: int) -> int:
     return _KFreeCounts(x, n, k).count(x)
 
 
-def sum_direct(q: SumQuery, config: SieveConfig | None = None) -> int:
+def sum_direct(q: SumQuery) -> int:
     """S(x; n) by one streaming sieve pass."""
-    return stream_sum(q.x, q.order, q.coprime_to, [q.x], config)[0][1]
+    return stream_sum(q.x, q.order, q.coprime_to, [q.x])[0][1]
 
 
 def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
@@ -276,17 +276,16 @@ def _main_value(
 
 
 def main_term(
-    q: SumQuery, prime_limit: int | None = None, tol: float = DEFAULT_TOL
+    q: SumQuery, prime_limit: int = DEFAULT_PRIME_LIMIT, tol: float = DEFAULT_TOL
 ) -> MainTermParts:
     """Asymptotic main term x n^2 alpha_{k,m} / (zeta(k) psi_k(n) alpha_{k,m}(n)).
 
     m == k is accepted; in that regime the expression is the conjectured
     density rather than a proven one, which callers flag downstream.
     """
-    limit = default_prime_limit() if prime_limit is None else prime_limit
     o = q.order
     fn = as_factored(q.coprime_to)
-    a = alpha(o, limit)
+    a = alpha(o, prime_limit)
     z = zeta(o.k, tol)
     psi = psi_k(fn, o.k)
     an = alpha_n(o, fn)

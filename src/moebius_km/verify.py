@@ -49,22 +49,11 @@ class SuiteResult:
         )
 
 
-def _bulk_values(limit: int, order: OrderPair) -> np.ndarray:
-    """Sieved mu_{k,m}(1..limit) assembled from segment blocks."""
-    cfg = SieveConfig()
-    out = np.empty(limit, dtype=np.int8)
-    lo = 1
-    while lo <= limit:
-        hi = min(lo + cfg.segment_size - 1, limit)
-        out[lo - 1 : hi] = sieve_mu_km(lo, hi, order, cfg).values
-        lo = hi + 1
-    return out
-
-
 def check_table_vs_sieve(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult:
     """Sieved blocks agree with pointwise prime-power-table evaluation."""
     orders = [as_order(o) for o in orders]
-    sieved = [_bulk_values(limit, o) for o in orders]
+    cfg = SieveConfig(segment_size=max(64, limit))
+    sieved = [sieve_mu_km(1, limit, o, cfg).values for o in orders]
     checked = 0
     for n in range(1, limit + 1):
         fn = factorize(n)
@@ -190,7 +179,6 @@ def check_sum_agreement(
     xs=(10**3, 10**4, 10**5),
     orders=DEFAULT_ORDERS,
     ns=(1, 6, 30),
-    config: SieveConfig | None = None,
 ) -> SuiteResult:
     """Streaming sums equal convolution sums exactly on a grid of inputs."""
     xs = sorted(xs)
@@ -198,7 +186,7 @@ def check_sum_agreement(
     for order in orders:
         o = as_order(order)
         for n in ns:
-            direct = stream_sum(xs[-1], o, n, list(xs), config)
+            direct = stream_sum(xs[-1], o, n, list(xs))
             for x, s_direct in direct:
                 checked += 1
                 s_conv = sum_convolution(SumQuery(x, o, n))

@@ -95,6 +95,18 @@ class TestConstants:
         _, big, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "1e5")
         assert bound(small) > bound(big)
 
+    def test_prime_limit_defaults_to_one_million(self, capsys):
+        _, default, _ = run(capsys, "constants", "--k", "2", "--m", "3")
+        _, given, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "1e6")
+        assert default == given
+
+    @pytest.mark.parametrize("command", ["constants", "scan"])
+    def test_tol_help_names_zeta_only(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "zeta(k) only" in help_text and "floored at 1e-10" in help_text
+
     def test_unreachable_tolerance_exits_three(self, capsys):
         code, _, err = run(
             capsys, "constants", "--k", "2", "--tol", "1e-300", "--prime-limit", "100"
@@ -225,11 +237,3 @@ class TestEnvironment:
         monkeypatch.setenv("MOEBIUS_WORKERS", "0")
         with pytest.raises(ValueError):
             default_worker_count()
-
-    def test_prime_limit_env(self, monkeypatch):
-        from moebius_km.constants import default_prime_limit
-
-        monkeypatch.setenv("MOEBIUS_PRIME_LIMIT", "12345")
-        assert default_prime_limit() == 12345
-        monkeypatch.delenv("MOEBIUS_PRIME_LIMIT")
-        assert default_prime_limit() == 10**6

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -13,7 +14,7 @@ from conftest import oracle_mu_km, oracle_qk
 from moebius_km import sieve
 from moebius_km.arith import as_factored, factorize, gcd
 from moebius_km.functions import mu_km, q_k
-from moebius_km.primes import _PRIME_TABLE_CAP, iroot
+from moebius_km.primes import _PRIME_TABLE_CAP, iroot, primes_up_to
 from moebius_km.sieve import (
     MAX_RANGE,
     SieveConfig,
@@ -370,10 +371,74 @@ def test_blocks_starting_at_every_phase_near_a_wrap():
             values = sieve_mu_km(lo, lo + 99, order).values.tolist()
             assert values == [mu_km(r, order) for r in range(lo, lo + 100)], (order, lo)
     for k in (2, 3, 4):
-        period = len(sieve._pattern(k, None).values)
+        period = len(sieve._pattern(k, 63).values)
         for lo in (period - 1, period, period + 1):
             values = sieve_qk(lo, lo + 99, k).values.tolist()
             assert values == [q_k(r, k) for r in range(lo, lo + 100)], (k, lo)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 64])
+def test_qk_is_mu_km_with_m_past_the_domain(k):
+    # 2**63 > MAX_RANGE, so no exponent reaches max(k, 63) and mu_{k,m} is
+    # the k-free indicator; windows near 1, at a pattern wrap and at the top.
+    m = max(k, 63)
+    period = len(sieve._pattern(k, m).values)
+    top = _max_range(k)
+    for lo in (1, max(1, period - 50), top - 99):
+        qk = sieve_qk(lo, lo + 99, k).values
+        assert np.array_equal(qk, sieve_mu_km(lo, lo + 99, (k, m)).values), (k, lo)
+        assert qk.tolist() == [q_k(r, k) for r in range(lo, lo + 100)], (k, lo)
+    # Every power of 2 from 2**k to the top is a non-k-free cell.
+    for j in range(k, top.bit_length()):
+        assert sieve_qk(2**j, 2**j, k).values.tolist() == [0], (k, j)
+
+
+def test_pattern_holds_primes_whose_exponent_m_never_occurs():
+    # p**m > 2**62 leaves p the period p**k: 3, 5 and 7 for (2, 40), while
+    # 2**40 <= 2**62 keeps the step 2**41, too long for the period.
+    pattern = sieve._pattern(2, 40)
+    assert (pattern.held, len(pattern.values)) == ((3, 5, 7), 11025)
+    pattern = sieve._pattern(3, 63)
+    assert (pattern.held, len(pattern.values)) == ((2, 3, 5), 27000)
+
+
+@pytest.mark.parametrize(
+    "order", [(2, 15), (2, 40), (3, 25), (3, 62), (3, 63)], ids=lambda o: f"{o[0]}-{o[1]}"
+)
+def test_large_m_blocks_near_wraps_and_at_the_top(order):
+    # Windows at the wraps, at the top of the domain and around every p**m
+    # of a candidate prime that still lies in the domain (up to 11**15, 2**40,
+    # 5**25 and 2**62): there the exponent m occurs and the cell flips.
+    k, m = order
+    top = _max_range(k)
+    period = len(sieve._pattern(k, m).values)
+    powers = [p**m for p in primes_up_to(19).tolist() if p**m <= top]
+    for lo in (period - 50, 2 * period - 50, top - 99, *(min(q, top - 50) - 49 for q in powers)):
+        values = sieve_mu_km(lo, lo + 99, order).values.tolist()
+        assert values == [mu_km(r, order) for r in range(lo, lo + 100)], (order, lo)
+    # The same orders streamed on the 6-wheel across the wraps of columns.
+    pattern = _pattern_of(k, m, 30)
+    period, wheel = len(pattern.values), pattern.wheel
+    wraps = [j * period for j in range(1, wheel + 1) if gcd(j, wheel) == 1]
+    cells = sorted({r for c in wraps for r in range(c - 40, c + 40)})
+    got = stream_sum(cells[-1], order, 30, cells)
+    assert _assert_steps_pointwise(got, order, 30, "w6") >= 79 * len(wraps)
+
+
+def test_pinned_pattern_bytes():
+    # Among the candidates, p**m first passes 2**62 at 19**15, so the
+    # patterns of m <= 14 keep the period p**(m + 1) of every prime, and the
+    # k-free patterns the period p**k: digests of their bytes.
+    pinned = {
+        (2, 3, ()): ((2, 3, 5), 810000, "df16d17fc92b3ebd"),
+        (2, 3, (2, 3, 5)): ((5, 7), 12005, "e84ab85110496ff7"),
+        (2, 63, ()): ((2, 3, 5, 7), 44100, "4663cc85527f09c6"),
+        (3, 63, ()): ((2, 3, 5), 27000, "df07b42385af8345"),
+    }
+    for key, (held, period, digest) in pinned.items():
+        pattern = sieve._pattern(*key)
+        got = hashlib.sha256(pattern.values.tobytes()).hexdigest()[:16]
+        assert (pattern.held, len(pattern.values), got) == (held, period, digest), key
 
 
 def test_pattern_is_invariant_under_the_wheel():
