@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run cross-check suites")
     p.add_argument(
         "--suite",
-        choices=("lemma21", "lemma24", "apostol", "qk", "sums", "constants", "all"),
+        choices=("table", "lemma21", "lemma24", "apostol", "qk", "sums", "constants", "all"),
         default="all",
     )
     p.add_argument("--limit", type=_int_flag, default=None)

@@ -1,12 +1,13 @@
 """Shared prime table and integer root helpers.
 
-The prime table is grown lazily by a classic Eratosthenes sieve and cached
+The prime table is grown lazily by an odd-only Eratosthenes sieve and cached
 at module level.  Growth is guarded by a lock and swapped in as one atomic
 state tuple, so concurrent callers always observe a consistent table.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -19,12 +20,17 @@ _state: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
 
 
 def _sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    # Odd numbers only: flag i stands for 2 i + 1, and 2 is prepended.
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    flags[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False
+    odd = np.flatnonzero(flags)
+    return np.concatenate(([2], 2 * odd + 1)).astype(np.int64, copy=False)
 
 
 def _grown_to(limit: int) -> tuple[int, np.ndarray]:

@@ -27,12 +27,14 @@ bounded store.  The k-free indicator is mu_{k,m} with m = max(k, 63): no
 exponent reaches 63 below 2**63, so it shares this one path.
 
 One NumPy kernel then applies every prime past the pattern, and no step
-of it divides per cell.  Primes whose k-th power fits in the block are
-applied with strided slice writes only.  Every other prime hits a block at
-most once, so those primes are applied in a vectorized pass over the prime
-array: first-hit offsets, then an exponent loop over the hits alone.  This
-is the bucket idea of the same paper.  Primes of the filter past the
-pattern and the wheel are masked last.
+of it divides per cell.  The dense primes, whose k-th power is at most
+1/64 of the block, hit it at least 64 times each and are applied with
+strided slice writes only.  Every other prime hits a block a few times or
+not at all, and those primes are applied in one vectorized pass over the
+prime array: first-hit offsets, the list of every hit, then an exponent
+loop over the hits alone.  This is the bucket idea of the same paper.
+Primes of the filter past the pattern and the wheel are masked last.  A
+block is summed by folding it into 64 rows, added exactly in int8.
 
 The public operations are deterministic: segments are reduced in ascending
 order and all arithmetic is exact integer arithmetic, so results do not
@@ -56,17 +58,33 @@ from .primes import _PRIME_TABLE_CAP, iroot, primes_up_to
 
 MAX_RANGE = 1 << 62
 
-# Peak bytes one worker holds per cell of its segment: the int8 block and the
-# bool scratch of the reduction (both reused from segment to segment), the
-# saved exponent-m slice of the small-prime pass (at most a quarter cell) and
-# the large-prime temporaries (at most _PRIME_BYTES per prime, at most one
-# prime per _CELLS_PER_PRIME cells), with room to spare.  Small blocks still
-# take _MIN_PRIMES primes per round, which adds _MIN_PRIMES * _PRIME_BYTES
-# bytes per worker.
+# Peak bytes one worker holds per cell of its segment: the int8 block (reused
+# from segment to segment), the saved exponent-m slice of the dense-prime
+# pass (at most a quarter cell), the int8 fold of the reduction (1 /
+# _FOLD_ROWS cell, reused too) and the hit-list temporaries, with room to
+# spare.  A hit-list round takes one prime per _CELLS_PER_PRIME cells, at
+# least _MIN_PRIMES, and holds at most _PRIME_BYTES per prime: its primes
+# hit once each, plus at most n_cells * sum(1 / q) repeat hits over the q
+# past n_cells // _DENSE_HITS, which is below a fifth of the round for every
+# block size.  The _MIN_PRIMES floor adds _MIN_PRIMES * _PRIME_BYTES bytes
+# per worker for small blocks.
 _CELL_BYTES = 4
 _CELLS_PER_PRIME = 64
 _MIN_PRIMES = 4096
 _PRIME_BYTES = 64
+
+# A prime with p**k <= n_cells // _DENSE_HITS hits a block at least
+# _DENSE_HITS times and is applied by strided slice writes, one Python
+# iteration each; every other prime goes through the hit list.  Measured
+# on 2**20-cell blocks ((2,3) with n = 30 at 1e8; (2,2), (2,3), (2,63) and
+# (3,4) with n = 30 at 1e9; 2 cores), 64 and 128 tie within 3% and 16 is
+# 3-11% slower: below about 64 hits a prime's slice writes cost more in
+# Python and NumPy call overhead than its hits cost in the vectorized pass.
+_DENSE_HITS = 64
+
+# The reduction adds _FOLD_ROWS rows of a piece in int8: a column sum of
+# entries in {-1, 0, 1} stays within [-_FOLD_ROWS, _FOLD_ROWS].
+_FOLD_ROWS = 64
 
 # A pattern's period stays within the default segment: at most this many
 # int8 cells.  The store keeps at most _PATTERN_STORE patterns, dropping the
@@ -117,12 +135,14 @@ def segment_memory_estimate(config: SieveConfig) -> int:
     """Upper estimate (bytes) of the peak sieve working set for a config.
 
     Counts the arrays each worker holds for its segment (``segment_size``
-    cells of one wheel column, reused across segments and columns), the
-    large-prime temporaries of the smallest round, and the one pre-sieved
-    pattern a pass reads (at most ``_PATTERN_CELLS`` bytes, shared by its
-    workers); the estimate is independent of the range being streamed.  The
-    shared prime table and the other patterns of the store (at most
-    ``_PATTERN_STORE - 1`` more) are not included.
+    cells of one wheel column and an int8 fold of 1/64 of that, both reused
+    across segments and columns), the hit-list temporaries of the smallest
+    round (one entry per prime, plus repeat hits that stay under a fifth of
+    that), and the one pre-sieved pattern a pass reads (at most
+    ``_PATTERN_CELLS`` bytes, shared by its workers); the estimate is
+    independent of the range being streamed.  The shared prime table and
+    the other patterns of the store (at most ``_PATTERN_STORE - 1`` more)
+    are not included.
     """
     per_worker = config.segment_size * _CELL_BYTES + _MIN_PRIMES * _PRIME_BYTES
     return config.worker_count * per_worker + _PATTERN_CELLS
@@ -157,14 +177,19 @@ def _first_cells(lo: int, wheel: int, q):
     s = -lo % q
     if wheel == 1:
         return s
-    # In-place steps keep an array call at five temporaries of q's size.
-    s_rem = s % wheel
-    a = -s_rem * (q % wheel) % wheel
+    # Where the quotient is needed too, the remainder is x - wheel * (x //
+    # wheel): NumPy divides by a scalar much faster than it takes a
+    # remainder.  In-place steps keep an array call at six temporaries of
+    # q's size.
+    q_quo = q // wheel
+    q_rem = q - wheel * q_quo
+    s_quo = s // wheel
+    s -= wheel * s_quo
+    a = -s * q_rem % wheel
+    s += a * q_rem
     s //= wheel
-    s += a * (q // wheel)
-    s_rem += a * (q % wheel)
-    s_rem //= wheel
-    s += s_rem
+    s += s_quo
+    s += a * q_quo
     return s
 
 
@@ -276,39 +301,54 @@ def _apply_primes(out: np.ndarray, lo: int, wheel: int, k: int, m: int, primes, 
     """Multiply out[t] by the factors of ``primes`` at lo + wheel * t, in place."""
     n_cells = len(out)
     hi = lo + wheel * (n_cells - 1)
-    split = int(np.searchsorted(powers, n_cells, side="right"))
+    split = int(np.searchsorted(powers, n_cells // _DENSE_HITS, side="right"))
     end = int(np.searchsorted(powers, hi, side="right"))
 
-    # Small primes: exponent in [k, m) or above m zeroes a cell, exponent m
+    # Dense primes: exponent in [k, m) or above m zeroes a cell, exponent m
     # flips it.  Save the multiples of p**m, zero the multiples of p**k,
-    # write the saved values back negated, then zero the multiples of p**(m+1).
-    first = _first_cells(lo, wheel, powers[:split]).tolist()
-    for p, q, t in zip(primes[:split].tolist(), powers[:split].tolist(), first):
-        pm = p**m
-        if pm > hi:
+    # write the saved values back negated, then zero the multiples of
+    # p**(m+1).  One array call gives every first cell; steps past hi never
+    # hit and stand as 1 there.
+    if split:
+        dense = primes[:split].tolist()
+        flips = [p**m for p in dense]
+        tops = [pm * p for p, pm in zip(dense, flips)]
+        steps = [q if q <= hi else 1 for q in powers[:split].tolist() + flips + tops]
+        first = _first_cells(lo, wheel, np.array(steps, dtype=np.int64)).tolist()
+        for i, (q, pm, pm1) in enumerate(zip(steps, flips, tops)):
+            t = first[i]
+            if pm > hi:
+                out[t::q] = 0
+                continue
+            t_m = first[split + i]
+            flipped = -out[t_m::pm]
             out[t::q] = 0
-            continue
-        t_m = _first_cells(lo, wheel, pm)
-        flipped = -out[t_m::pm]
-        out[t::q] = 0
-        out[t_m::pm] = flipped
-        pm1 = pm * p
-        if pm1 <= hi:
-            out[_first_cells(lo, wheel, pm1) :: pm1] = 0
+            out[t_m::pm] = flipped
+            if pm1 <= hi:
+                out[first[2 * split + i] :: pm1] = 0
 
-    # Large primes hit the block at most once each; a chunk of them is
-    # processed at a time so the temporaries stay proportional to the block.
+    # Every other prime goes through one hit list per round of ``chunk``
+    # primes: the j-th hit of a prime is its first cell + j q, and an
+    # exponent loop runs over the hits alone.  Once q >= n_cells every prime
+    # hits at most once, and a round skips the count and the expansion.
     chunk = max(_MIN_PRIMES, n_cells // _CELLS_PER_PRIME)
     for start in range(split, end, chunk):
         stop = min(start + chunk, end)
-        offs = _first_cells(lo, wheel, powers[start:stop])
+        repeats = powers[start] < n_cells
+        round_p, round_q = primes[start:stop], powers[start:stop]
+        offs = _first_cells(lo, wheel, round_q)
         hit = np.flatnonzero(offs < n_cells)
         if not hit.size:
             continue
-        offs = offs[hit]
-        hit_p = primes[start:stop][hit]
-        cofactor = (lo + wheel * offs) // powers[start:stop][hit]
-        extra = np.zeros(hit.size, dtype=np.int64)  # exponent minus k
+        offs, hit_p, hit_q = offs[hit], round_p[hit], round_q[hit]
+        if repeats:
+            counts = (n_cells - 1 - offs) // hit_q + 1
+            j = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+            hit_p = np.repeat(hit_p, counts)
+            hit_q = np.repeat(hit_q, counts)
+            offs = np.repeat(offs, counts) + j * hit_q
+        cofactor = (lo + wheel * offs) // hit_q
+        extra = np.zeros(offs.size, dtype=np.int64)  # exponent minus k
         live = np.flatnonzero(cofactor % hit_p == 0)
         while live.size:
             extra[live] += 1
@@ -317,8 +357,8 @@ def _apply_primes(out: np.ndarray, lo: int, wheel: int, k: int, m: int, primes, 
         flip = extra == m - k
         out[offs[~flip]] = 0
         # Two primes can flip one cell: an indexed assignment would apply
-        # the repeated index once, multiply.at applies it twice.
-        np.multiply.at(out, offs[flip], -1)
+        # the repeated index once, negative.at applies it twice.
+        np.negative.at(out, offs[flip])
 
 
 def sieve_mu_km(
@@ -366,12 +406,19 @@ def _mask_non_coprime(block: np.ndarray, lo: int, wheel: int, coprime_primes: li
         block[_first_cells(lo, wheel, p) :: p] = 0
 
 
-def _block_sum(block: np.ndarray, scratch: np.ndarray) -> int:
-    # Entries are in {-1, 0, 1}: (#1) - (#-1) = 2 * (#positive) - (#nonzero),
-    # which counts without the int64 widening a sum would need; the bool
-    # scratch holds block > 0, so no temporary is allocated.
-    positive = np.greater(block, 0, out=scratch[: len(block)])
-    return 2 * int(np.count_nonzero(positive)) - int(np.count_nonzero(block))
+def _block_sum(block: np.ndarray, fold: np.ndarray) -> int:
+    # Entries are in {-1, 0, 1}.  The first _FOLD_ROWS * c cells, as
+    # _FOLD_ROWS rows of c, are added row by row into c cells of the int8
+    # ``fold``: each column sum lies in [-_FOLD_ROWS, _FOLD_ROWS], so the
+    # fold is exact.  The column sums are then added as int64 and the tail of
+    # fewer than _FOLD_ROWS cells as Python ints.  Below _FOLD_ROWS columns
+    # the fold's calls cost more than one widening sum of the piece.
+    c = len(block) // _FOLD_ROWS
+    if c < _FOLD_ROWS:
+        return int(np.add.reduce(block, 0, np.int64))
+    head = _FOLD_ROWS * c
+    np.add.reduce(block[:head].reshape(_FOLD_ROWS, c), 0, np.int8, fold[:c])
+    return int(np.add.reduce(fold[:c], 0, np.int64)) + sum(block[head:].tolist())
 
 
 def _ordered_map(fn, items, workers: int):
@@ -439,7 +486,7 @@ def stream_sum(
     def segment_result(t_lo: int):
         if not hasattr(buffers, "block"):
             buffers.block = np.empty(seg, dtype=np.int8)
-            buffers.scratch = np.empty(seg, dtype=np.bool_)
+            buffers.fold = np.empty(seg // _FOLD_ROWS, dtype=np.int8)
         here = cps_by_seg.get(t_lo // seg, ())
         partials = [0] * len(here)
         total = 0
@@ -457,10 +504,10 @@ def stream_sum(
             start = 0
             for i, cp in enumerate(here):
                 stop = (cp - c) // wheel - t_lo + 1
-                acc += _block_sum(block[start:stop], buffers.scratch)
+                acc += _block_sum(block[start:stop], buffers.fold)
                 start = stop
                 partials[i] += acc
-            total += acc + _block_sum(block[start:], buffers.scratch)
+            total += acc + _block_sum(block[start:], buffers.fold)
         return total, zip(here, partials)
 
     results: list[tuple[int, int]] = []

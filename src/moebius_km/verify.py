@@ -216,7 +216,7 @@ def check_constants_identity(
     return SuiteResult("constants", checked, 0)
 
 
-_CLI_SUITES = ("lemma21", "lemma24", "apostol", "qk", "sums", "constants")
+_CLI_SUITES = ("table", "lemma21", "lemma24", "apostol", "qk", "sums", "constants")
 
 
 def run_suite(name: str, limit: int | None = None) -> list[SuiteResult]:
@@ -226,6 +226,8 @@ def run_suite(name: str, limit: int | None = None) -> list[SuiteResult]:
         for suite in _CLI_SUITES:
             out.extend(run_suite(suite, limit))
         return out
+    if name == "table":
+        return [check_table_vs_sieve(limit or 100_000)]
     if name == "lemma21":
         return [check_convolution_identity(limit or 10_000)]
     if name == "lemma24":

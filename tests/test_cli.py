@@ -210,7 +210,14 @@ class TestVerify:
     def test_all_suites_quickly(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--limit", "120")
         assert code == 0
-        assert len(out.strip().splitlines()) == 6
+        assert len(out.strip().splitlines()) == 7
+
+    def test_all_compares_sieved_blocks_with_pointwise_values(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert out.splitlines()[0] == "table: 500000/500000 pass"  # 1e5 inputs x 5 orders
+        code, out, _ = run(capsys, "verify", "--suite", "table", "--limit", "300")
+        assert (code, out) == (0, "table: 1500/1500 pass\n")
 
 
 class TestBench:

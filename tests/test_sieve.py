@@ -160,7 +160,7 @@ def _assert_blocks_match_pointwise(lo, hi, orders, segment_size):
 
 def test_kernel_two_large_primes_flip_one_cell():
     # 92623806 = 2 * 3**2 * 11**2 * 23 * 43**2: in a 100-cell block 11 and 43
-    # are both large primes, and both flip this cell for (2, 2).
+    # both go through the hit list, and both flip this cell for (2, 2).
     n = 92623806
     assert factorize(n).factors == ((2, 1), (3, 2), (11, 2), (23, 1), (43, 2))
     _assert_blocks_match_pointwise(n - 50, n + 49, [(2, 2), (2, 3)], 100)
@@ -170,8 +170,9 @@ def test_kernel_two_large_primes_flip_one_cell():
 @pytest.mark.parametrize("p", [61, 67])
 @pytest.mark.parametrize("power", [2, 3, 4])
 def test_kernel_at_small_large_prime_cut(p, power):
-    # With 4096-cell blocks 61**2 = 3721 is sieved by slices, 67**2 = 4489
-    # by the large-prime pass; windows centre on p**2, p**3 and p**4.
+    # With 4096-cell blocks 61**2 = 3721 can hit twice, so its hit-list round
+    # expands repeat hits, while 67**2 = 4489 hits at most once; windows
+    # centre on p**2, p**3 and p**4.
     centre = p**power
     lo = max(1, centre - 2048)
     _assert_blocks_match_pointwise(lo, lo + 4095, [(2, 2), (2, 3), (2, 4)], 4096)
@@ -222,8 +223,8 @@ def test_stream_sum_memory_independent_of_segment_count():
 @pytest.mark.parametrize("coprime_primes", [(), (2, 3)], ids=["w1", "w6"])
 @pytest.mark.parametrize("segment_size", [64, 4096, 1 << 16])
 def test_block_peak_within_per_worker_estimate(coprime_primes, segment_size):
-    # Near 2**61 every round of the large-prime pass is full, including the
-    # _MIN_PRIMES floor of small blocks: the block, the scratch and the
+    # Near 2**61 every round of the hit-list pass is full, including the
+    # _MIN_PRIMES floor of small blocks: the block, the int8 fold and the
     # kernel's temporaries must fit one worker's share of the estimate.
     k, m = 3, 4
     pattern = sieve._pattern(k, m, coprime_primes)
@@ -235,9 +236,9 @@ def test_block_peak_within_per_worker_estimate(coprime_primes, segment_size):
     tracemalloc.start()
     try:
         block = np.empty(segment_size, dtype=np.int8)
-        scratch = np.empty(segment_size, dtype=np.bool_)
+        fold = np.empty(segment_size // sieve._FOLD_ROWS, dtype=np.int8)
         sieve._sieve_block(block, lo, k, m, pattern, primes, powers)
-        sieve._block_sum(block, scratch)
+        sieve._block_sum(block, fold)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -494,3 +495,141 @@ def test_cold_pattern_from_many_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert all(p is sieve._patterns[(2, 3, (3, 7))] for p in got)
     assert not got[0].values.flags.writeable
+
+
+_HIT_ORDERS = [(2, 2), (2, 3), (3, 4), (3, 5), (2, 63)]
+_WHEEL_PRIMES = [(), (2,), (3,), (2, 3)]
+_WHEEL_IDS = ["w1", "w2", "w3", "w6"]
+
+
+def _sieved_column(lo, n_cells, order, wheel_primes):
+    # One block of the wheel column through lo, as stream_sum sieves it.
+    k, m = order
+    pattern = sieve._pattern(k, m, wheel_primes)
+    hi = lo + pattern.wheel * (n_cells - 1)
+    primes, powers = sieve._kernel_primes(iroot(hi, k), k, pattern)
+    out = np.empty(n_cells, dtype=np.int8)
+    sieve._sieve_block(out, lo, k, m, pattern, primes, powers)
+    return out, powers
+
+
+def _max_sparse_hits(n_cells, powers):
+    # The most cells any prime of the hit-list pass can hit in a block.
+    sparse = powers[powers > n_cells // sieve._DENSE_HITS]
+    return (n_cells - 1) // int(sparse[0]) + 1 if sparse.size else 0
+
+
+def _assert_columns_match_pointwise(lo, n_cells, wheel_primes, orders):
+    wheel = math.prod(wheel_primes)
+    blocks = {o: _sieved_column(lo, n_cells, o, wheel_primes)[0] for o in orders}
+    for t in range(n_cells):
+        fn = factorize(lo + wheel * t)
+        for o, values in blocks.items():
+            assert values[t] == mu_km(fn, o), (o, wheel, lo + wheel * t)
+
+
+@pytest.mark.parametrize("wheel_primes", _WHEEL_PRIMES, ids=_WHEEL_IDS)
+@pytest.mark.parametrize("segment_size", [64, 100, 4096, 1 << 16])
+def test_hit_list_blocks_match_pointwise(segment_size, wheel_primes):
+    # Past the dense primes every prime goes through the hit list.  From
+    # 4096 cells on, its first primes hit a block 2 to 64 times for k = 2.
+    lo = 10**7 + 1  # coprime to 6
+    _assert_columns_match_pointwise(lo, segment_size, wheel_primes, _HIT_ORDERS)
+    for order in [(2, 2), (2, 3)]:
+        _, powers = _sieved_column(lo, segment_size, order, wheel_primes)
+        most = _max_sparse_hits(segment_size, powers)
+        assert most <= sieve._DENSE_HITS, order
+        assert most >= 2 or segment_size < 4096, order
+
+
+@pytest.mark.parametrize("wheel_primes", _WHEEL_PRIMES, ids=_WHEEL_IDS)
+@pytest.mark.parametrize("segment_size", [64, 100])
+def test_hit_list_blocks_near_the_top_of_the_domain(segment_size, wheel_primes):
+    wheel = math.prod(wheel_primes)
+    for orders in ([(3, 4), (3, 5)], [(2, 2), (2, 3), (2, 63)]):
+        top = min(_max_range(k) for k, _ in orders)
+        lo = top - wheel * (segment_size - 1)
+        while gcd(lo, wheel) != 1:
+            lo -= 1
+        _assert_columns_match_pointwise(lo, segment_size, wheel_primes, orders)
+
+
+@pytest.mark.parametrize("wheel_primes", [(), (2, 3)], ids=["w1", "w6"])
+def test_two_repeating_primes_flip_one_cell(wheel_primes):
+    # In a 4096-cell block 11**2 and 13**2 are past the dense primes and hit
+    # it 24 to 34 times; at n both exponents equal m, so the cell flips twice.
+    for order, n in [((2, 2), 11**2 * 13**2 * 17), ((2, 3), 11**3 * 13**3)]:
+        values, powers = _sieved_column(n, 4096, order, wheel_primes)
+        assert 121 in powers.tolist() and 4096 // sieve._DENSE_HITS < 121
+        assert values[0] == mu_km(n, order) == 1, order
+        _assert_columns_match_pointwise(n - 200 * math.prod(wheel_primes), 400, wheel_primes, [order])
+
+
+def test_block_sum_matches_int_sum():
+    rng = np.random.default_rng(7)
+    fold = np.empty((1 << 20) // sieve._FOLD_ROWS, dtype=np.int8)
+    for n in [*range(0, 201), 4095, 4096, 4097, 8191, 1 << 20]:
+        pieces = [
+            np.ones(n, dtype=np.int8),
+            -np.ones(n, dtype=np.int8),
+            np.zeros(n, dtype=np.int8),
+            rng.integers(-1, 2, n).astype(np.int8),
+        ]
+        for piece in pieces:
+            assert sieve._block_sum(piece, fold) == int(piece.sum()), n
+    # The fold reads only its first len // _FOLD_ROWS cells: a fold sized for
+    # the segment serves every piece of it.
+    piece = -np.ones(1 << 20, dtype=np.int8)
+    assert sieve._block_sum(piece[5:], fold[: len(piece[5:]) // sieve._FOLD_ROWS]) == 5 - (1 << 20)
+
+
+@pytest.mark.parametrize("coprime_to", [1, 30])
+def test_stream_sum_identical_across_segments_and_workers(coprime_to):
+    checkpoints = [1, 1054, 99_999, 5 * 10**5, 6 * 10**5]
+    results = {
+        (seg, workers): stream_sum(
+            6 * 10**5, (2, 3), coprime_to, checkpoints, SieveConfig(seg, workers)
+        )
+        for seg in (64, 1000, 1 << 16, 1 << 20)
+        for workers in (1, 2)
+    }
+    assert len(set(map(tuple, results.values()))) == 1, results
+
+
+def test_repeat_hits_stay_within_a_fifth_of_a_round():
+    # The estimate's _PRIME_BYTES per prime of a round also covers the
+    # repeat hits: past the dense primes they number at most
+    # n_cells * sum(1 / p**2) over p**2 > n_cells // _DENSE_HITS (k = 2 is
+    # the worst k, and no prime held by a pattern), under a fifth of the
+    # round.  The primes past 2**20 add less than 1 / (2**20 - 1).
+    squares = primes_up_to(1 << 20).astype(np.float64) ** 2
+    for e in range(6, 31):
+        for n_cells in (1 << e, 3 << (e - 1)):
+            chunk = max(sieve._MIN_PRIMES, n_cells // sieve._CELLS_PER_PRIME)
+            tail = 1 / squares[squares > n_cells // sieve._DENSE_HITS]
+            repeats = n_cells * (tail.sum() + 1 / ((1 << 20) - 1))
+            assert repeats < chunk / 5, (n_cells, repeats, chunk)
+
+
+@pytest.mark.parametrize("segment_size", [1 << 12, 1 << 18])
+def test_repeat_hits_peak_within_per_worker_estimate(segment_size):
+    # (2, 40) leaves 2 to the kernel and its rounds start with primes that
+    # hit a block many times; lo near 10**12 fills every round.
+    k, m = 2, 40
+    pattern = sieve._pattern(k, m)
+    lo = 10**12 + 1
+    hi = lo + segment_size - 1
+    primes, powers = sieve._kernel_primes(iroot(hi, k), k, pattern)
+    assert len(primes) > 4 * max(sieve._MIN_PRIMES, segment_size // sieve._CELLS_PER_PRIME)
+    share = segment_memory_estimate(SieveConfig(segment_size, 1)) - sieve._PATTERN_CELLS
+    tracemalloc.start()
+    try:
+        block = np.empty(segment_size, dtype=np.int8)
+        fold = np.empty(segment_size // sieve._FOLD_ROWS, dtype=np.int8)
+        sieve._sieve_block(block, lo, k, m, pattern, primes, powers)
+        sieve._block_sum(block, fold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= share, (peak, share)
+    assert block.tolist()[:200] == [mu_km(r, (k, m)) for r in range(lo, lo + 200)]
