@@ -14,22 +14,25 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from decimal import Decimal, InvalidOperation
 
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
 from .constants import (
-    DEFAULT_PRIME_LIMIT, PrecisionError, alpha, apostol_A, identity_gap, zeta,
+    DEFAULT_PRIME_LIMIT, DEFAULT_TOL, PrecisionError, alpha, apostol_A, identity_gap, zeta,
 )
 from .functions import OrderPair, mu_km
-from .sieve import SieveConfig, default_worker_count, segment_memory_estimate, stream_sum
+from .sieve import (
+    DEFAULT_SEGMENT_SIZE, SieveConfig, default_worker_count, segment_memory_estimate, stream_sum,
+)
 from .summatory import SumQuery, sum_convolution, sum_direct
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_PRECISION = 3
 
-CSV_HEADER = "x,S,M,E,ratio_uncond,ratio_rh,conjecture_mode"
 _TOL_HELP = (
     "certified error of zeta(k) only; A_k and alpha keep their own tail_bound,"
     " floored at 1e-10"
@@ -61,63 +64,63 @@ def fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
+_MODE_COLUMN = "conjecture_mode"
+CSV_HEADER = ",".join([f.name for f in fields(ScanRow)] + [_MODE_COLUMN])
+
+
+def _report_fields(record) -> list[tuple[str, str]]:
+    """(name, text) of each dataclass field, in declaration order."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return [(name, fmt_float(v) if isinstance(v, float) else str(v)) for name, v in values]
+
+
+def _json_object(pairs: list[tuple[str, str]]) -> str:
+    return "{" + ", ".join(f'"{name}": {text}' for name, text in pairs) + "}"
+
+
 def rows_to_lines(rows: list[ScanRow], conjecture_mode: bool, fmt: str) -> list[str]:
-    flag = "true" if conjecture_mode else "false"
-    lines = []
+    mode = (_MODE_COLUMN, "true" if conjecture_mode else "false")
+    records = [_report_fields(r) + [mode] for r in rows]
     if fmt == "csv":
-        lines.append(CSV_HEADER)
-        for r in rows:
-            lines.append(
-                f"{r.x},{r.S},{fmt_float(r.M)},{fmt_float(r.E)},"
-                f"{fmt_float(r.ratio_uncond)},{fmt_float(r.ratio_rh)},{flag}"
-            )
-    else:
-        for r in rows:
-            lines.append(
-                f'{{"x": {r.x}, "S": {r.S}, "M": {fmt_float(r.M)}, "E": {fmt_float(r.E)}, '
-                f'"ratio_uncond": {fmt_float(r.ratio_uncond)}, '
-                f'"ratio_rh": {fmt_float(r.ratio_rh)}, "conjecture_mode": {flag}}}'
-            )
-    return lines
+        return [CSV_HEADER] + [",".join(text for _, text in rec) for rec in records]
+    return [_json_object(rec) for rec in records]
 
 
 def fit_to_line(fit: FitResult, fmt: str) -> str:
+    pairs = _report_fields(fit)
     if fmt == "csv":
-        return (
-            f"# fit,slope={fmt_float(fit.slope)},intercept={fmt_float(fit.intercept)},"
-            f"points_used={fit.points_used},residual_rms={fmt_float(fit.residual_rms)}"
-        )
-    return (
-        f'{{"slope": {fmt_float(fit.slope)}, "intercept": {fmt_float(fit.intercept)}, '
-        f'"points_used": {fit.points_used}, "residual_rms": {fmt_float(fit.residual_rms)}}}'
-    )
+        return "# fit," + ",".join(f"{name}={text}" for name, text in pairs)
+    return _json_object(pairs)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="moebius", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate mu_{k,m}(n) at one point")
-    p.add_argument("--k", type=_int_flag, required=True)
-    p.add_argument("--m", type=_int_flag, default=None, help="defaults to k")
+    def command(name, handler, summary, parents=()):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    order = _Parser(add_help=False)
+    order.add_argument("--k", type=_int_flag, required=True)
+    order.add_argument("--m", type=_int_flag, default=None, help="defaults to k")
+    bounds = _Parser(add_help=False)
+    bounds.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
+    bounds.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
+
+    p = command("eval", _cmd_eval, "evaluate mu_{k,m}(n) at one point", [order])
     p.add_argument("--n", type=_int_flag, required=True)
 
-    p = sub.add_parser("sum", help="summatory value over r <= x, gcd(r, n) = 1")
-    p.add_argument("--k", type=_int_flag, required=True)
-    p.add_argument("--m", type=_int_flag, default=None)
+    p = command("sum", _cmd_sum, "summatory value over r <= x, gcd(r, n) = 1", [order])
     p.add_argument("--x", type=_int_flag, required=True)
     p.add_argument("--coprime-to", type=_int_flag, default=1)
     p.add_argument("--method", choices=("direct", "conv", "both"), default="direct")
 
-    p = sub.add_parser("constants", help="zeta(k), A_k and alpha_{k,m} with bounds")
-    p.add_argument("--k", type=_int_flag, required=True)
-    p.add_argument("--m", type=_int_flag, default=None)
-    p.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
-    p.add_argument("--tol", type=float, default=1e-12, help=_TOL_HELP)
+    summary = "zeta(k), A_k and alpha_{k,m} with bounds"
+    command("constants", _cmd_constants, summary, [order, bounds])
 
-    p = sub.add_parser("scan", help="error-term scan over a checkpoint grid")
-    p.add_argument("--k", type=_int_flag, required=True)
-    p.add_argument("--m", type=_int_flag, default=None)
+    p = command("scan", _cmd_scan, "error-term scan over a checkpoint grid", [order, bounds])
     p.add_argument("--coprime-to", type=_int_flag, default=1)
     p.add_argument("--from", dest="from_x", type=_int_flag, required=True)
     p.add_argument("--to", dest="to_x", type=_int_flag, required=True)
@@ -125,20 +128,14 @@ def build_parser() -> _Parser:
     p.add_argument("--fit", action="store_true")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
-    p.add_argument("--tol", type=float, default=1e-12, help=_TOL_HELP)
 
-    p = sub.add_parser("verify", help="run cross-check suites")
-    p.add_argument(
-        "--suite",
-        choices=("table", "lemma21", "lemma24", "apostol", "qk", "sums", "constants", "all"),
-        default="all",
-    )
-    p.add_argument("--limit", type=_int_flag, default=None)
+    p = command("verify", _cmd_verify, "run cross-check suites")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    p.add_argument("--limit", type=_int_flag, default=None, help="input size, >= 1")
 
-    p = sub.add_parser("bench", help="streaming throughput report")
+    p = command("bench", _cmd_bench, "streaming throughput report")
     p.add_argument("--x", type=_int_flag, required=True)
-    p.add_argument("--segment", type=_int_flag, default=1 << 20)
+    p.add_argument("--segment", type=_int_flag, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument("--threads", type=_int_flag, default=None)
 
     return parser
@@ -218,8 +215,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
-
     results = run_suite(args.suite, args.limit)
     code = EXIT_OK
     for result in results:
@@ -245,21 +240,11 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "sum": _cmd_sum,
-    "constants": _cmd_constants,
-    "scan": _cmd_scan,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -57,6 +57,7 @@ from .functions import OrderPair, as_order
 from .primes import _PRIME_TABLE_CAP, iroot, primes_up_to
 
 MAX_RANGE = 1 << 62
+DEFAULT_SEGMENT_SIZE = 1 << 20
 
 # Peak bytes one worker holds per cell of its segment: the int8 block (reused
 # from segment to segment), the saved exponent-m slice of the dense-prime
@@ -89,7 +90,7 @@ _FOLD_ROWS = 64
 # A pattern's period stays within the default segment: at most this many
 # int8 cells.  The store keeps at most _PATTERN_STORE patterns, dropping the
 # oldest, so it never holds more than _PATTERN_STORE * _PATTERN_CELLS bytes.
-_PATTERN_CELLS = 1 << 20
+_PATTERN_CELLS = DEFAULT_SEGMENT_SIZE
 _PATTERN_STORE = 8
 
 
@@ -108,7 +109,7 @@ def default_worker_count() -> int:
 class SieveConfig:
     """Segment size and worker count for streaming passes."""
 
-    segment_size: int = 1 << 20
+    segment_size: int = DEFAULT_SEGMENT_SIZE
     worker_count: int = field(default_factory=default_worker_count)
 
     def __post_init__(self) -> None:

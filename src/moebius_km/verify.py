@@ -10,6 +10,7 @@ and the first counterexample if any.  The CLI exposes these as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .arith import FactoredInteger, factorize, squarefree_divisors
 from .constants import DEFAULT_TOL, alpha, apostol_A, identity_gap, zeta
 from .functions import OrderPair, as_order, mu, mu_apostol, mu_km, psi_k
 from .primes import iroot
-from .sieve import SieveConfig, sieve_mu_km, sieve_qk, stream_sum
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, sieve_mu_km, sieve_qk, stream_sum
 from .summatory import SumQuery, _KFreeCounts, qk_count, sum_convolution
 
 DEFAULT_ORDERS = (
@@ -50,22 +51,33 @@ class SuiteResult:
 
 
 def check_table_vs_sieve(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult:
-    """Sieved blocks agree with pointwise prime-power-table evaluation."""
+    """Sieved cells agree with pointwise prime-power-table evaluation.
+
+    The cells are one plain block [1, limit] and, for n = 2, 3 and 6 (wheels
+    2, 3 and 6), the w = min(limit, 1000) integers past n * DEFAULT_SEGMENT_SIZE,
+    where every column's second segment starts, read as differences of
+    consecutive ``stream_sum`` checkpoints: mu_{k,m}(r) if gcd(r, n) = 1, else 0.
+    """
     orders = [as_order(o) for o in orders]
     cfg = SieveConfig(segment_size=max(64, limit))
-    sieved = [sieve_mu_km(1, limit, o, cfg).values for o in orders]
+    runs = [(1, 1, [sieve_mu_km(1, limit, o, cfg).values for o in orders])]
+    for n in (2, 3, 6):
+        lo = n * DEFAULT_SEGMENT_SIZE + 1
+        cps = list(range(lo - 1, lo + min(limit, 1000)))
+        sums = [[s for _, s in stream_sum(cps[-1], o, n, cps)] for o in orders]
+        runs.append((lo, n, [np.diff(s) for s in sums]))
     checked = 0
-    for n in range(1, limit + 1):
-        fn = factorize(n)
-        for o, arr in zip(orders, sieved):
-            checked += 1
-            if mu_km(fn, o) != int(arr[n - 1]):
-                return SuiteResult(
-                    "table",
-                    checked,
-                    1,
-                    f"n={n} order=({o.k},{o.m}): point={mu_km(fn, o)} sieve={int(arr[n - 1])}",
-                )
+    for lo, n, cells in runs:
+        for r in range(lo, lo + len(cells[0])):
+            fr = factorize(r) if gcd(r, n) == 1 else None
+            for o, vals in zip(orders, cells):
+                checked += 1
+                point, got = 0 if fr is None else mu_km(fr, o), int(vals[r - lo])
+                if point != got:
+                    return SuiteResult(
+                        "table", checked, 1,
+                        f"r={r} n={n} order=({o.k},{o.m}): point={point} sieve={got}",
+                    )
     return SuiteResult("table", checked, 0)
 
 
@@ -216,29 +228,29 @@ def check_constants_identity(
     return SuiteResult("constants", checked, 0)
 
 
-_CLI_SUITES = ("table", "lemma21", "lemma24", "apostol", "qk", "sums", "constants")
+def _check_sums_up_to(limit: int) -> SuiteResult:
+    return check_sum_agreement([10**e for e in range(3, 8) if 10**e <= max(limit, 10**3)])
+
+
+# Each suite's check and its default input size, in the order of ``--suite all``.
+SUITES = {
+    "table": (check_table_vs_sieve, 100_000),
+    "lemma21": (check_convolution_identity, 10_000),
+    "lemma24": (check_psi_divisor_identity, 1_000),
+    "apostol": (check_apostol_agreement, 10_000),
+    "qk": (check_qk_count, 1_000),
+    "sums": (_check_sums_up_to, 10**5),
+    "constants": (lambda limit: check_constants_identity(prime_limit=limit), 100_000),
+}
 
 
 def run_suite(name: str, limit: int | None = None) -> list[SuiteResult]:
-    """Run one named suite (or 'all'); limit rescales the default input size."""
+    """Run one named suite (or 'all'); limit replaces the default input size."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     if name == "all":
-        out = []
-        for suite in _CLI_SUITES:
-            out.extend(run_suite(suite, limit))
-        return out
-    if name == "table":
-        return [check_table_vs_sieve(limit or 100_000)]
-    if name == "lemma21":
-        return [check_convolution_identity(limit or 10_000)]
-    if name == "lemma24":
-        return [check_psi_divisor_identity(limit or 1_000)]
-    if name == "apostol":
-        return [check_apostol_agreement(limit or 10_000)]
-    if name == "qk":
-        return [check_qk_count(limit or 1_000)]
-    if name == "sums":
-        xs = [x for x in (10**3, 10**4, 10**5, 10**6, 10**7) if x <= (limit or 10**5)]
-        return [check_sum_agreement(xs or [10**3])]
-    if name == "constants":
-        return [check_constants_identity(prime_limit=limit or 100_000)]
-    raise ValueError(f"unknown suite {name!r}")
+        return [result for suite in SUITES for result in run_suite(suite, limit)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    check, default = SUITES[name]
+    return [check(default if limit is None else limit)]

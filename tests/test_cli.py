@@ -1,9 +1,13 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
 import moebius_km.cli as cli
 import moebius_km.verify as verify_mod
+from moebius_km.asymptotics import FitResult, ScanRow
+from moebius_km.constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL
 from moebius_km.sieve import SieveConfig, default_worker_count
 
 
@@ -215,9 +219,17 @@ class TestVerify:
     def test_all_compares_sieved_blocks_with_pointwise_values(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0
-        assert out.splitlines()[0] == "table: 500000/500000 pass"  # 1e5 inputs x 5 orders
+        # 1e5 inputs x 5 orders, plus 1000 stream cells x 5 orders x 3 wheels
+        assert out.splitlines()[0] == "table: 515000/515000 pass"
         code, out, _ = run(capsys, "verify", "--suite", "table", "--limit", "300")
-        assert (code, out) == (0, "table: 1500/1500 pass\n")
+        assert (code, out) == (0, "table: 6000/6000 pass\n")
+
+    @pytest.mark.parametrize("argv", [("lemma24", "0"), ("sums", "-3")])
+    def test_limit_below_one_is_usage_error(self, capsys, argv):
+        suite, limit = argv
+        code, out, err = run(capsys, "verify", "--suite", suite, "--limit", limit)
+        assert (code, out) == (1, "")
+        assert "limit must be >= 1" in err
 
 
 class TestBench:
@@ -234,6 +246,55 @@ class TestBench:
         assert len(lines) == 1
         assert "elapsed=" in lines[0] and "segment_memory=" in lines[0]
         assert lines[0].endswith(" sum=535895")
+
+
+class TestContracts:
+    """Each report column, flag default and suite name is defined once."""
+
+    SCAN = ("scan", "--k", "2", "--m", "3", "--from", "10", "--to", "1000",
+            "--points-per-decade", "2", "--fit", "--prime-limit", "1e4")
+
+    def test_csv_columns_are_scan_row_fields(self, capsys):
+        code, out, _ = run(capsys, *self.SCAN)
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == cli.CSV_HEADER
+        assert lines[0].split(",") == [f.name for f in fields(ScanRow)] + ["conjecture_mode"]
+        fit = lines[-1].removeprefix("# fit,").split(",")
+        assert [item.split("=")[0] for item in fit] == [f.name for f in fields(FitResult)]
+
+    def test_json_keys_are_scan_row_fields(self, capsys):
+        code, out, _ = run(capsys, *self.SCAN, "--format", "json")
+        *rows, fit = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(rows) == 5
+        for row in rows:
+            assert list(row) == [f.name for f in fields(ScanRow)] + ["conjecture_mode"]
+        assert list(fit) == [f.name for f in fields(FitResult)]
+
+    def test_suite_choices_are_the_suite_table(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == (*verify_mod.SUITES, "all")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("constants", "--k", "2"), ("scan", "--k", "2", "--from", "10", "--to", "100")],
+    )
+    def test_constant_flags_default_to_library_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.tol, args.prime_limit) == (DEFAULT_TOL, DEFAULT_PRIME_LIMIT)
+        assert args.m is None
+
+    def test_bench_segment_defaults_to_sieve_config(self, monkeypatch):
+        monkeypatch.delenv("MOEBIUS_WORKERS", raising=False)
+        args = cli.build_parser().parse_args(["bench", "--x", "1e6"])
+        assert args.segment == SieveConfig().segment_size
+
+    def test_parser_does_not_read_worker_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MOEBIUS_WORKERS", "0")
+        code, out, _ = run(capsys, "eval", "--k", "2", "--m", "3", "--n", "8")
+        assert (code, out) == (0, "-1\n")
 
 
 class TestEnvironment:

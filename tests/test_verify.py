@@ -1,6 +1,7 @@
 import pytest
 
 from moebius_km.verify import (
+    SUITES,
     check_apostol_agreement,
     check_constants_identity,
     check_convolution_identity,
@@ -29,6 +30,7 @@ def test_result_lines_are_informative():
 
 def test_run_suite_dispatch():
     results = run_suite("all", limit=100)
+    assert [r.name for r in results] == list(SUITES)
     assert [r.name for r in results][:2] == ["table", "lemma21"]
     assert len(results) == 7
     assert all(r.ok for r in results)
