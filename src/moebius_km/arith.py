@@ -13,6 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .primes import prime_list_up_to
 
 MAX_VALUE = 2**63 - 1
@@ -172,6 +174,33 @@ def factorize(n: int) -> FactoredInteger:
             _factor_large(rem, large)
             factors.extend(sorted(large))
     return FactoredInteger(n, tuple(factors))
+
+
+def factorizations(limit: int):
+    """Yield the FactoredInteger of each n = 1..limit in order, factored in bulk.
+
+    One smallest-prime-factor table (4 bytes a number, built by NumPy slice
+    writes) replaces trial division: each n then costs one lookup per
+    prime power.  For 1 <= limit < 2**31.
+    """
+    if not 1 <= limit < 2**31:
+        raise ValueError(f"factorizations requires 1 <= limit < 2**31, got {limit}")
+    spf = np.arange(limit + 1, dtype=np.int32)
+    for p in reversed(prime_list_up_to(math.isqrt(limit))):
+        spf[p * p :: p] = p  # smaller primes overwrite larger ones
+    table = memoryview(spf)
+    yield FactoredInteger(1, ())
+    for n in range(2, limit + 1):
+        factors = []
+        rem = n
+        while rem > 1:
+            p = table[rem]
+            e = 0
+            while table[rem] == p:
+                rem //= p
+                e += 1
+            factors.append((p, e))
+        yield FactoredInteger(n, tuple(factors))
 
 
 def as_factored(n: int | FactoredInteger) -> FactoredInteger:

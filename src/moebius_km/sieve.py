@@ -437,6 +437,19 @@ def _ordered_map(fn, items, workers: int):
             yield pending.popleft().result()
 
 
+def checked_checkpoints(checkpoints, x: int) -> list[int]:
+    """The checkpoints as a list, once they are non-empty, ascending and in [1, x]."""
+    cps = list(checkpoints)
+    if not cps:
+        raise ValueError("checkpoints must be non-empty")
+    for a, b in zip(cps, cps[1:]):
+        if b < a:
+            raise ValueError("checkpoints must be ascending")
+    if cps[0] < 1 or cps[-1] > x:
+        raise ValueError("checkpoints must lie in [1, x]")
+    return cps
+
+
 def stream_sum(
     x: int,
     order: OrderPair | tuple[int, int],
@@ -457,14 +470,7 @@ def stream_sum(
     _validate_range(1, x, o.k)
     if coprime_to < 1:
         raise ValueError("coprime_to must be >= 1")
-    cps = [x] if checkpoints is None else list(checkpoints)
-    if not cps:
-        raise ValueError("checkpoints must be non-empty")
-    for a, b in zip(cps, cps[1:]):
-        if b < a:
-            raise ValueError("checkpoints must be ascending")
-    if cps[0] < 1 or cps[-1] > x:
-        raise ValueError("checkpoints must lie in [1, x]")
+    cps = checked_checkpoints([x] if checkpoints is None else checkpoints, x)
 
     coprime_primes = tuple(p for p, _ in as_factored(coprime_to).factors)
     pattern = _pattern(o.k, o.m, coprime_primes)

@@ -4,7 +4,8 @@ The headline sum S(x; n) = sum_{r <= x, gcd(r,n)=1} mu_{k,m}(r) is computed
 two independent ways: a streaming sieve pass (:func:`sum_direct`) and the
 divisor-convolution route (:func:`sum_convolution`) built from k-free
 counts.  The two must agree exactly on every input, which is the library's
-strongest self-check.
+strongest self-check.  :func:`convolution_sums` is the convolution route
+for a whole ascending grid of x, sharing one walk and its tables.
 
 Float-valued partial sums (L_n, the 1/psi_k sums) accumulate in ascending
 r via a cumulative sum, so results are reproducible bit-for-bit.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -27,14 +29,15 @@ from .constants import (
     alpha_n,
     zeta,
 )
-from .functions import OrderPair, mu, psi_k
+from .functions import OrderPair, as_order, mu, psi_k
 from .primes import iroot, prime_list_up_to, primes_up_to
-from .sieve import MAX_RANGE, stream_sum
+from .sieve import MAX_RANGE, checked_checkpoints, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 13  # sum_convolution looks Q_k(y, n) up for y <= this
 _SPAN = 1 << 13  # (node, prime) pairs the m-full walk expands per step
 _CELLS = 1 << 13  # floors y // e^k per block of the batched k-free counts
+_PAIRS = 1 << 14  # (checkpoint, d) pairs per block of the convolution sums
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,31 @@ class _KFreeCounts:
 
 
 def _small_table(top: int, n: int, k: int) -> np.ndarray:
-    """Q_k(y, n) for y = 0..top as int32: mu(e) added on the multiples of e^k.
+    """Q_k(y, n) for y = 0..top as int64: mu(e) added on the multiples of e^k.
 
     An e sharing a prime with n only reaches r that the coprime mask zeroes.
     """
-    values = np.zeros(top + 1, dtype=np.int32)
+    values = np.zeros(top + 1, dtype=np.int64)
     for e in range(1, iroot(top, k) + 1):
         s = mu(e)
         if s:
             q = e**k
             values[q::q] += s
     _zero_non_coprime(values, n)
-    return values.cumsum(dtype=np.int32)
+    return values.cumsum()
+
+
+def _kfree_values(y: np.ndarray, counts: _KFreeCounts, table: np.ndarray) -> np.ndarray:
+    """Q_k(y, n) for each y >= 0 of the int64 array ``y``, of any shape.
+
+    ``table[y]`` up to the table's end, and one batched ``counts`` call above it.
+    """
+    top = len(table) - 1
+    q = table[np.minimum(y, top)]
+    large = y > top
+    if large.any():
+        q[large] = counts.counts(y[large])
+    return q
 
 
 def qk_count(x: int, n: int, k: int) -> int:
@@ -182,23 +198,24 @@ def sum_direct(q: SumQuery) -> int:
 
 
 def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
-    """(g(d), x // d) as int64 arrays over the m-full 1 < d <= x built from ``primes``.
+    """(g(d), d, x // d) as int64 arrays over the m-full 1 < d <= x built from ``primes``.
 
     g(p^a) is -1 for a = m + jk, +1 for a = m + 1 + jk (j >= 0) and 0 for
-    every other a >= 1.  A node is (x // d, g(d), index of the next prime it
-    may use), as floor(floor(x/d) / p^a) = floor(x / (d p^a)).  A frontier
-    of nodes is expanded at most ``_SPAN`` (node, prime) pairs per step; each
-    pair steps its exponent by p and p^(k-1) in turn, flipping the sign, and
-    every y >= the next prime's p^m becomes a node of the step's child
+    every other a >= 1.  A node is (d, x // d, g(d), index of the next prime
+    it may use).  A frontier of nodes is expanded at most ``_SPAN`` (node, prime)
+    pairs per step; each pair steps its exponent by p and p^(k-1) in turn,
+    flipping the sign, while x // d, stepped as
+    floor(floor(x/d) / p^a) = floor(x / (d p^a)), stays >= 1, and every d
+    that the next prime's p^m still fits becomes a node of the step's child
     frontier.  Frontiers sit on a stack, so the walk is depth-first over
     them and its arrays stay bounded by the span times the depth.
     """
     pms = np.append(primes**m, x + 1)  # no prime after the last one
     next_pms = pms[1:]
-    lifts = primes ** (k - 1)
-    stack = [(np.array([x]), np.array([1]), np.array([0]))]
+    steps = (primes, primes ** (k - 1))
+    stack = [(np.array([1]), np.array([x]), np.array([1]), np.array([0]))]
     while stack:
-        rest, g, start = stack.pop()
+        base, rest, g, start = stack.pop()
         counts = np.searchsorted(pms, rest, side="right") - start
         ends = np.cumsum(counts)
         if ends[-1] > _SPAN:
@@ -206,8 +223,8 @@ def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
             take = _SPAN - (int(ends[cut - 1]) if cut else 0)
             later = start[cut:].copy()
             later[0] += take
-            stack.append((rest[cut:], g[cut:], later))
-            rest, g, start = rest[: cut + 1], g[: cut + 1], start[: cut + 1]
+            stack.append((base[cut:], rest[cut:], g[cut:], later))
+            base, rest, g, start = base[: cut + 1], rest[: cut + 1], g[: cut + 1], start[: cut + 1]
             counts = counts[: cut + 1].copy()
             counts[-1] = take
             ends = np.cumsum(counts)
@@ -215,24 +232,93 @@ def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
             continue
         node = np.repeat(np.arange(len(counts)), counts)
         j = np.arange(int(ends[-1])) - (ends - counts - start)[node]
+        d = base[node] * pms[j]
         y = rest[node] // pms[j]
         sign = -g[node]
-        steps = (primes, lifts)
-        signs, ys, kids = [], [], []
+        signs, ds, ys, js, kids = [], [], [], [], []
         t = 0
         while len(y):
             signs.append(sign)
+            ds.append(d)
             ys.append(y)
-            kid = y >= next_pms[j]
-            kids.append((y[kid], sign[kid], j[kid] + 1))
-            y = y // steps[t][j]
+            js.append(j)
+            kids.append(y >= next_pms[j])
+            step = steps[t][j]
+            y = y // step
             live = y > 0
-            y, sign, j = y[live], -sign[live], j[live]
+            # A dead lane's d * step may wrap; it is dropped with the lane.
+            d, y, sign, j = (d * step)[live], y[live], -sign[live], j[live]
             t ^= 1
-        rest, g, start = (np.concatenate(c) for c in zip(*kids))
-        if len(rest):
-            stack.append((rest, g, start))
-        yield np.concatenate(signs), np.concatenate(ys)
+        g, d, y, kid = (np.concatenate(c) for c in (signs, ds, ys, kids))
+        if kid.any():
+            stack.append((d[kid], y[kid], g[kid], np.concatenate(js)[kid] + 1))
+        yield g, d, y
+
+
+def _walk_primes(x: int, m: int, n: int) -> np.ndarray:
+    """The primes p with p^m <= x that do not divide n: those of the m-full walk."""
+    primes = primes_up_to(iroot(x, m))
+    return primes[n % primes != 0]
+
+
+def _pair_sums(xs: np.ndarray, terms, counts: _KFreeCounts, table: np.ndarray) -> np.ndarray:
+    """sum of g(d) * Q_k(x // d, n) over the d <= x of ``terms``, for each x of ``xs``.
+
+    ``xs`` is ascending int64 and ``terms`` yields (g(d), d, _) arrays.  Sorted,
+    the d of one yield that a checkpoint takes are a prefix of them.  The
+    (x, d) pairs are formed as ``_CELLS`` forms floors: from the largest x
+    down, in blocks of at most ``_PAIRS`` that share the prefix of the
+    block's largest x, where a smaller x's extra d give x // d = 0 and
+    Q_k(0, n) = table[0] = 0.  Each block folds into its checkpoints by one
+    matrix product with g.  The int64 sums cannot wrap: a partial sum is at
+    most x times the sum of 1/d over the m-full d, which is below 1.4 for
+    m >= 3 (x <= 2^62), and k = 2 ends x near 2^50.
+    """
+    totals = np.zeros(len(xs), dtype=np.int64)
+    for g, d, _ in terms:
+        if d.max() <= xs[0]:
+            cuts = np.full(len(xs), len(d))
+        else:
+            order = np.argsort(d)
+            g, d = g[order], d[order]
+            cuts = np.searchsorted(d, xs, side="right")
+        b = len(xs)
+        while b and cuts[b - 1]:
+            cut = int(cuts[b - 1])
+            a = max(0, b - max(1, _PAIRS // cut))
+            for c in range(0, cut, _PAIRS):
+                cols = slice(c, min(c + _PAIRS, cut))
+                y = xs[a:b, None] // d[None, cols]
+                totals[a:b] += _kfree_values(y, counts, table) @ g[cols]
+            b = a
+    return totals
+
+
+def convolution_sums(
+    checkpoints: list[int], order: OrderPair | tuple[int, int], coprime_to: int = 1
+) -> list[tuple[int, int]]:
+    """(x, S(x; n)) for each checkpoint x, as :func:`stream_sum` returns them.
+
+    All checkpoints share one m-full walk to the largest x, one Moebius
+    table for the batched k-free counts up to it and one small Q_k table;
+    S(x; n) sums g(d) * Q_k(x // d, n) over d = 1 and the walk's d <= x.
+    Cost: about the sum over checkpoints of x^(1/k) floors per k-free count
+    and one pair per (x, d), so it beats the stream on sparse grids and
+    loses on very dense ones (see :func:`moebius_km.asymptotics.scan`).
+    The checkpoints are ascending (duplicates allowed) and the largest is
+    limited as in :func:`sum_convolution`.
+    """
+    o = as_order(order)
+    if coprime_to < 1:
+        raise ValueError("coprime_to must be >= 1")
+    cps = checked_checkpoints(checkpoints, MAX_RANGE)
+    x, n = cps[-1], coprime_to
+    _check_conv_domain(x, o.k)
+    one = np.ones(1, dtype=np.int64)
+    terms = chain([(one, one, None)], _g_walk(x, o.k, o.m, _walk_primes(x, o.m, n)))
+    table = _small_table(min(x, _TABLE_TOP), n, o.k)
+    sums = _pair_sums(np.array(cps, dtype=np.int64), terms, _KFreeCounts(x, n, o.k), table)
+    return list(zip(cps, sums.tolist()))
 
 
 def sum_convolution(q: SumQuery) -> int:
@@ -243,7 +329,8 @@ def sum_convolution(q: SumQuery) -> int:
     of g(d) * Q_k(x // d, n).  The d = 1 term is :func:`qk_count`.  For
     d > 1, x // d is at most x / p^m with p the least prime not dividing n;
     Q_k(y, n) is a table lookup for y <= ``_TABLE_TOP`` and a batched signed
-    sum over a Moebius table for that smaller top above it.
+    sum over a Moebius table for that smaller top above it.  The walk is
+    the one that :func:`convolution_sums` shares among its checkpoints.
     Cost: about x^(1/k) NumPy work and memory for the Moebius tables, plus
     one entry per m-full d, walked in NumPy steps of at most ``_SPAN``
     (node, prime) pairs and counted in blocks of at most ``_CELLS`` floors;
@@ -252,20 +339,14 @@ def sum_convolution(q: SumQuery) -> int:
     o = q.order
     x, n = q.x, q.coprime_to
     total = qk_count(x, n, o.k)
-    primes = primes_up_to(iroot(x, o.m))
-    primes = primes[n % primes != 0]
+    primes = _walk_primes(x, o.m, n)
     if not len(primes):
         return total
     rest = x // int(primes[0]) ** o.m
     counts = _KFreeCounts(rest, n, o.k)
-    top = min(rest, _TABLE_TOP)
-    table = _small_table(top, n, o.k)
-    for g, y in _g_walk(x, o.k, o.m, primes):
-        small = y <= top
-        total += int(np.dot(g[small], table[y[small]]))
-        large = ~small
-        if large.any():
-            total += int(np.dot(g[large], counts.counts(y[large])))
+    table = _small_table(min(rest, _TABLE_TOP), n, o.k)
+    for g, _, y in _g_walk(x, o.k, o.m, primes):
+        total += int(np.dot(g, _kfree_values(y, counts, table)))
     return total
 
 

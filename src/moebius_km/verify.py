@@ -14,12 +14,12 @@ from math import gcd
 
 import numpy as np
 
-from .arith import FactoredInteger, factorize, squarefree_divisors
+from .arith import FactoredInteger, factorizations, factorize, squarefree_divisors
 from .constants import DEFAULT_TOL, alpha, apostol_A, identity_gap, zeta
 from .functions import OrderPair, as_order, mu, mu_apostol, mu_km, psi_k
 from .primes import iroot
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, sieve_mu_km, sieve_qk, stream_sum
-from .summatory import SumQuery, _KFreeCounts, qk_count, sum_convolution
+from .summatory import SumQuery, _KFreeCounts, convolution_sums, qk_count, sum_convolution
 
 DEFAULT_ORDERS = (
     OrderPair(2, 2),
@@ -68,8 +68,11 @@ def check_table_vs_sieve(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult:
         runs.append((lo, n, [np.diff(s) for s in sums]))
     checked = 0
     for lo, n, cells in runs:
-        for r in range(lo, lo + len(cells[0])):
-            fr = factorize(r) if gcd(r, n) == 1 else None
+        rs = range(lo, lo + len(cells[0]))
+        # [1, limit] is factored in bulk; the three 1000-cell windows by trial division.
+        for r, fr in zip(rs, factorizations(limit) if lo == 1 else map(factorize, rs)):
+            if gcd(r, n) != 1:
+                fr = None
             for o, vals in zip(orders, cells):
                 checked += 1
                 point, got = 0 if fr is None else mu_km(fr, o), int(vals[r - lo])
@@ -122,13 +125,13 @@ def check_convolution_identity(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult
 
 def check_apostol_agreement(limit: int, ks=(2, 3, 4)) -> SuiteResult:
     """mu_km(n, (k, k)) equals the independently coded order-k variant."""
+    orders = [(k, OrderPair(k, k)) for k in ks]
     checked = 0
-    for n in range(1, limit + 1):
-        fn = factorize(n)
-        for k in ks:
+    for n, fn in enumerate(factorizations(limit), 1):
+        for k, o in orders:
             checked += 1
             a = mu_apostol(fn, k)
-            b = mu_km(fn, (k, k))
+            b = mu_km(fn, o)
             if a != b:
                 return SuiteResult(
                     "apostol", checked, 1, f"n={n} k={k}: four-case={a} table={b}"
@@ -141,8 +144,7 @@ def check_psi_divisor_identity(limit: int, ks=(2, 3, 4, 5)) -> SuiteResult:
     from fractions import Fraction
 
     checked = 0
-    for n in range(1, limit + 1):
-        fn = factorize(n)
+    for n, fn in enumerate(factorizations(limit), 1):
         divisors = []
         for d, s in squarefree_divisors(fn):
             dfac = FactoredInteger(d, tuple((p, 1) for p, _ in fn.factors if d % p == 0))
@@ -192,20 +194,26 @@ def check_sum_agreement(
     orders=DEFAULT_ORDERS,
     ns=(1, 6, 30),
 ) -> SuiteResult:
-    """Streaming sums equal convolution sums exactly on a grid of inputs."""
+    """Streaming sums equal convolution sums exactly on a grid of inputs.
+
+    Each x is checked against ``sum_convolution`` and against the
+    ``convolution_sums`` walk shared by the whole grid.
+    """
     xs = sorted(xs)
     checked = 0
     for order in orders:
         o = as_order(order)
         for n in ns:
-            direct = stream_sum(xs[-1], o, n, list(xs))
-            for x, s_direct in direct:
+            direct = stream_sum(xs[-1], o, n, xs)
+            shared = convolution_sums(xs, o, n)
+            for (x, s_direct), (_, s_shared) in zip(direct, shared):
                 checked += 1
                 s_conv = sum_convolution(SumQuery(x, o, n))
-                if s_direct != s_conv:
+                if not s_direct == s_conv == s_shared:
                     return SuiteResult(
                         "sums", checked, 1,
-                        f"x={x} order=({o.k},{o.m}) n={n}: direct={s_direct} conv={s_conv}",
+                        f"x={x} order=({o.k},{o.m}) n={n}: direct={s_direct} conv={s_conv}"
+                        f" shared={s_shared}",
                     )
     return SuiteResult("sums", checked, 0)
 

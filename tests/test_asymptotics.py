@@ -2,17 +2,36 @@ import math
 
 import pytest
 
+from moebius_km import asymptotics
 from moebius_km.asymptotics import (
     ScanRow,
     ShapeParams,
+    _use_convolution,
     conjecture_scan,
     fit_exponent,
     geometric_checkpoints,
     reference_shape,
     scan,
 )
-from moebius_km.summatory import SumQuery, sum_convolution, sum_direct
+from moebius_km.sieve import stream_sum
+from moebius_km.summatory import SumQuery, _conv_limit, sum_convolution, sum_direct
 from moebius_km.functions import OrderPair
+
+# (order, n, geometric grid, whether the router picks the convolution): a
+# grid on each side of the router for each order of its calibration table.
+# For (3,4) with n = 30 no grid of test size is on the stream's side (at
+# 1000 points per decade to 1e9 the convolution is 13x faster), so its
+# dense grid checks that the convolution is kept there.
+ROUTED_GRIDS = [
+    ((2, 3), 30, (10**3, 10**7, 20), True),
+    ((2, 3), 30, (9 * 10**6, 10**7, 4000), False),
+    ((2, 2), 1, (10**3, 10**6, 4), True),
+    ((2, 2), 1, (10**3, 10**6, 40), False),
+    ((3, 4), 30, (10**3, 10**9, 4), True),
+    ((3, 4), 30, (10**6, 2 * 10**6, 1000), True),
+    ((2, 3), 1, (10**3, 10**7, 20), True),
+    ((2, 3), 1, (2 * 10**6, 4 * 10**6, 1000), False),
+]
 
 
 def _synthetic_rows(exponent=None, values=None, xs=None):
@@ -64,13 +83,48 @@ class TestScan:
 
     @pytest.mark.parametrize("n", [30, 42, 66, 78])
     def test_s_column_equals_convolution_on_dense_grid(self, n):
-        # The benchmarked scan path (sieve, pattern, mask, checkpoints) against
-        # the independent convolution engine at every checkpoint.
+        # The benchmarked scan grid shape against both engines at every
+        # checkpoint: the scan itself takes the shared convolution walk here.
         cps = geometric_checkpoints(10**3, 10**7, 20)
         assert len(cps) == 81
         rows = scan((2, 3), coprime_to=n, checkpoints=cps, prime_limit=10**4)
+        assert [(r.x, r.S) for r in rows] == stream_sum(cps[-1], (2, 3), n, cps)
         for r in rows:
             assert r.S == sum_convolution(SumQuery(r.x, OrderPair(2, 3), n)), (n, r.x)
+
+    @pytest.mark.parametrize(
+        "order,n,grid,conv", ROUTED_GRIDS,
+        ids=[f"{o[0]}{o[1]}-n{n}-{g[2]}ppd" for o, n, g, _ in ROUTED_GRIDS],
+    )
+    def test_rows_equal_both_engines_on_each_side_of_the_router(
+        self, monkeypatch, order, n, grid, conv
+    ):
+        used = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                used.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(asymptotics, "convolution_sums", spy("conv", asymptotics.convolution_sums))
+        monkeypatch.setattr(asymptotics, "stream_sum", spy("stream", asymptotics.stream_sum))
+        cps = geometric_checkpoints(*grid)
+        rows = scan(order, coprime_to=n, checkpoints=cps, prime_limit=10**4)
+        assert used == ["conv" if conv else "stream"]
+        assert [(r.x, r.S) for r in rows] == stream_sum(cps[-1], order, n, cps)
+        for r in rows:
+            assert r.S == sum_convolution(SumQuery(r.x, OrderPair(*order), n)), r.x
+
+    def test_routed_grids_cover_both_engines(self):
+        assert {conv for *_, conv in ROUTED_GRIDS} == {True, False}
+
+    def test_router_streams_past_the_convolution_limit(self):
+        # Decided from the inputs alone; neither scan is run.
+        top = _conv_limit(2)
+        assert _use_convolution([10**3, top], OrderPair(2, 3), 30)
+        assert not _use_convolution([10**3, top + 1], OrderPair(2, 3), 30)
+        assert not _use_convolution([top + 1], OrderPair(2, 2), 1)
 
     def test_ratio_consistency_identity(self):
         rows = scan((2, 3), checkpoints=[100, 1000, 10**4], prime_limit=10**4)

@@ -20,6 +20,7 @@ from moebius_km.summatory import (
     _conv_limit,
     L_n_sum,
     SumQuery,
+    convolution_sums,
     coprime_count,
     main_term,
     mu_over_psi_power_series,
@@ -132,6 +133,37 @@ class TestSums:
     def test_convolution_at_top_of_domain(self, x, k, m, n, expected):
         assert sum_convolution(SumQuery(x, OrderPair(k, m), n)) == expected
 
+    @pytest.mark.parametrize("pairs", [1, 5, summatory._PAIRS], ids=["1", "5", "default"])
+    def test_convolution_sums_match_stream(self, monkeypatch, pairs):
+        # A 1- or 5-pair budget splits every block's rows and columns; 7-cell
+        # count blocks split the batched counts as well.  Duplicates, x = 1
+        # and x below every walk d take the empty-prefix paths.
+        monkeypatch.setattr(summatory, "_PAIRS", pairs)
+        if pairs < 16:
+            monkeypatch.setattr(summatory, "_CELLS", 7)
+        rng = random.Random(20261019)
+        for k, m in ((2, 2), (2, 3), (3, 4), (4, 4)):
+            for n in (1, 6, 30, 77):
+                xs = sorted([1, 1, 2, 7, 7, 64, 3000, 3000] + [rng.randint(1, 3 * 10**5) for _ in range(12)])
+                got = convolution_sums(xs, (k, m), n)
+                assert got == stream_sum(xs[-1], (k, m), n, xs), (k, m, n)
+
+    def test_convolution_sums_on_a_geometric_grid(self):
+        xs = sorted({round(10 ** (3 + i / 20)) for i in range(81)})
+        for k, m, n in ((2, 3, 30), (2, 2, 1), (3, 5, 210)):
+            got = convolution_sums(xs, (k, m), n)
+            assert got == stream_sum(xs[-1], (k, m), n, xs), (k, m, n)
+            assert got[-1][1] == sum_convolution(SumQuery(xs[-1], OrderPair(k, m), n))
+
+    def test_convolution_sums_validation(self):
+        for bad in ([], [5, 4], [0, 3]):
+            with pytest.raises(ValueError, match="checkpoints"):
+                convolution_sums(bad, (2, 3))
+        with pytest.raises(ValueError, match="coprime_to"):
+            convolution_sums([10], (2, 3), 0)
+        with pytest.raises(ValueError, match=f"limit {_conv_limit(2)} for k=2"):
+            convolution_sums([10, _conv_limit(2) + 1], (2, 3))
+
     def test_batched_counts_in_any_order(self, monkeypatch):
         # Unsorted, repeated y over several blocks and column chunks.
         monkeypatch.setattr(summatory, "_CELLS", 5)
@@ -153,7 +185,7 @@ class TestSums:
             primes = primes_up_to(iroot(x, 2))
             tracemalloc.start()
             try:
-                entries = sum(len(y) for _, y in summatory._g_walk(x, 2, 2, primes))
+                entries = sum(len(y) for _, _, y in summatory._g_walk(x, 2, 2, primes))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

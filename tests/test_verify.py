@@ -47,3 +47,15 @@ def test_failure_reports_first_counterexample(monkeypatch):
     assert result.failed == 1
     assert "direct=" in result.first_failure and "conv=" in result.first_failure
     assert not result.line().endswith("pass")
+
+
+def test_sum_agreement_checks_the_shared_walk(monkeypatch):
+    import moebius_km.verify as verify_mod
+
+    def off_by_one(xs, order, n):
+        return [(x, s + 1) for x, s in verify_mod.stream_sum(xs[-1], order, n, xs)]
+
+    monkeypatch.setattr(verify_mod, "convolution_sums", off_by_one)
+    result = check_sum_agreement(xs=(50, 60), ns=(1,))
+    assert not result.ok
+    assert "shared=" in result.first_failure
