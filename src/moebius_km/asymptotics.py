@@ -1,14 +1,14 @@
 """Empirical error-term measurement across checkpoint grids.
 
-A scan computes S(x; n) at every checkpoint by one engine, either one
-streaming sieve pass over the full range or one convolution walk shared by
-all checkpoints, whichever is estimated to cost less.  It assembles the
-main term M(x) from constants computed once per scan, and reports the raw
-error E = S - M together with two normalizations: E / x^(1/k) (unconditional
-scale) and E / x^(2/(2k+1)) (the conditional comparison column).  Error
-exponents are then estimated by ordinary least squares on (log x, log|E|);
-they are measured quantities, never asserted equalities, because the
-underlying bounds carry unknown constants and slowly varying factors.
+A scan computes S(x; n) at every checkpoint by one engine: one convolution
+walk shared by all checkpoints, or past the convolution route's limit one
+streaming sieve pass over the full range.  It assembles the main term M(x)
+from constants computed once per scan, and reports the raw error E = S - M
+together with two normalizations: E / x^(1/k) (unconditional scale) and
+E / x^(2/(2k+1)) (the conditional comparison column).  Error exponents are
+then estimated by ordinary least squares on (log x, log|E|); they are
+measured quantities, never asserted equalities, because the underlying
+bounds carry unknown constants and slowly varying factors.
 """
 
 from __future__ import annotations
@@ -16,35 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import as_factored
 from .constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
-from .primes import prime_list_up_to
-from .sieve import MAX_RANGE, SieveConfig, checked_checkpoints, stream_sum
-from .summatory import _TABLE_TOP, _conv_limit, _main_value, convolution_sums
+from .sieve import SieveConfig, stream_sum
+from .summatory import _conv_limit, _main_value, convolution_sums
 
 _FIT_MIN_ABS_E = 1e-9
-
-# Engine costs in ns on one core, least-squares fits to warm best-of-3
-# timings (Python 3.11, NumPy 2.4) of 44 grids from 1e3: the orders (2,2),
-# (2,3), (2,4), (3,3), (3,4) and (3,5), n in {1, 2, 6, 30, 210}, tops 1e7
-# to 1e9, 4 to 1000 points per decade; stream on 1 worker.  Some of them:
-#
-#   order, n, top      20 pts/decade      100             1000
-#   (2,3), 30, 1e8     2.0 vs 12.1 ms     6.2 vs 22.0     48 vs 52
-#   (2,2), 1, 1e8      15 vs 50           55 vs 65        403 vs 71
-#   (3,4), 30, 1e9     0.7 vs 58          1.7 vs 71       10 vs 131
-#   (2,3), 1, 1e9      14 vs 539          53 vs 566       458 vs 489
-#
-# (convolution vs stream).  The estimate picks the faster engine on 38 of
-# the 44 grids, and the slower one only where the two are within 1.2x.
-_NS_PER_PAIR = 20.0  # one (checkpoint, d) pair of the convolution
-_NS_PER_FLOOR = 3.0  # one floor of its batched k-free counts
-_NS_PER_CELL = 0.3  # one sieved cell of the stream
-_NS_PER_CHECKPOINT = 8000.0  # the stream's work at each checkpoint
-_WALK_DENSITY = 3.0  # the walk's d <= y number about this times y^(1/m), for n = 1
 
 
 @dataclass(frozen=True)
@@ -99,46 +76,6 @@ def geometric_checkpoints(lo: int, hi: int, points_per_decade: int = 4) -> list[
     return out
 
 
-def _use_convolution(checkpoints: list[int], o: OrderPair, n: int) -> bool:
-    """Whether :func:`convolution_sums` is estimated to cost less than the stream.
-
-    The stream sieves x * phi(w) / w cells, x the largest checkpoint and w
-    the part of 6 that divides n, and adds work at every checkpoint.  The
-    convolution takes one pair per checkpoint x and d <= x, d = 1 or a d of
-    the m-full walk, and about 2^omega(n) floors per squarefree e coprime to
-    n with e^k <= x / d, wherever x / d passes the small table.  The walk's
-    d <= y number about c y^(1/m), c = _WALK_DENSITY over the local factor
-    1 + (1/p + p^(-1-1/m)) / (1 - p^(-k/m)) of each prime p of n, from
-    d0 = p0^m on, p0 the least prime not dividing n.  The sum of d^(-1/k)
-    over d = 1 and the d <= z follows from that density as an integral.
-    Past ``_conv_limit(k)`` the stream is the only engine.
-    """
-    k, m = o.k, o.m
-    if checkpoints[-1] > _conv_limit(k):
-        return False
-    primes = [p for p, _ in as_factored(n).factors]
-    walk, e_density, cell_share = _WALK_DENSITY, 6 / math.pi**2, 1.0
-    for p in primes:
-        walk /= 1 + (1 / p + p ** (-1 - 1 / m)) / (1 - p ** (-k / m))
-        e_density *= p / (p + 1)
-        if p <= 3:
-            cell_share *= 1 - 1 / p
-    d0 = float(next(p for p in prime_list_up_to(100) if n % p) ** m)
-    xs = np.array(checkpoints, dtype=np.float64)
-    pairs = len(xs) + walk * np.sum(np.where(xs >= d0, xs ** (1 / m), 0.0))
-    z = np.maximum(xs / _TABLE_TOP, d0)
-    if m == k:
-        inverse_powers = 1 + walk / m * np.log(z / d0)
-    else:
-        gap = 1 / k - 1 / m
-        inverse_powers = 1 + walk / m * (d0**-gap - z**-gap) / gap
-    large = np.where(xs > _TABLE_TOP, xs ** (1 / k) * inverse_powers, 0.0)
-    floors = 2 ** len(primes) * e_density * np.sum(large)
-    conv = _NS_PER_PAIR * pairs + _NS_PER_FLOOR * floors
-    stream = _NS_PER_CELL * checkpoints[-1] * cell_share + _NS_PER_CHECKPOINT * len(xs)
-    return bool(conv < stream)
-
-
 def scan(
     order: OrderPair | tuple[int, int],
     coprime_to: int = 1,
@@ -149,26 +86,25 @@ def scan(
 ) -> list[ScanRow]:
     """One ScanRow per checkpoint, all S from one engine.
 
-    The engine is :func:`convolution_sums` where its estimated work is the
-    smaller (see :func:`_use_convolution`), else one :func:`stream_sum`
-    pass over the range, which ``config`` sets up.  Both are exact, so the
-    rows do not depend on the choice.  The constants entering M are
-    estimated once and shared by every row, so differences of E across x
-    are not polluted by re-estimated constants.
+    The engine is :func:`convolution_sums` up to its limit
+    ``_conv_limit(k)`` and one :func:`stream_sum` pass over the range past
+    it, which ``config`` sets up.  Both are exact, so the rows do not depend
+    on the choice; the engine validates the checkpoints.  The constants
+    entering M are estimated once and shared by every row, so differences
+    of E across x are not polluted by re-estimated constants.
     """
     o = as_order(order)
     if not checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
-    checkpoints = checked_checkpoints(checkpoints, MAX_RANGE)
     n = coprime_to
     a = alpha(o, prime_limit)
     z = zeta(o.k, tol)
     psi_f = float(psi_k(n, o.k))
     an_f = float(alpha_n(o, n))
-    if _use_convolution(checkpoints, o, n):
-        sums = convolution_sums(checkpoints, o, n)
-    else:
+    if checkpoints[-1] > _conv_limit(o.k):
         sums = stream_sum(checkpoints[-1], o, n, checkpoints, config)
+    else:
+        sums = convolution_sums(checkpoints, o, n)
     e_uncond = 1.0 / o.k
     e_rh = 2.0 / (2 * o.k + 1)
     rows = []

@@ -198,33 +198,32 @@ def sum_direct(q: SumQuery) -> int:
 
 
 def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
-    """(g(d), d, x // d) as int64 arrays over the m-full 1 < d <= x built from ``primes``.
+    """(g(d), d) as int64 arrays over the m-full 1 < d <= x built from ``primes``.
 
     g(p^a) is -1 for a = m + jk, +1 for a = m + 1 + jk (j >= 0) and 0 for
-    every other a >= 1.  A node is (d, x // d, g(d), index of the next prime
-    it may use).  A frontier of nodes is expanded at most ``_SPAN`` (node, prime)
+    every other a >= 1.  A node is (d, g(d), index of the next prime it may
+    use).  A frontier of nodes is expanded at most ``_SPAN`` (node, prime)
     pairs per step; each pair steps its exponent by p and p^(k-1) in turn,
-    flipping the sign, while x // d, stepped as
-    floor(floor(x/d) / p^a) = floor(x / (d p^a)), stays >= 1, and every d
-    that the next prime's p^m still fits becomes a node of the step's child
-    frontier.  Frontiers sit on a stack, so the walk is depth-first over
-    them and its arrays stay bounded by the span times the depth.
+    flipping the sign, while d stays <= x, and every d with x // d >= the
+    next prime's p^m becomes a node of the step's child frontier.  Frontiers
+    sit on a stack, so the walk is depth-first over them and its arrays stay
+    bounded by the span times the depth.
     """
     pms = np.append(primes**m, x + 1)  # no prime after the last one
     next_pms = pms[1:]
     steps = (primes, primes ** (k - 1))
-    stack = [(np.array([1]), np.array([x]), np.array([1]), np.array([0]))]
+    stack = [(np.array([1]), np.array([1]), np.array([0]))]
     while stack:
-        base, rest, g, start = stack.pop()
-        counts = np.searchsorted(pms, rest, side="right") - start
+        base, g, start = stack.pop()
+        counts = np.searchsorted(pms, x // base, side="right") - start
         ends = np.cumsum(counts)
         if ends[-1] > _SPAN:
             cut = int(np.searchsorted(ends, _SPAN))
             take = _SPAN - (int(ends[cut - 1]) if cut else 0)
             later = start[cut:].copy()
             later[0] += take
-            stack.append((base[cut:], rest[cut:], g[cut:], later))
-            base, rest, g, start = base[: cut + 1], rest[: cut + 1], g[: cut + 1], start[: cut + 1]
+            stack.append((base[cut:], g[cut:], later))
+            base, g, start = base[: cut + 1], g[: cut + 1], start[: cut + 1]
             counts = counts[: cut + 1].copy()
             counts[-1] = take
             ends = np.cumsum(counts)
@@ -233,26 +232,23 @@ def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
         node = np.repeat(np.arange(len(counts)), counts)
         j = np.arange(int(ends[-1])) - (ends - counts - start)[node]
         d = base[node] * pms[j]
-        y = rest[node] // pms[j]
         sign = -g[node]
-        signs, ds, ys, js, kids = [], [], [], [], []
+        signs, ds, js = [], [], []
         t = 0
-        while len(y):
+        while len(d):
             signs.append(sign)
             ds.append(d)
-            ys.append(y)
             js.append(j)
-            kids.append(y >= next_pms[j])
             step = steps[t][j]
-            y = y // step
-            live = y > 0
+            live = step <= x // d
             # A dead lane's d * step may wrap; it is dropped with the lane.
-            d, y, sign, j = (d * step)[live], y[live], -sign[live], j[live]
+            d, sign, j = (d * step)[live], -sign[live], j[live]
             t ^= 1
-        g, d, y, kid = (np.concatenate(c) for c in (signs, ds, ys, kids))
+        g, d, j = (np.concatenate(c) for c in (signs, ds, js))
+        kid = x // d >= next_pms[j]
         if kid.any():
-            stack.append((d[kid], y[kid], g[kid], np.concatenate(js)[kid] + 1))
-        yield g, d, y
+            stack.append((d[kid], g[kid], j[kid] + 1))
+        yield g, d
 
 
 def _walk_primes(x: int, m: int, n: int) -> np.ndarray:
@@ -264,7 +260,7 @@ def _walk_primes(x: int, m: int, n: int) -> np.ndarray:
 def _pair_sums(xs: np.ndarray, terms, counts: _KFreeCounts, table: np.ndarray) -> np.ndarray:
     """sum of g(d) * Q_k(x // d, n) over the d <= x of ``terms``, for each x of ``xs``.
 
-    ``xs`` is ascending int64 and ``terms`` yields (g(d), d, _) arrays.  Sorted,
+    ``xs`` is ascending int64 and ``terms`` yields (g(d), d) arrays.  Sorted,
     the d of one yield that a checkpoint takes are a prefix of them.  The
     (x, d) pairs are formed as ``_CELLS`` forms floors: from the largest x
     down, in blocks of at most ``_PAIRS`` that share the prefix of the
@@ -275,13 +271,10 @@ def _pair_sums(xs: np.ndarray, terms, counts: _KFreeCounts, table: np.ndarray) -
     m >= 3 (x <= 2^62), and k = 2 ends x near 2^50.
     """
     totals = np.zeros(len(xs), dtype=np.int64)
-    for g, d, _ in terms:
-        if d.max() <= xs[0]:
-            cuts = np.full(len(xs), len(d))
-        else:
-            order = np.argsort(d)
-            g, d = g[order], d[order]
-            cuts = np.searchsorted(d, xs, side="right")
+    for g, d in terms:
+        order = np.argsort(d)
+        g, d = g[order], d[order]
+        cuts = np.searchsorted(d, xs, side="right")
         b = len(xs)
         while b and cuts[b - 1]:
             cut = int(cuts[b - 1])
@@ -304,7 +297,7 @@ def convolution_sums(
     S(x; n) sums g(d) * Q_k(x // d, n) over d = 1 and the walk's d <= x.
     Cost: about the sum over checkpoints of x^(1/k) floors per k-free count
     and one pair per (x, d), so it beats the stream on sparse grids and
-    loses on very dense ones (see :func:`moebius_km.asymptotics.scan`).
+    loses on very dense ones (the README's engine table).
     The checkpoints are ascending (duplicates allowed) and the largest is
     limited as in :func:`sum_convolution`.
     """
@@ -315,7 +308,7 @@ def convolution_sums(
     x, n = cps[-1], coprime_to
     _check_conv_domain(x, o.k)
     one = np.ones(1, dtype=np.int64)
-    terms = chain([(one, one, None)], _g_walk(x, o.k, o.m, _walk_primes(x, o.m, n)))
+    terms = chain([(one, one)], _g_walk(x, o.k, o.m, _walk_primes(x, o.m, n)))
     table = _small_table(min(x, _TABLE_TOP), n, o.k)
     sums = _pair_sums(np.array(cps, dtype=np.int64), terms, _KFreeCounts(x, n, o.k), table)
     return list(zip(cps, sums.tolist()))
@@ -345,8 +338,8 @@ def sum_convolution(q: SumQuery) -> int:
     rest = x // int(primes[0]) ** o.m
     counts = _KFreeCounts(rest, n, o.k)
     table = _small_table(min(rest, _TABLE_TOP), n, o.k)
-    for g, _, y in _g_walk(x, o.k, o.m, primes):
-        total += int(np.dot(g, _kfree_values(y, counts, table)))
+    for g, d in _g_walk(x, o.k, o.m, primes):
+        total += int(np.dot(g, _kfree_values(x // d, counts, table)))
     return total
 
 

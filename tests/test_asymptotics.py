@@ -6,32 +6,45 @@ from moebius_km import asymptotics
 from moebius_km.asymptotics import (
     ScanRow,
     ShapeParams,
-    _use_convolution,
     conjecture_scan,
     fit_exponent,
     geometric_checkpoints,
     reference_shape,
     scan,
 )
-from moebius_km.sieve import stream_sum
+from moebius_km.sieve import SieveConfig, stream_sum
 from moebius_km.summatory import SumQuery, _conv_limit, sum_convolution, sum_direct
 from moebius_km.functions import OrderPair
 
-# (order, n, geometric grid, whether the router picks the convolution): a
-# grid on each side of the router for each order of its calibration table.
-# For (3,4) with n = 30 no grid of test size is on the stream's side (at
-# 1000 points per decade to 1e9 the convolution is 13x faster), so its
-# dense grid checks that the convolution is kept there.
-ROUTED_GRIDS = [
-    ((2, 3), 30, (10**3, 10**7, 20), True),
-    ((2, 3), 30, (9 * 10**6, 10**7, 4000), False),
-    ((2, 2), 1, (10**3, 10**6, 4), True),
-    ((2, 2), 1, (10**3, 10**6, 40), False),
-    ((3, 4), 30, (10**3, 10**9, 4), True),
-    ((3, 4), 30, (10**6, 2 * 10**6, 1000), True),
-    ((2, 3), 1, (10**3, 10**7, 20), True),
-    ((2, 3), 1, (2 * 10**6, 4 * 10**6, 1000), False),
+# (order, n, geometric grid): a sparse and a dense grid for each order of
+# the README's engine timing table.  Each runs on both engines.
+ENGINE_GRIDS = [
+    ((2, 3), 30, (10**3, 10**7, 20)),
+    ((2, 3), 30, (9 * 10**6, 10**7, 4000)),
+    ((2, 2), 1, (10**3, 10**6, 4)),
+    ((2, 2), 1, (10**3, 10**6, 40)),
+    ((3, 4), 30, (10**3, 10**9, 4)),
+    ((3, 4), 30, (10**6, 2 * 10**6, 1000)),
+    ((2, 3), 1, (10**3, 10**7, 20)),
+    ((2, 3), 1, (2 * 10**6, 4 * 10**6, 1000)),
 ]
+
+
+def _spy_engines(monkeypatch, stream=None, conv=None):
+    """Record (engine, args) for each scan engine call; run the real one unless stubbed."""
+    used = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            used.append((name, args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(asymptotics, "stream_sum", spy("stream", stream or asymptotics.stream_sum))
+    monkeypatch.setattr(
+        asymptotics, "convolution_sums", spy("conv", conv or asymptotics.convolution_sums)
+    )
+    return used
 
 
 def _synthetic_rows(exponent=None, values=None, xs=None):
@@ -93,38 +106,37 @@ class TestScan:
             assert r.S == sum_convolution(SumQuery(r.x, OrderPair(2, 3), n)), (n, r.x)
 
     @pytest.mark.parametrize(
-        "order,n,grid,conv", ROUTED_GRIDS,
-        ids=[f"{o[0]}{o[1]}-n{n}-{g[2]}ppd" for o, n, g, _ in ROUTED_GRIDS],
+        "order,n,grid", ENGINE_GRIDS,
+        ids=[f"{o[0]}{o[1]}-n{n}-{g[2]}ppd" for o, n, g in ENGINE_GRIDS],
     )
-    def test_rows_equal_both_engines_on_each_side_of_the_router(
-        self, monkeypatch, order, n, grid, conv
-    ):
-        used = []
-
-        def spy(name, fn):
-            def wrapped(*args, **kwargs):
-                used.append(name)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(asymptotics, "convolution_sums", spy("conv", asymptotics.convolution_sums))
-        monkeypatch.setattr(asymptotics, "stream_sum", spy("stream", asymptotics.stream_sum))
+    def test_rows_equal_on_both_engines(self, monkeypatch, order, n, grid):
+        # The convolution below its limit; the stream once the limit is
+        # lowered under the grid's top.  Every row equals per-x sum_convolution.
+        used = _spy_engines(monkeypatch)
         cps = geometric_checkpoints(*grid)
         rows = scan(order, coprime_to=n, checkpoints=cps, prime_limit=10**4)
-        assert used == ["conv" if conv else "stream"]
-        assert [(r.x, r.S) for r in rows] == stream_sum(cps[-1], order, n, cps)
+        monkeypatch.setattr(asymptotics, "_conv_limit", lambda k: cps[-1] - 1)
+        assert scan(order, coprime_to=n, checkpoints=cps, prime_limit=10**4) == rows
+        assert [name for name, _ in used] == ["conv", "stream"]
         for r in rows:
             assert r.S == sum_convolution(SumQuery(r.x, OrderPair(*order), n)), r.x
 
-    def test_routed_grids_cover_both_engines(self):
-        assert {conv for *_, conv in ROUTED_GRIDS} == {True, False}
+    def test_router_streams_past_the_convolution_limit(self, monkeypatch):
+        # The decision alone: both engines are stubbed, so no sum is computed.
+        def zeros(cps):
+            return [(x, 0) for x in cps]
 
-    def test_router_streams_past_the_convolution_limit(self):
-        # Decided from the inputs alone; neither scan is run.
+        used = _spy_engines(
+            monkeypatch,
+            stream=lambda x, o, n, cps, config: zeros(cps),
+            conv=lambda cps, o, n: zeros(cps),
+        )
+        config = SieveConfig(worker_count=1)
         top = _conv_limit(2)
-        assert _use_convolution([10**3, top], OrderPair(2, 3), 30)
-        assert not _use_convolution([10**3, top + 1], OrderPair(2, 3), 30)
-        assert not _use_convolution([top + 1], OrderPair(2, 2), 1)
+        for cps in ([10**3, top], [10**3, top + 1], [top + 1]):
+            scan((2, 3), coprime_to=30, checkpoints=cps, prime_limit=10**4, config=config)
+        assert [name for name, _ in used] == ["conv", "stream", "stream"]
+        assert used[1][1] == (top + 1, OrderPair(2, 3), 30, [10**3, top + 1], config)
 
     def test_ratio_consistency_identity(self):
         rows = scan((2, 3), checkpoints=[100, 1000, 10**4], prime_limit=10**4)

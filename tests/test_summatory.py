@@ -185,7 +185,7 @@ class TestSums:
             primes = primes_up_to(iroot(x, 2))
             tracemalloc.start()
             try:
-                entries = sum(len(y) for _, _, y in summatory._g_walk(x, 2, 2, primes))
+                entries = sum(len(d) for _, d in summatory._g_walk(x, 2, 2, primes))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
