@@ -65,12 +65,13 @@ def fmt_float(v: float) -> str:
 
 
 _MODE_COLUMN = "conjecture_mode"
-CSV_HEADER = ",".join([f.name for f in fields(ScanRow)] + [_MODE_COLUMN])
+_ROW_FIELDS = [f.name for f in fields(ScanRow)]
+CSV_HEADER = ",".join(_ROW_FIELDS + [_MODE_COLUMN])
 
 
-def _report_fields(record) -> list[tuple[str, str]]:
-    """(name, text) of each dataclass field, in declaration order."""
-    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+def _report_fields(record, names: list[str]) -> list[tuple[str, str]]:
+    """(name, text) of the fields ``names`` of ``record``, in that order."""
+    values = ((name, getattr(record, name)) for name in names)
     return [(name, fmt_float(v) if isinstance(v, float) else str(v)) for name, v in values]
 
 
@@ -80,14 +81,14 @@ def _json_object(pairs: list[tuple[str, str]]) -> str:
 
 def rows_to_lines(rows: list[ScanRow], conjecture_mode: bool, fmt: str) -> list[str]:
     mode = (_MODE_COLUMN, "true" if conjecture_mode else "false")
-    records = [_report_fields(r) + [mode] for r in rows]
+    records = [_report_fields(r, _ROW_FIELDS) + [mode] for r in rows]
     if fmt == "csv":
         return [CSV_HEADER] + [",".join(text for _, text in rec) for rec in records]
     return [_json_object(rec) for rec in records]
 
 
 def fit_to_line(fit: FitResult, fmt: str) -> str:
-    pairs = _report_fields(fit)
+    pairs = _report_fields(fit, [f.name for f in fields(fit)])
     if fmt == "csv":
         return "# fit," + ",".join(f"{name}={text}" for name, text in pairs)
     return _json_object(pairs)

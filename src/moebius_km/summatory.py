@@ -7,6 +7,11 @@ counts.  The two must agree exactly on every input, which is the library's
 strongest self-check.  :func:`convolution_sums` is the convolution route
 for a whole ascending grid of x, sharing one walk and its tables.
 
+Every Moebius value the module reads comes from one process-wide table,
+grown on demand like the prime table and never mutated: :func:`mu_range`
+returns a read-only prefix view of it, so a k-free count, a float partial
+sum or a later query slices the table instead of sieving its own.
+
 Float-valued partial sums (L_n, the 1/psi_k sums) accumulate in ascending
 r via a cumulative sum, so results are reproducible bit-for-bit.
 """
@@ -14,6 +19,7 @@ r via a cumulative sum, so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -38,6 +44,10 @@ _TABLE_TOP = 1 << 13  # sum_convolution looks Q_k(y, n) up for y <= this
 _SPAN = 1 << 13  # (node, prime) pairs the m-full walk expands per step
 _CELLS = 1 << 13  # floors y // e^k per block of the batched k-free counts
 _PAIRS = 1 << 14  # (checkpoint, d) pairs per block of the convolution sums
+
+_mu_lock = threading.Lock()
+# (top, mu(0..top) as read-only int8) — replaced wholesale, never mutated.
+_mu_state: tuple[int, np.ndarray] = (0, np.zeros(1, dtype=np.int8))
 
 
 @dataclass(frozen=True)
@@ -77,9 +87,9 @@ def coprime_count(z, n: int) -> int:
 def _conv_limit(k: int) -> int:
     """Largest x the convolution route accepts for order k.
 
-    Its floors are int64, so x <= 2^62, and its one Moebius table covers
-    e <= x^(1/k), which :func:`mu_range` caps at ``_ARRAY_CAP``; for k = 2
-    that ends x at (2^25 + 1)^2 - 1.
+    Its floors are int64, so x <= 2^62, and it reads mu(e) for e <= x^(1/k)
+    from the shared table of :func:`mu_range`, capped at ``_ARRAY_CAP``;
+    for k = 2 that ends x at (2^25 + 1)^2 - 1.
     """
     return min(MAX_RANGE, (_ARRAY_CAP + 1) ** k - 1)
 
@@ -97,15 +107,17 @@ def _zero_non_coprime(values: np.ndarray, n: int) -> None:
 
 
 class _KFreeCounts:
-    """Q_k(y, n) for y <= top from one Moebius table mu(e), e <= top^(1/k).
+    """Q_k(y, n) for y <= top from mu(e), e <= top^(1/k), of the shared table.
 
     Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * #{t <= y/e^k : gcd(t,n)=1},
     the inner count by inclusion-exclusion over the squarefree divisors of n.
+    The e coprime to n are taken from a copy of the table's prefix, which
+    is read-only and shared by every caller.
     """
 
     def __init__(self, top: int, n: int, k: int) -> None:
         self._divs = squarefree_divisors(n)
-        mus = mu_range(iroot(top, k))
+        mus = mu_range(iroot(top, k)).copy()
         _zero_non_coprime(mus, n)
         e = np.flatnonzero(mus)
         self._sign = mus[e]
@@ -292,8 +304,9 @@ def convolution_sums(
 ) -> list[tuple[int, int]]:
     """(x, S(x; n)) for each checkpoint x, as :func:`stream_sum` returns them.
 
-    All checkpoints share one m-full walk to the largest x, one Moebius
-    table for the batched k-free counts up to it and one small Q_k table;
+    All checkpoints share one m-full walk to the largest x, one batched
+    k-free counter up to it over the shared Moebius table, and one small
+    Q_k table;
     S(x; n) sums g(d) * Q_k(x // d, n) over d = 1 and the walk's d <= x.
     Cost: about the sum over checkpoints of x^(1/k) floors per k-free count
     and one pair per (x, d), so it beats the stream on sparse grids and
@@ -322,12 +335,16 @@ def sum_convolution(q: SumQuery) -> int:
     of g(d) * Q_k(x // d, n).  The d = 1 term is :func:`qk_count`.  For
     d > 1, x // d is at most x / p^m with p the least prime not dividing n;
     Q_k(y, n) is a table lookup for y <= ``_TABLE_TOP`` and a batched signed
-    sum over a Moebius table for that smaller top above it.  The walk is
-    the one that :func:`convolution_sums` shares among its checkpoints.
-    Cost: about x^(1/k) NumPy work and memory for the Moebius tables, plus
-    one entry per m-full d, walked in NumPy steps of at most ``_SPAN``
-    (node, prime) pairs and counted in blocks of at most ``_CELLS`` floors;
-    those two budgets, not x, bound the walk's and the counts' temporaries.
+    sum over mu(e), e <= (x / p^m)^(1/k), above it.  Both counts slice the
+    process-wide Moebius table of :func:`mu_range`, which the first query
+    sieves to x^(1/k) and later queries up to that size only read.  The
+    walk is the one that :func:`convolution_sums` shares among its
+    checkpoints.
+    Cost: about x^(1/k) NumPy work and memory for the counts (and for the
+    table, the first time it reaches that size), plus one entry per m-full
+    d, walked in NumPy steps of at most ``_SPAN`` (node, prime) pairs and
+    counted in blocks of at most ``_CELLS`` floors; those two budgets, not
+    x, bound the walk's and the counts' temporaries.
     """
     o = q.order
     x, n = q.x, q.coprime_to
@@ -371,25 +388,48 @@ def main_term(
 # Pointwise arrays for the float-valued partial sums.
 
 
+def _mu_sieve(top: int) -> np.ndarray:
+    """mu(0..top) as a new read-only int8 array (mu[0] = 0)."""
+    values = np.ones(top + 1, dtype=np.int8)
+    values[0] = 0
+    # The product of the primes <= sqrt(top) dividing r is at most r <= 2^25.
+    divisor_prod = np.ones(top + 1, dtype=np.int32)
+    for p in prime_list_up_to(math.isqrt(top)):
+        multiples = values[p::p]
+        np.negative(multiples, out=multiples)
+        divisor_prod[p::p] *= p
+        p2 = p * p
+        values[p2::p2] = 0
+    leftover = divisor_prod != np.arange(top + 1, dtype=np.int32)
+    leftover[0] = False
+    np.negative(values, out=values, where=leftover)
+    values.flags.writeable = False
+    return values
+
+
 def mu_range(x: int) -> np.ndarray:
-    """Classical Moebius values mu(0..x) as int8 (mu[0] = 0)."""
+    """Classical Moebius values mu(0..x) as int8 (mu[0] = 0).
+
+    The result is a read-only view of one table shared by the whole
+    process; copy it before writing.  A request past the table's top
+    sieves it again to min(max(x, 2 * top), ``_ARRAY_CAP``) under a lock,
+    so the table stays resident, at most 2^25 + 1 bytes, like the prime
+    table of :mod:`moebius_km.primes`.
+    """
+    global _mu_state
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > _ARRAY_CAP:
         raise ValueError(f"x = {x} exceeds array cap {_ARRAY_CAP}")
-    values = np.ones(x + 1, dtype=np.int8)
-    values[0] = 0
-    # The product of the primes <= sqrt(x) dividing r is at most r <= 2^25.
-    divisor_prod = np.ones(x + 1, dtype=np.int32)
-    for p in prime_list_up_to(math.isqrt(x)):
-        values[p::p] = -values[p::p]
-        divisor_prod[p::p] *= p
-        p2 = p * p
-        values[p2::p2] = 0
-    leftover = divisor_prod != np.arange(x + 1, dtype=np.int32)
-    leftover[0] = False
-    values[leftover] = -values[leftover]
-    return values
+    state = _mu_state
+    if x > state[0]:
+        with _mu_lock:
+            state = _mu_state
+            if x > state[0]:
+                top = min(max(x, 2 * state[0]), _ARRAY_CAP)
+                state = (top, _mu_sieve(top))
+                _mu_state = state
+    return state[1][: x + 1]
 
 
 def psi_ratio_range(x: int, k: int) -> np.ndarray:

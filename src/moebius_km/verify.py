@@ -143,17 +143,20 @@ def check_psi_divisor_identity(limit: int, ks=(2, 3, 4, 5)) -> SuiteResult:
     """Exact rational identity sum_{d|n} mu(d) psi_{k-1}(d)/(d psi_k(d)) = n/psi_k(n)."""
     from fractions import Fraction
 
+    # psi_{k-1}(d) / (d psi_k(d)) per (d, k): each squarefree d recurs in its multiples.
+    terms: dict[tuple[int, int], Fraction] = {}
     checked = 0
     for n, fn in enumerate(factorizations(limit), 1):
-        divisors = []
-        for d, s in squarefree_divisors(fn):
-            dfac = FactoredInteger(d, tuple((p, 1) for p, _ in fn.factors if d % p == 0))
-            divisors.append((d, s, dfac))
+        divisors = squarefree_divisors(fn)
         for k in ks:
             checked += 1
             lhs = Fraction(0)
-            for d, s, dfac in divisors:
-                lhs += s * psi_k(dfac, k - 1) / (d * psi_k(dfac, k))
+            for d, s in divisors:
+                t = terms.get((d, k))
+                if t is None:
+                    dfac = FactoredInteger(d, tuple((p, 1) for p, _ in fn.factors if d % p == 0))
+                    t = terms[d, k] = psi_k(dfac, k - 1) / (d * psi_k(dfac, k))
+                lhs += s * t
             rhs = Fraction(n) / psi_k(fn, k)
             if lhs != rhs:
                 return SuiteResult(

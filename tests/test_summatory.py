@@ -1,5 +1,8 @@
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +229,94 @@ class TestSums:
             SumQuery(0, OrderPair(2, 3))
         with pytest.raises(ValueError):
             SumQuery(10, OrderPair(2, 3), 0)
+
+
+@pytest.fixture
+def mu_sieves(monkeypatch):
+    """Start from an empty shared Moebius table; the list records each sieve's top."""
+    monkeypatch.setattr(summatory, "_mu_state", (0, np.zeros(1, dtype=np.int8)))
+    tops = []
+    build = summatory._mu_sieve
+
+    def counted(top):
+        tops.append(top)
+        return build(top)
+
+    monkeypatch.setattr(summatory, "_mu_sieve", counted)
+    return tops
+
+
+def _pointwise_mu(x: int) -> list[int]:
+    return [0] + [mu(r) for r in range(1, x + 1)]
+
+
+class TestSharedMuTable:
+    def test_growth_matches_pointwise(self, mu_sieves):
+        # 700 reads a prefix; 3001 doubles the top to 6000; 12001 passes it.
+        ref = _pointwise_mu(12001)
+        for x, top in ((50, 50), (3000, 3000), (700, 3000), (3001, 6000), (6000, 6000),
+                       (12001, 12001)):
+            assert mu_range(x).tolist() == ref[: x + 1], x
+            assert summatory._mu_state[0] == top, x
+        assert mu_sieves == [50, 3000, 6000, 12001]
+
+    def test_view_is_read_only(self, mu_sieves):
+        values = mu_range(100)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[6] = 0
+        assert mu_range(100).tolist() == _pointwise_mu(100)
+
+    def test_kfree_counts_leave_table_intact(self, mu_sieves):
+        top = 3000**2
+        before = mu_range(4000).tobytes()
+        counts = summatory._KFreeCounts(top, 30, 2)
+        assert summatory._mu_state[1].tobytes() == before
+        assert counts.count(top) == stream_sum(top, (2, 24), 30)[0][1]
+
+    def test_concurrent_growth_from_empty(self, monkeypatch, mu_sieves):
+        sizes = (3000, 5000)
+        ref = _pointwise_mu(max(sizes))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(summatory, "_mu_state", (0, np.zeros(1, dtype=np.int8)))
+                start = threading.Barrier(len(sizes))
+
+                def grow(x):
+                    start.wait(timeout=30)
+                    return mu_range(x)
+
+                with ThreadPoolExecutor(2) as pool:
+                    futures = [pool.submit(grow, x) for x in sizes]
+                    got = [f.result(timeout=60) for f in futures]
+                for x, values in zip(sizes, got):
+                    assert values.tolist() == ref[: x + 1], x
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_convolution_cold_equals_warm(self, monkeypatch, mu_sieves):
+        rng = random.Random(14)
+        queries = [
+            SumQuery(rng.randint(10, 10**7), OrderPair(k, m), rng.choice((1, 6, 35, 210)))
+            for k, m in ((2, 2), (2, 3), (3, 4), (4, 6))
+            for _ in range(3)
+        ]
+        cold = []
+        for q in queries:
+            monkeypatch.setattr(summatory, "_mu_state", (0, np.zeros(1, dtype=np.int8)))
+            cold.append(sum_convolution(q))
+        sum_convolution(SumQuery(10**11, OrderPair(2, 3)))
+        assert summatory._mu_state[0] > iroot(10**7, 2)
+        assert [sum_convolution(q) for q in queries] == cold == [sum_direct(q) for q in queries]
+
+    def test_conv_sum_orders_build_once(self, mu_sieves):
+        # The three queries of the conv_sum benchmark: the first table holds the rest.
+        for x, order, n in ((3 * 10**9, (2, 3), 1), (3 * 10**8, (2, 2), 1),
+                            (10**11, (3, 4), 30)):
+            sum_convolution(SumQuery(x, OrderPair(*order), n))
+        assert mu_sieves == [iroot(3 * 10**9, 2)]
 
 
 class TestPsiDivisorIdentity:
