@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import fields
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
 from .constants import (
@@ -67,6 +68,10 @@ def fmt_float(v: float) -> str:
 _MODE_COLUMN = "conjecture_mode"
 _ROW_FIELDS = [f.name for f in fields(ScanRow)]
 CSV_HEADER = ",".join(_ROW_FIELDS + [_MODE_COLUMN])
+# One CSV row of a ScanRow: "%.17g" renders a float as fmt_float does, "%d"
+# an int as str does.  (The annotations are strings under postponed evaluation.)
+_ROW_TEMPLATE = ",".join("%d" if f.type in (int, "int") else "%.17g" for f in fields(ScanRow))
+_row_values = attrgetter(*_ROW_FIELDS)
 
 
 def _report_fields(record, names: list[str]) -> list[tuple[str, str]]:
@@ -80,11 +85,11 @@ def _json_object(pairs: list[tuple[str, str]]) -> str:
 
 
 def rows_to_lines(rows: list[ScanRow], conjecture_mode: bool, fmt: str) -> list[str]:
-    mode = (_MODE_COLUMN, "true" if conjecture_mode else "false")
-    records = [_report_fields(r, _ROW_FIELDS) + [mode] for r in rows]
+    mode = "true" if conjecture_mode else "false"
     if fmt == "csv":
-        return [CSV_HEADER] + [",".join(text for _, text in rec) for rec in records]
-    return [_json_object(rec) for rec in records]
+        template = f"{_ROW_TEMPLATE},{mode}"
+        return [CSV_HEADER] + [template % _row_values(r) for r in rows]
+    return [_json_object(_report_fields(r, _ROW_FIELDS) + [(_MODE_COLUMN, mode)]) for r in rows]
 
 
 def fit_to_line(fit: FitResult, fmt: str) -> str:
@@ -92,54 +97,6 @@ def fit_to_line(fit: FitResult, fmt: str) -> str:
     if fmt == "csv":
         return "# fit," + ",".join(f"{name}={text}" for name, text in pairs)
     return _json_object(pairs)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="moebius", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary, parents=()):
-        p = sub.add_parser(name, parents=parents, help=summary)
-        p.set_defaults(handler=handler)
-        return p
-
-    order = _Parser(add_help=False)
-    order.add_argument("--k", type=_int_flag, required=True)
-    order.add_argument("--m", type=_int_flag, default=None, help="defaults to k")
-    bounds = _Parser(add_help=False)
-    bounds.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
-    bounds.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
-
-    p = command("eval", _cmd_eval, "evaluate mu_{k,m}(n) at one point", [order])
-    p.add_argument("--n", type=_int_flag, required=True)
-
-    p = command("sum", _cmd_sum, "summatory value over r <= x, gcd(r, n) = 1", [order])
-    p.add_argument("--x", type=_int_flag, required=True)
-    p.add_argument("--coprime-to", type=_int_flag, default=1)
-    p.add_argument("--method", choices=("direct", "conv", "both"), default="direct")
-
-    summary = "zeta(k), A_k and alpha_{k,m} with bounds"
-    command("constants", _cmd_constants, summary, [order, bounds])
-
-    p = command("scan", _cmd_scan, "error-term scan over a checkpoint grid", [order, bounds])
-    p.add_argument("--coprime-to", type=_int_flag, default=1)
-    p.add_argument("--from", dest="from_x", type=_int_flag, required=True)
-    p.add_argument("--to", dest="to_x", type=_int_flag, required=True)
-    p.add_argument("--points-per-decade", type=_int_flag, default=4)
-    p.add_argument("--fit", action="store_true")
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = command("verify", _cmd_verify, "run cross-check suites")
-    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--limit", type=_int_flag, default=None, help="input size, >= 1")
-
-    p = command("bench", _cmd_bench, "streaming throughput report")
-    p.add_argument("--x", type=_int_flag, required=True)
-    p.add_argument("--segment", type=_int_flag, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--threads", type=_int_flag, default=None)
-
-    return parser
 
 
 def _order_from(args) -> OrderPair:
@@ -241,8 +198,91 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _order_flags(p) -> None:
+    p.add_argument("--k", type=_int_flag, required=True)
+    p.add_argument("--m", type=_int_flag, default=None, help="defaults to k")
+
+
+def _bound_flags(p) -> None:
+    p.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
+
+
+def _eval_flags(p) -> None:
+    p.add_argument("--n", type=_int_flag, required=True)
+
+
+def _sum_flags(p) -> None:
+    p.add_argument("--x", type=_int_flag, required=True)
+    p.add_argument("--coprime-to", type=_int_flag, default=1)
+    p.add_argument("--method", choices=("direct", "conv", "both"), default="direct")
+
+
+def _scan_flags(p) -> None:
+    p.add_argument("--coprime-to", type=_int_flag, default=1)
+    p.add_argument("--from", dest="from_x", type=_int_flag, required=True)
+    p.add_argument("--to", dest="to_x", type=_int_flag, required=True)
+    p.add_argument("--points-per-decade", type=_int_flag, default=4)
+    p.add_argument("--fit", action="store_true")
+    p.add_argument("--out", default="-")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _verify_flags(p) -> None:
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    p.add_argument("--limit", type=_int_flag, default=None, help="input size, >= 1")
+
+
+def _bench_flags(p) -> None:
+    p.add_argument("--x", type=_int_flag, required=True)
+    p.add_argument("--segment", type=_int_flag, default=DEFAULT_SEGMENT_SIZE)
+    p.add_argument("--threads", type=_int_flag, default=None)
+
+
+# name: (summary, handler, the functions that add its flags, in order)
+_COMMANDS = {
+    "eval": ("evaluate mu_{k,m}(n) at one point", _cmd_eval, (_order_flags, _eval_flags)),
+    "sum": ("summatory value over r <= x, gcd(r, n) = 1", _cmd_sum, (_order_flags, _sum_flags)),
+    "constants": (
+        "zeta(k), A_k and alpha_{k,m} with bounds", _cmd_constants, (_order_flags, _bound_flags),
+    ),
+    "scan": (
+        "error-term scan over a checkpoint grid", _cmd_scan,
+        (_order_flags, _bound_flags, _scan_flags),
+    ),
+    "verify": ("run cross-check suites", _cmd_verify, (_verify_flags,)),
+    "bench": ("streaming throughput report", _cmd_bench, (_bench_flags,)),
+}
+
+
+def build_parser(names: list[str] | None = None) -> _Parser:
+    """The ``moebius`` parser with the subcommands ``names`` (all of them by default).
+
+    Every subcommand comes from its one entry in ``_COMMANDS``, so a
+    subcommand's parser is the same whichever others are built beside it.
+    """
+    parser = _Parser(prog="moebius", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if names is None else names:
+        summary, handler, add_flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        for add in add_flags:
+            add(p)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` (default: ``sys.argv[1:]``) and return its exit code.
+
+    Only the parser of the named command is built.  With no command, an
+    unknown one or a top-level option such as ``--help``, the full parser is
+    built, so its usage and errors list every command.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    named = argv[:1] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(named)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

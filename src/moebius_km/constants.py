@@ -274,10 +274,13 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
         raise ValueError("prime_limit must be >= 2")
 
     def log_factors(pf: np.ndarray) -> np.ndarray:
-        denom = np.zeros_like(pf)
-        for e in range(m - k + 1, m + 1):
-            denom += pf ** float(e)
-        return np.log1p(-1.0 / denom)
+        # log1p(-1 / sum_e p**e) in place in ``denom``, each further power in
+        # ``term``; the sum starts at its first power (0 + p**e is p**e exactly).
+        denom, term = np.power(pf, float(m - k + 1)), np.empty_like(pf)
+        for e in range(m - k + 2, m + 1):
+            denom += np.power(pf, float(e), out=term)
+        np.divide(-1.0, denom, out=denom)
+        return np.log1p(denom, out=denom)
 
     base = _log_product(("alpha", k, m), prime_limit, log_factors)
     return _product_estimate(base, prime_limit, m, k, 2.0)
@@ -289,11 +292,17 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
         raise ValueError(f"k must be >= 2, got {k}")
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    base = _log_product(
-        ("apostol_A", k),
-        prime_limit,
-        lambda pf: np.log1p(-(2.0 * pf - 1.0) / pf ** float(k + 1)),
-    )
+
+    def log_factors(pf: np.ndarray) -> np.ndarray:
+        # log1p(-(2 p - 1) / p**(k + 1)) in place in ``work``; only the power is
+        # a temporary.
+        work = np.multiply(2.0, pf)
+        work -= 1.0
+        np.negative(work, out=work)
+        work /= pf ** float(k + 1)
+        return np.log1p(work, out=work)
+
+    base = _log_product(("apostol_A", k), prime_limit, log_factors)
 
     # factor = (1 - u) * (1 - w), u = p^-k, w = (u - u/p)/(1 - u): w is x_p of
     # alpha_{k,k}, and log(1 - u) = -sum_{j>=1} p^-(jk)/j.

@@ -2,7 +2,9 @@
 
 The prime table is grown lazily by an odd-only Eratosthenes sieve and cached
 at module level.  Growth is guarded by a lock and swapped in as one atomic
-state tuple, so concurrent callers always observe a consistent table.
+state tuple, so concurrent callers always observe a consistent table.  The
+table is marked read-only before it is published, so no caller can change
+what every other caller reads.
 """
 
 from __future__ import annotations
@@ -20,17 +22,25 @@ _state: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
 
 
 def _sieve(limit: int) -> np.ndarray:
-    # Odd numbers only: flag i stands for 2 i + 1, and 2 is prepended.
+    """All primes <= limit, ascending, as one new int64 array.
+
+    Odd numbers only: flag i stands for 2 i + 1, except flag 0, which stands
+    for 2 (1 is not prime, so the slot is free).  The indices of the set
+    flags are mapped to primes in place, so the table is the only array of
+    its size this allocates besides the flags.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones((limit + 1) // 2, dtype=bool)
-    flags[0] = False
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if flags[i]:
             p = 2 * i + 1
             flags[p * p // 2 :: p] = False
-    odd = np.flatnonzero(flags)
-    return np.concatenate(([2], 2 * odd + 1)).astype(np.int64, copy=False)
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def _grown_to(limit: int) -> tuple[int, np.ndarray]:
@@ -41,7 +51,9 @@ def _grown_to(limit: int) -> tuple[int, np.ndarray]:
             state = _state
             if limit > state[0]:
                 target = min(max(limit, 2 * state[0], 1 << 16), _PRIME_TABLE_CAP)
-                state = (target, _sieve(target))
+                table = _sieve(target)
+                table.flags.writeable = False
+                state = (target, table)
                 _state = state
     return state
 
@@ -49,7 +61,8 @@ def _grown_to(limit: int) -> tuple[int, np.ndarray]:
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (ascending).
 
-    The returned array is a view into the shared cache; do not mutate it.
+    The returned array is a read-only view of the shared table: writing
+    into it raises ``ValueError``.
     """
     if limit > _PRIME_TABLE_CAP:
         raise ValueError(f"prime table limit {limit} exceeds cap {_PRIME_TABLE_CAP}")

@@ -47,7 +47,6 @@ import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -423,10 +422,17 @@ def _block_sum(block: np.ndarray, fold: np.ndarray) -> int:
 
 
 def _ordered_map(fn, items, workers: int):
-    """fn over items, results in input order, at most 2 * workers in flight."""
+    """fn over items, results in input order, at most 2 * workers in flight.
+
+    ``concurrent.futures`` (and ``logging`` with it) is imported only here,
+    when a pool is started, so a process that never runs one pays nothing
+    for it.
+    """
     if workers == 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for item in items:

@@ -111,14 +111,17 @@ class _KFreeCounts:
 
     Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * #{t <= y/e^k : gcd(t,n)=1},
     the inner count by inclusion-exclusion over the squarefree divisors of n.
-    The e coprime to n are taken from a copy of the table's prefix, which
-    is read-only and shared by every caller.
+    The table's prefix is read-only and shared by every caller, so for
+    n > 1 the e coprime to n are taken from a copy of it; n = 1 reads it
+    as it is.
     """
 
     def __init__(self, top: int, n: int, k: int) -> None:
         self._divs = squarefree_divisors(n)
-        mus = mu_range(iroot(top, k)).copy()
-        _zero_non_coprime(mus, n)
+        mus = mu_range(iroot(top, k))
+        if n > 1:
+            mus = mus.copy()
+            _zero_non_coprime(mus, n)
         e = np.flatnonzero(mus)
         self._sign = mus[e]
         self._ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62

@@ -248,6 +248,9 @@ class TestBench:
         assert lines[0].endswith(" sum=535895")
 
 
+COMMANDS = ("eval", "sum", "constants", "scan", "verify", "bench")
+
+
 class TestContracts:
     """Each report column, flag default and suite name is defined once."""
 
@@ -290,6 +293,58 @@ class TestContracts:
         monkeypatch.delenv("MOEBIUS_WORKERS", raising=False)
         args = cli.build_parser().parse_args(["bench", "--x", "1e6"])
         assert args.segment == SieveConfig().segment_size
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_single_command_parser_matches_full_parser(self, name):
+        def subparser(parser):
+            commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return commands.choices[name]
+
+        full, alone = subparser(cli.build_parser()), subparser(cli.build_parser([name]))
+        assert alone.format_help() == full.format_help()
+
+    def test_main_builds_only_the_named_command(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def spy(names=None):
+            built.append(names)
+            return build(names)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        run(capsys, "eval", "--k", "2", "--m", "3", "--n", "8")
+        run(capsys, "nonsense")
+        run(capsys)
+        assert built == [["eval"], None, None]
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in COMMANDS)
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        code, out, err = run(capsys, "nonsense")
+        assert (code, out) == (1, "")
+        assert "choose from " + ", ".join(f"'{n}'" for n in COMMANDS) in err
+
+    def test_csv_rows_match_field_by_field_rendering(self):
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            ScanRow(12, 7, 6.5, 0.5, 0.1, 1 / 3),
+            ScanRow(2**62, -(2**61) - 1, 1e300, -0.0, nan, -inf),
+            ScanRow(1, 0, 5e-324, 2.0**53 + 2, 0.1 + 0.2, 1e16),
+        ]
+        for mode, text in ((True, "true"), (False, "false")):
+            want = [cli.CSV_HEADER] + [
+                ",".join(
+                    [cli.fmt_float(v) if isinstance(v, float) else str(v)
+                     for v in (getattr(r, f.name) for f in fields(ScanRow))] + [text]
+                )
+                for r in rows
+            ]
+            assert cli.rows_to_lines(rows, mode, "csv") == want
 
     def test_parser_does_not_read_worker_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MOEBIUS_WORKERS", "0")

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from moebius_km import primes
+from moebius_km import constants, primes
+from moebius_km.constants import alpha, apostol_A
 from moebius_km.primes import primes_up_to
 
 
@@ -21,7 +23,8 @@ def _assert_same_table(limit):
 
 
 def test_odd_only_sieve_matches_all_integer_sieve():
-    for limit in range(0, 201):
+    # Limits 2, 3 and 4 check the flag-0 slot, which stands for the prime 2.
+    for limit in range(0, 3001):
         _assert_same_table(limit)
 
 
@@ -37,3 +40,21 @@ def test_odd_only_sieve_at_a_table_size():
     _assert_same_table(1 << 16)
     assert primes_up_to(10**6)[-1] == 999983
     assert len(primes_up_to(10**6)) == 78498
+
+
+def test_shared_table_is_read_only():
+    table = primes_up_to(100)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 3
+    assert primes_up_to(100).tolist() == _all_integer_sieve(100).tolist()
+
+
+def test_products_leave_the_prime_table_intact():
+    limit = 10**6
+    before = primes_up_to(limit).tobytes()
+    for key in ("alpha", 2, 3, limit), ("apostol_A", 2, limit):
+        constants._cache.pop(key, None)
+    alpha((2, 3), limit)
+    apostol_A(2, limit)
+    assert primes_up_to(limit).tobytes() == before

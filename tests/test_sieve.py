@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -633,3 +635,29 @@ def test_repeat_hits_peak_within_per_worker_estimate(segment_size):
         tracemalloc.stop()
     assert peak <= share, (peak, share)
     assert block.tolist()[:200] == [mu_km(r, (k, m)) for r in range(lo, lo + 200)]
+
+
+_POOL_ON_DEMAND = """
+import sys
+import moebius_km
+assert "concurrent.futures" not in sys.modules, "imported with the package"
+from moebius_km.sieve import SieveConfig, stream_sum
+cps = [10**5, 3 * 10**5, 10**6]
+one = stream_sum(10**6, (2, 3), 30, cps, SieveConfig(segment_size=1 << 16, worker_count=1))
+assert "concurrent.futures" not in sys.modules, "imported by a 1-worker stream"
+two = stream_sum(10**6, (2, 3), 30, cps, SieveConfig(segment_size=1 << 16, worker_count=2))
+assert "concurrent.futures" in sys.modules
+assert one == two, (one, two)
+"""
+
+
+def test_thread_pool_imported_only_when_started():
+    # A fresh interpreter: this test process has long imported concurrent.futures.
+    src = os.path.dirname(os.path.dirname(sieve.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("MOEBIUS_WORKERS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_ON_DEMAND], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -274,6 +274,17 @@ class TestSharedMuTable:
         assert summatory._mu_state[1].tobytes() == before
         assert counts.count(top) == stream_sum(top, (2, 24), 30)[0][1]
 
+    def test_kfree_counts_for_n_one_read_the_table_uncopied(self, monkeypatch, mu_sieves):
+        # n = 1 has nothing to zero, so the read-only prefix is used as it is.
+        def forbidden(values, n):
+            raise AssertionError(f"zeroed the e sharing a prime with n = {n}")
+
+        monkeypatch.setattr(summatory, "_zero_non_coprime", forbidden)
+        top = 3000**2
+        counts = summatory._KFreeCounts(top, 1, 2)
+        assert counts.count(top) == stream_sum(top, (2, 24), 1)[0][1]
+        assert mu_range(3000).tolist() == _pointwise_mu(3000)
+
     def test_concurrent_growth_from_empty(self, monkeypatch, mu_sieves):
         sizes = (3000, 5000)
         ref = _pointwise_mu(max(sizes))
