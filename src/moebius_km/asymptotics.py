@@ -122,10 +122,9 @@ def conjecture_scan(
     checkpoints: list[int] | None = None,
     prime_limit: int = DEFAULT_PRIME_LIMIT,
     tol: float = DEFAULT_TOL,
-    config: SieveConfig | None = None,
 ) -> list[ScanRow]:
     """Scan with m = k: the density is the conjectured one for mu_k."""
-    return scan(OrderPair(k, k), coprime_to, checkpoints, prime_limit, tol, config)
+    return scan(OrderPair(k, k), coprime_to, checkpoints, prime_limit, tol)
 
 
 def fit_exponent(rows: list[ScanRow]) -> FitResult:

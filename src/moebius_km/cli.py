@@ -56,7 +56,8 @@ def _int_flag(text: str) -> int:
         d = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if d != d.to_integral_value():
+    # is_finite first: Infinity would overflow int(), and sNaN raises on compare.
+    if not d.is_finite() or d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(d)
 

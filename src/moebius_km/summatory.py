@@ -22,7 +22,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +41,7 @@ from .sieve import MAX_RANGE, checked_checkpoints, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 13  # sum_convolution looks Q_k(y, n) up for y <= this
-_SPAN = 1 << 13  # (node, prime) pairs the m-full walk expands per step
-_CELLS = 1 << 13  # floors y // e^k per block of the batched k-free counts
-_PAIRS = 1 << 14  # (checkpoint, d) pairs per block of the convolution sums
+_BLOCK = 1 << 13  # pairs per NumPy step: walk (node, prime), staircase (row, col)
 
 _mu_lock = threading.Lock()
 # (top, mu(0..top) as read-only int8) — replaced wholesale, never mutated.
@@ -106,14 +104,44 @@ def _zero_non_coprime(values: np.ndarray, n: int) -> None:
         values[p::p] = 0
 
 
+def _staircase(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
+    """sum of weights[j] * f(row // cols[j]) over the cols[j] <= row, for each row.
+
+    ``rows`` is an int64 array in any order, ``cols`` an ascending one and
+    ``f`` maps an int64 array of floors to one of the same shape, with
+    f(0) = 0.  The rows are taken from the largest down, in blocks of at
+    most ``_BLOCK`` (row, col) pairs that share the cols <= the block's
+    largest row: a smaller row's extra cols give row // col = 0, which f
+    maps to 0.  A row that alone needs more than ``_BLOCK`` pairs is split
+    over column chunks.  Each block folds into its rows by one matrix
+    product with the weights.
+    """
+    order = np.argsort(rows)
+    rows = rows[order]
+    cuts = np.searchsorted(cols, rows, side="right")
+    sums = np.zeros(len(rows), dtype=np.int64)
+    b = len(rows)
+    while b and cuts[b - 1]:
+        cut = int(cuts[b - 1])
+        a = max(0, b - max(1, _BLOCK // cut))
+        for c in range(0, cut, _BLOCK):
+            j = slice(c, min(c + _BLOCK, cut))
+            sums[a:b] += f(rows[a:b, None] // cols[j]) @ weights[j]
+        b = a
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
 class _KFreeCounts:
     """Q_k(y, n) for y <= top from mu(e), e <= top^(1/k), of the shared table.
 
-    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * #{t <= y/e^k : gcd(t,n)=1},
-    the inner count by inclusion-exclusion over the squarefree divisors of n.
-    The table's prefix is read-only and shared by every caller, so for
-    n > 1 the e coprime to n are taken from a copy of it; n = 1 reads it
-    as it is.
+    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * #{t <= y/e^k : gcd(t,n)=1}:
+    one :func:`_staircase` with the e^k as columns, mu(e) as weights and
+    the inner count, by inclusion-exclusion over the squarefree divisors
+    of n, as f.  The table's prefix is read-only and shared by every
+    caller, so for n > 1 the e coprime to n are taken from a copy of it;
+    n = 1 reads it as it is.
     """
 
     def __init__(self, top: int, n: int, k: int) -> None:
@@ -126,37 +154,19 @@ class _KFreeCounts:
         self._sign = mus[e]
         self._ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62
 
-    def counts(self, ys: np.ndarray) -> np.ndarray:
-        """Q_k(y, n) for each y of the int64 array ``ys`` (1 <= y <= top).
+    def _coprime(self, z: np.ndarray) -> np.ndarray:
+        """#{t <= z : gcd(t, n) = 1} for each z of the int64 array ``z``."""
+        if len(self._divs) == 1:
+            return z
+        w, part = z.copy(), np.empty_like(z)
+        for d, s in self._divs[1:]:
+            np.floor_divide(z, d, out=part)
+            (np.add if s > 0 else np.subtract)(w, part, out=w)
+        return w
 
-        The y are taken in descending order, in blocks of at most ``_CELLS``
-        floors: a block's rows share the e^k <= its largest y, and a floor
-        is 0 wherever e^k exceeds a smaller row's y.  A y that alone needs
-        more than ``_CELLS`` floors is split over column chunks.
-        """
-        order = np.argsort(ys)[::-1]
-        ys = ys[order]
-        cuts = np.searchsorted(self._ek, ys, side="right")
-        out = np.empty(len(ys), dtype=np.int64)
-        a = 0
-        while a < len(ys):
-            cut = int(cuts[a])
-            b = min(len(ys), a + max(1, _CELLS // cut))
-            rows = ys[a:b, None]
-            acc = np.zeros(b - a, dtype=np.int64)
-            for c in range(0, cut, _CELLS):
-                ek = self._ek[c : min(c + _CELLS, cut)]
-                z = rows // ek
-                if len(self._divs) > 1:
-                    w, part = z.copy(), np.empty_like(z)
-                    for d, s in self._divs[1:]:
-                        np.floor_divide(z, d, out=part)
-                        (np.add if s > 0 else np.subtract)(w, part, out=w)
-                    z = w
-                acc += z @ self._sign[c : c + len(ek)]
-            out[order[a:b]] = acc
-            a = b
-        return out
+    def counts(self, ys: np.ndarray) -> np.ndarray:
+        """Q_k(y, n) for each y of the int64 array ``ys`` (1 <= y <= top), in any order."""
+        return _staircase(ys, self._ek, self._sign, self._coprime)
 
     def count(self, y: int) -> int:
         return int(self.counts(np.array([y], dtype=np.int64))[0])
@@ -217,7 +227,7 @@ def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
 
     g(p^a) is -1 for a = m + jk, +1 for a = m + 1 + jk (j >= 0) and 0 for
     every other a >= 1.  A node is (d, g(d), index of the next prime it may
-    use).  A frontier of nodes is expanded at most ``_SPAN`` (node, prime)
+    use).  A frontier of nodes is expanded at most ``_BLOCK`` (node, prime)
     pairs per step; each pair steps its exponent by p and p^(k-1) in turn,
     flipping the sign, while d stays <= x, and every d with x // d >= the
     next prime's p^m becomes a node of the step's child frontier.  Frontiers
@@ -232,9 +242,9 @@ def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
         base, g, start = stack.pop()
         counts = np.searchsorted(pms, x // base, side="right") - start
         ends = np.cumsum(counts)
-        if ends[-1] > _SPAN:
-            cut = int(np.searchsorted(ends, _SPAN))
-            take = _SPAN - (int(ends[cut - 1]) if cut else 0)
+        if ends[-1] > _BLOCK:
+            cut = int(np.searchsorted(ends, _BLOCK))
+            take = _BLOCK - (int(ends[cut - 1]) if cut else 0)
             later = start[cut:].copy()
             later[0] += take
             stack.append((base[cut:], g[cut:], later))
@@ -272,36 +282,6 @@ def _walk_primes(x: int, m: int, n: int) -> np.ndarray:
     return primes[n % primes != 0]
 
 
-def _pair_sums(xs: np.ndarray, terms, counts: _KFreeCounts, table: np.ndarray) -> np.ndarray:
-    """sum of g(d) * Q_k(x // d, n) over the d <= x of ``terms``, for each x of ``xs``.
-
-    ``xs`` is ascending int64 and ``terms`` yields (g(d), d) arrays.  Sorted,
-    the d of one yield that a checkpoint takes are a prefix of them.  The
-    (x, d) pairs are formed as ``_CELLS`` forms floors: from the largest x
-    down, in blocks of at most ``_PAIRS`` that share the prefix of the
-    block's largest x, where a smaller x's extra d give x // d = 0 and
-    Q_k(0, n) = table[0] = 0.  Each block folds into its checkpoints by one
-    matrix product with g.  The int64 sums cannot wrap: a partial sum is at
-    most x times the sum of 1/d over the m-full d, which is below 1.4 for
-    m >= 3 (x <= 2^62), and k = 2 ends x near 2^50.
-    """
-    totals = np.zeros(len(xs), dtype=np.int64)
-    for g, d in terms:
-        order = np.argsort(d)
-        g, d = g[order], d[order]
-        cuts = np.searchsorted(d, xs, side="right")
-        b = len(xs)
-        while b and cuts[b - 1]:
-            cut = int(cuts[b - 1])
-            a = max(0, b - max(1, _PAIRS // cut))
-            for c in range(0, cut, _PAIRS):
-                cols = slice(c, min(c + _PAIRS, cut))
-                y = xs[a:b, None] // d[None, cols]
-                totals[a:b] += _kfree_values(y, counts, table) @ g[cols]
-            b = a
-    return totals
-
-
 def convolution_sums(
     checkpoints: list[int], order: OrderPair | tuple[int, int], coprime_to: int = 1
 ) -> list[tuple[int, int]]:
@@ -309,8 +289,13 @@ def convolution_sums(
 
     All checkpoints share one m-full walk to the largest x, one batched
     k-free counter up to it over the shared Moebius table, and one small
-    Q_k table;
-    S(x; n) sums g(d) * Q_k(x // d, n) over d = 1 and the walk's d <= x.
+    Q_k table.  S(x; n) sums g(d) * Q_k(x // d, n) over d = 1 and the
+    walk's d <= x: Q_k(x, n) for d = 1, then one :func:`_staircase` per
+    walk step, with the checkpoints as rows, the step's sorted d as
+    columns, g(d) as weights and Q_k as f, whose large arguments go
+    through the counter's own staircase.  The int64 sums cannot wrap: a
+    partial sum is at most x times the sum of 1/d over the m-full d, which
+    is below 1.4 for m >= 3 (x <= 2^62), and k = 2 ends x near 2^50.
     Cost: about the sum over checkpoints of x^(1/k) floors per k-free count
     and one pair per (x, d), so it beats the stream on sparse grids and
     loses on very dense ones (the README's engine table).
@@ -323,10 +308,13 @@ def convolution_sums(
     cps = checked_checkpoints(checkpoints, MAX_RANGE)
     x, n = cps[-1], coprime_to
     _check_conv_domain(x, o.k)
-    one = np.ones(1, dtype=np.int64)
-    terms = chain([(one, one)], _g_walk(x, o.k, o.m, _walk_primes(x, o.m, n)))
     table = _small_table(min(x, _TABLE_TOP), n, o.k)
-    sums = _pair_sums(np.array(cps, dtype=np.int64), terms, _KFreeCounts(x, n, o.k), table)
+    kfree = partial(_kfree_values, counts=_KFreeCounts(x, n, o.k), table=table)
+    xs = np.array(cps, dtype=np.int64)
+    sums = kfree(xs)  # the d = 1 term
+    for g, d in _g_walk(x, o.k, o.m, _walk_primes(x, o.m, n)):
+        order = np.argsort(d)
+        sums += _staircase(xs, d[order], g[order], kfree)
     return list(zip(cps, sums.tolist()))
 
 
@@ -342,12 +330,13 @@ def sum_convolution(q: SumQuery) -> int:
     process-wide Moebius table of :func:`mu_range`, which the first query
     sieves to x^(1/k) and later queries up to that size only read.  The
     walk is the one that :func:`convolution_sums` shares among its
-    checkpoints.
+    checkpoints, but with one x each step is a single row, summed by one
+    dot product instead of a :func:`_staircase`.
     Cost: about x^(1/k) NumPy work and memory for the counts (and for the
     table, the first time it reaches that size), plus one entry per m-full
-    d, walked in NumPy steps of at most ``_SPAN`` (node, prime) pairs and
-    counted in blocks of at most ``_CELLS`` floors; those two budgets, not
-    x, bound the walk's and the counts' temporaries.
+    d, walked in NumPy steps of at most ``_BLOCK`` (node, prime) pairs and
+    counted in staircase blocks of at most ``_BLOCK`` (y, e) pairs; that
+    one budget, not x, bounds the walk's and the counts' temporaries.
     """
     o = q.order
     x, n = q.x, q.coprime_to

@@ -18,7 +18,7 @@ from .arith import FactoredInteger, factorizations, factorize, squarefree_diviso
 from .constants import DEFAULT_TOL, alpha, apostol_A, identity_gap, zeta
 from .functions import OrderPair, as_order, mu, mu_apostol, mu_km, psi_k
 from .primes import iroot
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, sieve_mu_km, sieve_qk, stream_sum
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, _max_range, sieve_mu_km, sieve_qk, stream_sum
 from .summatory import SumQuery, _KFreeCounts, convolution_sums, qk_count, sum_convolution
 
 DEFAULT_ORDERS = (
@@ -53,27 +53,34 @@ class SuiteResult:
 def check_table_vs_sieve(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult:
     """Sieved cells agree with pointwise prime-power-table evaluation.
 
-    The cells are one plain block [1, limit] and, for n = 2, 3 and 6 (wheels
+    The cells are one plain block [1, limit]; for n = 2, 3 and 6 (wheels
     2, 3 and 6), the w = min(limit, 1000) integers past n * DEFAULT_SEGMENT_SIZE,
     where every column's second segment starts, read as differences of
-    consecutive ``stream_sum`` checkpoints: mu_{k,m}(r) if gcd(r, n) = 1, else 0.
+    consecutive ``stream_sum`` checkpoints: mu_{k,m}(r) if gcd(r, n) = 1, else 0;
+    and for each k, one block of the min(limit, 100) integers that end the
+    sieve's domain at ``_max_range(k)``.
     """
     orders = [as_order(o) for o in orders]
     cfg = SieveConfig(segment_size=max(64, limit))
-    runs = [(1, 1, [sieve_mu_km(1, limit, o, cfg).values for o in orders])]
+    runs = [(1, 1, orders, [sieve_mu_km(1, limit, o, cfg).values for o in orders])]
     for n in (2, 3, 6):
         lo = n * DEFAULT_SEGMENT_SIZE + 1
         cps = list(range(lo - 1, lo + min(limit, 1000)))
         sums = [[s for _, s in stream_sum(cps[-1], o, n, cps)] for o in orders]
-        runs.append((lo, n, [np.diff(s) for s in sums]))
+        runs.append((lo, n, orders, [np.diff(s) for s in sums]))
+    for k in sorted({o.k for o in orders}):
+        hi = _max_range(k)
+        lo = hi - min(limit, 100) + 1
+        top_orders = [o for o in orders if o.k == k]
+        runs.append((lo, 1, top_orders, [sieve_mu_km(lo, hi, o).values for o in top_orders]))
     checked = 0
-    for lo, n, cells in runs:
+    for lo, n, run_orders, cells in runs:
         rs = range(lo, lo + len(cells[0]))
-        # [1, limit] is factored in bulk; the three 1000-cell windows by trial division.
+        # [1, limit] is factored in bulk; the windows one integer at a time.
         for r, fr in zip(rs, factorizations(limit) if lo == 1 else map(factorize, rs)):
             if gcd(r, n) != 1:
                 fr = None
-            for o, vals in zip(orders, cells):
+            for o, vals in zip(run_orders, cells):
                 checked += 1
                 point, got = 0 if fr is None else mu_km(fr, o), int(vals[r - lo])
                 if point != got:

@@ -17,8 +17,7 @@ from moebius_km.primes import iroot, primes_up_to
 from moebius_km.sieve import stream_sum
 from moebius_km.summatory import (
     _ARRAY_CAP,
-    _CELLS,
-    _SPAN,
+    _BLOCK,
     _TABLE_TOP,
     _conv_limit,
     L_n_sum,
@@ -102,17 +101,16 @@ class TestSums:
                     assert sum_direct(q) == sum_convolution(q), (x, o, n)
 
     @pytest.mark.parametrize(
-        "table_top,span,cells",
-        [(16, _SPAN, _CELLS), (_TABLE_TOP, _SPAN, _CELLS), (16, 3, 7)],
-        ids=["16", "8192", "16-span3-cells7"],
+        "table_top,block",
+        [(16, _BLOCK), (_TABLE_TOP, _BLOCK), (16, 3)],
+        ids=["16", "8192", "16-block3"],
     )
-    def test_convolution_matches_stream_seeded(self, monkeypatch, table_top, span, cells):
+    def test_convolution_matches_stream_seeded(self, monkeypatch, table_top, block):
         # With a 16-entry table nearly every count takes the NumPy-sum route.
-        # A 3-pair span and 7-cell blocks cross every frontier split and
-        # block boundary, and split the columns of every count above 7 e^k.
+        # A 3-pair block crosses every frontier split and staircase block
+        # boundary, and splits the columns of every count above 3 e^k.
         monkeypatch.setattr(summatory, "_TABLE_TOP", table_top)
-        monkeypatch.setattr(summatory, "_SPAN", span)
-        monkeypatch.setattr(summatory, "_CELLS", cells)
+        monkeypatch.setattr(summatory, "_BLOCK", block)
         rng = random.Random(20261018)
         orders = ((2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4))
         ns = (1, 8, 45, 220, 210)  # 0 to 4 distinct primes
@@ -136,14 +134,12 @@ class TestSums:
     def test_convolution_at_top_of_domain(self, x, k, m, n, expected):
         assert sum_convolution(SumQuery(x, OrderPair(k, m), n)) == expected
 
-    @pytest.mark.parametrize("pairs", [1, 5, summatory._PAIRS], ids=["1", "5", "default"])
-    def test_convolution_sums_match_stream(self, monkeypatch, pairs):
-        # A 1- or 5-pair budget splits every block's rows and columns; 7-cell
-        # count blocks split the batched counts as well.  Duplicates, x = 1
-        # and x below every walk d take the empty-prefix paths.
-        monkeypatch.setattr(summatory, "_PAIRS", pairs)
-        if pairs < 16:
-            monkeypatch.setattr(summatory, "_CELLS", 7)
+    @pytest.mark.parametrize("block", [1, 5, _BLOCK], ids=["1", "5", "default"])
+    def test_convolution_sums_match_stream(self, monkeypatch, block):
+        # A 1- or 5-pair block splits every walk frontier and every block's
+        # rows and columns, in the sums and in the batched counts alike.
+        # Duplicates, x = 1 and x below every walk d take the empty-prefix paths.
+        monkeypatch.setattr(summatory, "_BLOCK", block)
         rng = random.Random(20261019)
         for k, m in ((2, 2), (2, 3), (3, 4), (4, 4)):
             for n in (1, 6, 30, 77):
@@ -167,9 +163,27 @@ class TestSums:
         with pytest.raises(ValueError, match=f"limit {_conv_limit(2)} for k=2"):
             convolution_sums([10, _conv_limit(2) + 1], (2, 3))
 
+    @pytest.mark.parametrize("block", [1, 3, _BLOCK], ids=["1", "3", "default"])
+    def test_staircase_matches_double_loop(self, monkeypatch, block):
+        # Unsorted rows with duplicates, rows below every col, and no rows.
+        monkeypatch.setattr(summatory, "_BLOCK", block)
+        rng = random.Random(16)
+
+        def f(z):
+            return z * z - 3 * z  # nonlinear, f(0) = 0
+
+        cols = np.array(sorted(rng.sample(range(4, 400), 40)), dtype=np.int64)
+        weights = np.array([rng.choice((-2, -1, 1, 3)) for _ in cols], dtype=np.int64)
+        rows = [rng.randint(1, 3000) for _ in range(50)] + [1, 3, 2999, 2999, 4, 4, 1]
+        rng.shuffle(rows)
+        for rs in (rows, [3, 1, 3], []):
+            got = summatory._staircase(np.array(rs, dtype=np.int64), cols, weights, f)
+            ref = [sum(int(w) * f(r // int(c)) for c, w in zip(cols, weights) if c <= r) for r in rs]
+            assert got.tolist() == ref, rs
+
     def test_batched_counts_in_any_order(self, monkeypatch):
         # Unsorted, repeated y over several blocks and column chunks.
-        monkeypatch.setattr(summatory, "_CELLS", 5)
+        monkeypatch.setattr(summatory, "_BLOCK", 5)
         rng = random.Random(7)
         top = 3000
         for k in (2, 3):
@@ -180,7 +194,7 @@ class TestSums:
                 assert got.tolist() == [ref[y] for y in ys], (k, n)
 
     def test_walk_memory_independent_of_x(self):
-        # The walk expands at most _SPAN pairs per step, so its peak grows
+        # The walk expands at most _BLOCK pairs per step, so its peak grows
         # only by its two arrays over the primes (16 bytes a prime, 1.2 MiB
         # at 1e12); with the whole frontier expanded at once it is 55 MiB.
         peaks = []
@@ -192,7 +206,7 @@ class TestSums:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert entries > 4 * _SPAN
+            assert entries > 4 * _BLOCK
         assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
 
     def test_convolution_independent_of_sieve(self, monkeypatch):

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from moebius_km.sieve import _max_range
 from moebius_km.verify import (
     SUITES,
     check_apostol_agreement,
@@ -59,3 +62,24 @@ def test_sum_agreement_checks_the_shared_walk(monkeypatch):
     result = check_sum_agreement(xs=(50, 60), ns=(1,))
     assert not result.ok
     assert "shared=" in result.first_failure
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_table_checks_the_top_of_each_sieve_domain(monkeypatch, k):
+    import moebius_km.verify as verify_mod
+
+    top = _max_range(k)
+    sieved = verify_mod.sieve_mu_km
+
+    def wrong_last_cell(lo, hi, order, config=None):
+        block = sieved(lo, hi, order, config)
+        if hi == top:
+            values = block.values.copy()
+            values[-1] = 1 - values[-1]
+            block = replace(block, values=values)
+        return block
+
+    monkeypatch.setattr(verify_mod, "sieve_mu_km", wrong_last_cell)
+    result = check_table_vs_sieve(120)
+    assert not result.ok
+    assert result.first_failure.startswith(f"r={top} n=1 order=({k},")
