@@ -18,17 +18,23 @@ Tail handling, documented here because the bound choice is load-bearing:
   first omitted (eighth) correction.  The bound is that correction plus the
   fixed-point floors plus half an ulp of the returned float: about 2e-16
   for every k, so every tol down to 1e-13 costs the same few microseconds.
-* products: alpha_{k,m} and A_k share one tail routine.  At prime_limit
-  >= 1000 the cached log of the product over p <= P is corrected by the
-  leading terms of sum_{p>P} log(factor_p), expanded exactly into prime
-  power sums sum_{p>P} p^-s (A_k first adds its log(1 - p^-k) series).
+* products: alpha_{k,m} and A_k multiply out the primes p <= P =
+  min(prime_limit, 2**16), the prime table's first sieve, and share one
+  tail routine that covers every prime above P.  At P >= 1000 the cached
+  log of the product over p <= P is corrected by the leading terms of
+  sum_{p>P} log(factor_p), expanded exactly into prime power sums
+  sum_{p>P} p^-s (A_k first adds its log(1 - p^-k) series).
   Each is prime_zeta(s), from one table for s = 2..55 built once from its
   Moebius-weighted log-zeta series, minus the partial sum over p <= P,
-  from one pass over the primes cached per prime limit.  The bound
+  from one pass over the primes cached per P.  The bound
   collects the series truncations, the second-order remainder
   (<= 0.6 * sum_{p>P} p^-2m) and the float slacks, then is floored at
   _TAIL_FLOOR so it never understates accumulated rounding; the floor and
-  each slack are named once below.
+  each slack are named once below.  More primes buy no accuracy: at
+  2**16 every value tested is as close to its 50-digit reference as at
+  10**6, or closer.  Far fewer would cost some, as the expansion keeps
+  only the first order of log(1 - x_p): at 10**4, A_2 is 133 ulps off,
+  the dropped 0.6 * sum_{p>P} p^-2m.
 * products at prime_limit < 1000 stay plain truncated products with the
   loose elementary bound 2 * sum_{n>P} n^-m per factor (factor-sum form),
   so tiny prime limits return the literal few-factor product.
@@ -45,7 +51,7 @@ import numpy as np
 
 from .arith import FactoredInteger, as_factored
 from .functions import OrderPair, as_order
-from .primes import primes_up_to
+from .primes import FIRST_TABLE_LIMIT, primes_up_to
 
 DEFAULT_PRIME_LIMIT = 1_000_000
 DEFAULT_TOL = 1e-12
@@ -85,7 +91,8 @@ class ConstantEstimate:
     ``prime_limit`` records the truncation cutoff: for zeta the
     Euler-Maclaurin cutoff N (the terms n < N are summed one by one, the
     rest is the integral tail and its corrections), for the products the
-    limit P of the primes p <= P multiplied out.
+    limit P of the primes p <= P actually multiplied out, min(requested
+    limit, 2**16); the tail expansion covers the primes above it.
     """
 
     value: float
@@ -266,12 +273,23 @@ def _product_estimate(
     return ConstantEstimate(value, bound, prime_limit)
 
 
-def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstimate:
-    """Density constant alpha_{k,m} with a certified truncation bound."""
-    o = as_order(order)
-    k, m = o.k, o.m
+def _multiplied_out(prime_limit: int) -> int:
+    """The limit of the primes a product multiplies out: at most 2**16."""
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
+    return min(prime_limit, FIRST_TABLE_LIMIT)
+
+
+def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstimate:
+    """Density constant alpha_{k,m} with a certified truncation bound.
+
+    The primes p <= min(prime_limit, 2**16) are multiplied out and the
+    tail expansion covers the rest, so every larger limit gives the 2**16
+    estimate and never grows the prime table past its first sieve.
+    """
+    o = as_order(order)
+    k, m = o.k, o.m
+    prime_limit = _multiplied_out(prime_limit)
 
     def log_factors(pf: np.ndarray) -> np.ndarray:
         # log1p(-1 / sum_e p**e) in place in ``denom``, each further power in
@@ -287,11 +305,13 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
 
 
 def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
-    """Order-k density constant A_k = prod_p (1 - 2/p^k + 1/p^(k+1))."""
+    """Order-k density constant A_k = prod_p (1 - 2/p^k + 1/p^(k+1)).
+
+    Multiplies out p <= min(prime_limit, 2**16), like :func:`alpha`.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be >= 2")
+    prime_limit = _multiplied_out(prime_limit)
 
     def log_factors(pf: np.ndarray) -> np.ndarray:
         # log1p(-(2 p - 1) / p**(k + 1)) in place in ``work``; only the power is

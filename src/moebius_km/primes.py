@@ -15,6 +15,7 @@ import threading
 import numpy as np
 
 _PRIME_TABLE_CAP = 1 << 26
+FIRST_TABLE_LIMIT = 1 << 16  # the first sieve covers at least this far
 
 _lock = threading.Lock()
 # (sieved_to, primes_array) — replaced wholesale, never mutated.
@@ -50,7 +51,7 @@ def _grown_to(limit: int) -> tuple[int, np.ndarray]:
         with _lock:
             state = _state
             if limit > state[0]:
-                target = min(max(limit, 2 * state[0], 1 << 16), _PRIME_TABLE_CAP)
+                target = min(max(limit, 2 * state[0], FIRST_TABLE_LIMIT), _PRIME_TABLE_CAP)
                 table = _sieve(target)
                 table.flags.writeable = False
                 state = (target, table)

@@ -110,6 +110,16 @@ class TestConstants:
         _, given, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "1e6")
         assert default == given
 
+    @pytest.mark.parametrize("k,m,limit", [("3", "4", "1e6"), ("2", "2", "1e9")])
+    def test_limits_past_the_cap_print_the_capped_bytes(self, capsys, k, m, limit):
+        # Products multiply out p <= 2**16 whatever the limit; 1e9 is past
+        # the prime table's own cap.
+        order = ("--k", k, "--m", m)
+        code, given, err = run(capsys, "constants", *order, "--prime-limit", limit)
+        assert (code, err) == (0, "")
+        _, capped, _ = run(capsys, "constants", *order, "--prime-limit", "65536")
+        assert given == capped
+
     @pytest.mark.parametrize("command", ["constants", "scan"])
     def test_tol_help_names_zeta_only(self, capsys, command):
         with pytest.raises(SystemExit):

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -10,6 +12,7 @@ import pytest
 
 from moebius_km import constants
 from moebius_km.constants import (
+    DEFAULT_PRIME_LIMIT,
     ConstantEstimate,
     PrecisionError,
     alpha,
@@ -20,7 +23,7 @@ from moebius_km.constants import (
     zeta,
 )
 from moebius_km.functions import mu, psi_k
-from moebius_km.primes import prime_list_up_to, primes_up_to
+from moebius_km.primes import FIRST_TABLE_LIMIT, prime_list_up_to, primes_up_to
 
 # Values of the previous implementation (per-call p**-s powers over the
 # primes), as (value, tail_bound), keyed by prime limit.
@@ -130,12 +133,13 @@ class TestProducts:
             assert 0.0 < est.value < 1.0
 
     def test_doubling_stays_within_bound(self):
+        # Both limits below the 2**16 cap, so the two products differ.
         for km in ((2, 2), (2, 3)):
-            small = alpha(km, 10**5)
-            big = alpha(km, 2 * 10**5)
+            small = alpha(km, 2 * 10**4)
+            big = alpha(km, 4 * 10**4)
             assert abs(big.value - small.value) <= small.tail_bound
-        a_small = apostol_A(2, 10**5)
-        a_big = apostol_A(2, 2 * 10**5)
+        a_small = apostol_A(2, 2 * 10**4)
+        a_big = apostol_A(2, 4 * 10**4)
         assert abs(a_big.value - a_small.value) <= a_small.tail_bound
 
     def test_bound_nonincreasing_in_prime_limit(self):
@@ -177,8 +181,9 @@ class TestProducts:
     @pytest.mark.parametrize("limit", [30_011, 10**5])
     def test_large_k_warns_nothing(self, limit):
         # p**70 and p**71 overflow float64 above p = 25000; the factor there
-        # is exactly 1.
-        for key in ("alpha", 70, 70, limit), ("apostol_A", 70, limit):
+        # is exactly 1.  The products are cached under the capped limit.
+        capped = min(limit, FIRST_TABLE_LIMIT)
+        for key in ("alpha", 70, 70, capped), ("apostol_A", 70, capped):
             constants._cache.pop(key, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -192,7 +197,160 @@ class TestProducts:
             apostol_A(1, 100)
 
 
+_COLD_CAPPED = """
+from moebius_km import primes
+from moebius_km.constants import alpha, apostol_A
+assert primes._state[0] == 0
+a, b = apostol_A(2, 10**6), alpha((2, 3), 10**6)
+assert primes._state[0] == 1 << 16, primes._state[0]
+assert a.prime_limit == b.prime_limit == 1 << 16
+"""
+
+
+class TestPrimeCap:
+    @pytest.mark.parametrize("limit", [FIRST_TABLE_LIMIT, 10**6, 10**9])
+    def test_limits_past_the_cap_give_the_capped_estimate(self, limit):
+        assert FIRST_TABLE_LIMIT == 65536
+        for km in ((2, 3), (3, 4), (2, 2)):
+            est = alpha(km, limit)
+            assert est == alpha(km, FIRST_TABLE_LIMIT)
+            assert est.prime_limit == 65536
+        for k in (2, 3):
+            est = apostol_A(k, limit)
+            assert est == apostol_A(k, FIRST_TABLE_LIMIT)
+            assert est.prime_limit == 65536
+
+    def test_limits_below_the_cap_are_kept(self):
+        for limit in (2, 999, 1000, 54_321, FIRST_TABLE_LIMIT - 1):
+            assert alpha((2, 3), limit).prime_limit == limit
+            assert apostol_A(2, limit).prime_limit == limit
+
+    def test_caches_hold_no_limit_past_the_cap(self):
+        alpha((2, 3), 10**9)
+        apostol_A(2, 10**7)
+        limits = [key[-1] for key in constants._cache if key != ("prime_zeta",)]
+        assert limits and max(limits) <= FIRST_TABLE_LIMIT
+
+    def test_cold_constants_sieve_only_the_first_table(self):
+        # A fresh interpreter: this test process may have grown the table.
+        src = os.path.dirname(os.path.dirname(constants.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_CAPPED], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+def _log_coefficients(poly: dict[int, int], n_max: int) -> list[Fraction]:
+    """Exact l_n with log(1 + sum_e poly[e] x**e) = sum_n l_n x**n, n <= n_max.
+
+    Newton's identities for the logarithmic derivative:
+    n l_n = n a_n - sum_{0<j<n} j l_j a_{n-j}.
+    """
+    a = [0] * (n_max + 1)
+    for e, c in poly.items():
+        if e <= n_max:
+            a[e] += c
+    logs = [Fraction(0)] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        acc = Fraction(n * a[n])
+        for j in range(1, n):
+            acc -= j * logs[j] * a[n - j]
+        logs[n] = acc / n
+    return logs
+
+
+def _reference(k: int, m: int | None, tails) -> mpmath.mpf:
+    """A_k (m None) or alpha_{k,m} at the working precision.
+
+    As functions of x = 1/p the factors are 1 - 2x^k + x^(k+1) and
+    (1 - x^k - x^m + x^(m+1)) / (1 - x^k).  The primes p < 100 are
+    multiplied out exactly; for the rest the log of the factor is its power
+    series sum_n l_n x^n, summed against the tails sum_{p>100} p^-n of the
+    prime zeta function (x <= 1/101, so n <= 40 leaves less than 1e-60).
+    """
+    if m is None:
+        poly, denom_k = {k: -2, k + 1: 1}, None
+    else:
+        poly = {k: -1}
+        poly[m] = poly.get(m, 0) - 1
+        poly[m + 1] = poly.get(m + 1, 0) + 1
+        denom_k = k
+    n_max = len(tails) - 1
+    logs = _log_coefficients(poly, n_max)
+    if denom_k:
+        for j in range(1, n_max // denom_k + 1):
+            logs[j * denom_k] += Fraction(1, j)  # -log(1 - x^k) = sum_j x^(jk)/j
+    head = Fraction(1)
+    for p in prime_list_up_to(100):
+        factor = 1 + sum(Fraction(c, p**e) for e, c in poly.items())
+        if denom_k:
+            factor /= 1 - Fraction(1, p**denom_k)
+        head *= factor
+    series = mpmath.fsum(
+        mpmath.mpf(c.numerator) / c.denominator * tails[n]
+        for n, c in enumerate(logs)
+        if n >= 2 and c
+    )
+    return mpmath.exp(mpmath.log(mpmath.mpf(head.numerator) / head.denominator) + series)
+
+
+# k in {2, 3, 4, 7} and A_k (m None) or alpha_{k,m} for m = k, k + 1, 2k + 3, 40.
+_REF_CASES = [(k, m) for k in (2, 3, 4, 7) for m in (None, k, k + 1, 2 * k + 3, 40)]
+
+
+@pytest.fixture(scope="module")
+def references():
+    """The constants of _REF_CASES to about 50 digits."""
+    with mpmath.workdps(50):
+        small = prime_list_up_to(100)
+        tails = [mpmath.nan] * 2 + [
+            mpmath.primezeta(n) - mpmath.fsum(mpmath.mpf(p) ** -n for p in small)
+            for n in range(2, 41)
+        ]
+        return {case: _reference(*case, tails) for case in _REF_CASES}
+
+
+# Float steps from each reference with the primes to 10**6 multiplied out.
+_STEPS_AT_1E6 = {
+    (2, None): -2, (2, 2): -1, (2, 3): 1, (2, 7): 0, (2, 40): 1,
+    (3, None): -1, (3, 3): -2, (3, 4): 5, (3, 9): -4, (3, 40): 1,
+    (4, None): 3, (4, 4): 3, (4, 5): -2, (4, 11): 0, (4, 40): 1,
+    (7, None): -3, (7, 7): -2, (7, 8): -1, (7, 17): 0, (7, 40): 0,
+}
+
+
+def _estimate(case, limit: int) -> ConstantEstimate:
+    k, m = case
+    return apostol_A(k, limit) if m is None else alpha((k, m), limit)
+
+
+class TestReferenceValues:
+    def test_references_satisfy_the_closing_identity(self, references):
+        # alpha_{k,k} = zeta(k) A_k exactly; the two sides come from different series.
+        with mpmath.workdps(50):
+            for k in (2, 3, 4, 7):
+                gap = references[k, k] - mpmath.zeta(k) * references[k, None]
+                assert abs(gap) < mpmath.mpf(10) ** -45, k
+
+    @pytest.mark.parametrize("limit", [10**3, 10**4, FIRST_TABLE_LIMIT, 10**6])
+    def test_within_tail_bound(self, references, limit):
+        with mpmath.workdps(50):
+            for case, ref in references.items():
+                est = _estimate(case, limit)
+                assert abs(mpmath.mpf(est.value) - ref) <= est.tail_bound, (case, limit)
+
+    def test_default_limit_within_five_ulps(self, references):
+        # 5 ulps: the worst distance with the primes to 10**6 multiplied out,
+        # alpha_{3,4}'s.  No case may be further than it was then.
+        for case, ref in references.items():
+            nearest = float(ref)
+            steps = (_estimate(case, DEFAULT_PRIME_LIMIT).value - nearest) / math.ulp(nearest)
+            assert abs(steps) <= abs(_STEPS_AT_1E6[case]) <= 5, (case, steps)
+
+
 class TestPowerSumTable:
+
     @pytest.mark.parametrize("limit", [10**3, 10**4, 10**6])
     def test_matches_direct_powers(self, limit):
         from moebius_km.constants import _SMAX, _prime_power_sums
