@@ -22,19 +22,24 @@ Tail handling, documented here because the bound choice is load-bearing:
   min(prime_limit, 2**16), the prime table's first sieve, and share one
   tail routine that covers every prime above P.  At P >= 1000 the cached
   log of the product over p <= P is corrected by the leading terms of
-  sum_{p>P} log(factor_p), expanded exactly into prime power sums
-  sum_{p>P} p^-s (A_k first adds its log(1 - p^-k) series).
-  Each is prime_zeta(s), from one table for s = 2..55 built once from its
-  Moebius-weighted log-zeta series, minus the partial sum over p <= P,
-  from one pass over the primes cached per P.  The bound
-  collects the series truncations, the second-order remainder
+  sum_{p>P} log(factor_p), expanded exactly into prime-power tails
+  sum_{p>P} p^-s (A_k first adds sum_{p>P} log(1 - p^-k) = -L(k)).
+  Both come from the log tails L(t) = sum_{p>P} -log(1 - p^-t), computed
+  once per P for t = 2..T only: T is the last t whose elementary bound
+  2 P^(1-t)/(t-1) exceeds 1e-22, so 5 at P = 2**16 and 8 at P = 1000.
+  Each is log zeta(t) minus sum_{a>=1} S(at)/a, with the partial sums
+  S(s) = sum_{p<=P} p^-s from one pass over the primes, and the
+  prime-power tails are their Moebius inversion sum_j mu(j)/j L(js) (the
+  prime-zeta method of H. Cohen, 1991, only as deep as a float can see).
+  Every tail past T enters the bound as its elementary bound instead.
+  The bound collects the series truncations, the second-order remainder
   (<= 0.6 * sum_{p>P} p^-2m) and the float slacks, then is floored at
   _TAIL_FLOOR so it never understates accumulated rounding; the floor and
   each slack are named once below.  More primes buy no accuracy: at
-  2**16 every value tested is as close to its 50-digit reference as at
-  10**6, or closer.  Far fewer would cost some, as the expansion keeps
-  only the first order of log(1 - x_p): at 10**4, A_2 is 133 ulps off,
-  the dropped 0.6 * sum_{p>P} p^-2m.
+  2**16 each of the 20 values tested lies within 1 ulp of its 50-digit
+  reference.  Far fewer would cost some, as the expansion keeps only the
+  first order of log(1 - x_p): at 10**4, A_2 is 134 ulps off, the dropped
+  0.6 * sum_{p>P} p^-2m.
 * products at prime_limit < 1000 stay plain truncated products with the
   loose elementary bound 2 * sum_{n>P} n^-m per factor (factor-sum form),
   so tiny prime limits return the literal few-factor product.
@@ -61,9 +66,10 @@ _SMAX = 54  # power sums with exponent above this fall below 2**-54 termwise
 _CORRECTION_MIN_P = 1000
 _TAIL_FLOOR = 1e-10  # floor of every corrected product's bound
 _LOG_SUM_SLACK = 1e-12  # float slack of the log-sum over p <= P
-_PRIME_ZETA_SLACK = 1e-12  # float slack of one prime zeta value
-_POWER_SUM_SLACK = 2e-13  # float slack of one partial sum over p <= P
+_LOG_TAIL_SLACK = 1e-12  # float slack of one log tail L(t), whose error is under 5e-15
 _NEGLIGIBLE = 1e-30  # p**-s below this leaves the power-sum pass
+_FEW_PRIMES_BELOW = 100  # the primes below this stay in the pass for every s
+_NEGLIGIBLE_TAIL = 1e-22  # a log tail bounded below this is left to its bound
 
 _ZETA_CUTOFF = 10  # Euler-Maclaurin cutoff N: the terms n < N are summed one by one
 _FIXED_BITS = 128  # zeta is summed exactly in units of 2**-128
@@ -73,11 +79,9 @@ _BERNOULLI = (
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
 )
 _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, 1))
-# mu(j) for j = 0..30, the weights of the prime-zeta series: it needs j <= 60 // s.
-_MU_SERIES = (
-    0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1,
-    0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1,
-)
+# mu(j) for j = 0..4, the weights of the power-tail series: j * s <= 8 = the
+# top of the longest log-tail table (P = 1000), and s >= 2.
+_MU_WEIGHTS = (0, 1, -1, -1, 0)
 
 
 class PrecisionError(ArithmeticError):
@@ -100,18 +104,8 @@ class ConstantEstimate:
     prime_limit: int
 
 
-def zeta(k: int, tol: float) -> ConstantEstimate:
-    """zeta(k) for integer k >= 2 with certified error at most tol.
-
-    Euler-Maclaurin at N = 10 (see the module docstring); the bound, about
-    2e-16, meets every tol the float result can certify.
-    """
-    if k < 2:
-        raise ValueError(f"zeta requires k >= 2, got {k}")
-    if not tol > 0:  # also rejects NaN
-        raise ValueError(f"tol must be positive, got {tol}")
-    if tol < _MIN_TOL:
-        raise PrecisionError(f"tolerance {tol} below float-certifiable floor {_MIN_TOL}")
+def _zeta_fixed(k: int) -> tuple[int, int]:
+    """(zeta(k), error bound) in units of 2**-128, for k >= 2, before rounding."""
     n = _ZETA_CUTOFF
     one = 1 << _FIXED_BITS
     # Every floor division below is low by less than one unit of 2**-128:
@@ -127,15 +121,31 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
         power *= n * n
     last = _EM_COEFFS[-1]
     omitted = -(-abs(last.numerator) * rising * one // (last.denominator * power))
+    return acc, omitted + n + len(_EM_COEFFS)
+
+
+def zeta(k: int, tol: float) -> ConstantEstimate:
+    """zeta(k) for integer k >= 2 with certified error at most tol.
+
+    Euler-Maclaurin at N = 10 (see the module docstring); the bound, about
+    2e-16, meets every tol the float result can certify.
+    """
+    if k < 2:
+        raise ValueError(f"zeta requires k >= 2, got {k}")
+    if not tol > 0:  # also rejects NaN
+        raise ValueError(f"tol must be positive, got {tol}")
+    if tol < _MIN_TOL:
+        raise PrecisionError(f"tolerance {tol} below float-certifiable floor {_MIN_TOL}")
+    acc, err = _zeta_fixed(k)
+    one = 1 << _FIXED_BITS
     value = acc / one  # correctly rounded: off by at most half an ulp
-    floors = n + len(_EM_COEFFS)
     half_ulp = int(math.ulp(value) * one) // 2  # whole units, as value >= 1
-    bound = (omitted + floors + half_ulp) / one  # rounded, hence the nextafter
-    return ConstantEstimate(value, math.nextafter(bound, math.inf), n)
+    bound = (err + half_ulp) / one  # rounded, hence the nextafter
+    return ConstantEstimate(value, math.nextafter(bound, math.inf), _ZETA_CUTOFF)
 
 
-_cache: dict[tuple, object] = {}  # prime-zeta table, power sums, log-products
-_cache_lock = threading.Lock()
+_cache: dict[tuple, object] = {}  # log tails and log-products, per prime limit
+_cache_lock = threading.RLock()  # reentrant: a build may fetch another entry
 
 
 def _cached(key: tuple, build, *args):
@@ -149,51 +159,91 @@ def _cached(key: tuple, build, *args):
     return value
 
 
-def _prime_zeta_table() -> tuple[tuple[float, float], ...]:
-    """table[s] = (value, error bound) for sum_p p**-s, s = 2.._SMAX+1.
-
-    Each value is the series sum_j mu(j)/j * log zeta(js) over js <= 60.
-    """
-    log_zeta = [math.nan] * 2 + [math.log(zeta(t, _MIN_TOL).value) for t in range(2, 61)]
-    table = [(math.nan, math.nan)] * 2
-    for s in range(2, _SMAX + 2):
-        j_max = 60 // s
-        total = 0.0
-        for j in range(1, j_max + 1):
-            mj = _MU_SERIES[j]
-            if mj:
-                total += mj / j * log_zeta[j * s]
-        table.append((total, 2.0 ** (-(j_max + 1) * s + 2) + _PRIME_ZETA_SLACK))
-    return tuple(table)
-
-
 def _prime_power_sums(prime_limit: int) -> np.ndarray:
-    """sums[s] = sum_{p <= prime_limit} p**-s for s = 2.._SMAX+1, in one pass.
+    """sums[s] = sum_{p <= prime_limit} p**-s for s = 2.._SMAX+1.
 
-    p**-s is 1/p times itself s - 1 times: at most 2s - 1 roundings, so
-    about 55 ulp of relative error at s = 55, and pairwise summation adds a
-    few more.  The sums are below 0.46, so the absolute error stays under
-    1e-14, which _POWER_SUM_SLACK dwarfs.  A prime leaves the pass once its
-    power falls below _NEGLIGIBLE; the dropped terms add less than
-    pi(P) * 1e-30 < 1e-23 up to the prime table cap.  Only these sums are
-    cached, never an array over the primes.
+    p**s is p times itself s - 1 times, exact below 2**53, so a term is one
+    division, one rounding (past 2**53 its chained roundings are below
+    1e-30); with pairwise summation each sum is off by under 1e-15.  The
+    primes below _FEW_PRIMES_BELOW take every s in one 2-d pass, the rest
+    only while their term is at least _NEGLIGIBLE (s <= 15): the dropped
+    terms add less than pi(P) * 1e-30 < 1e-23 up to the prime table cap.
     """
-    inv = 1.0 / primes_up_to(prime_limit)
+    pf = primes_up_to(prime_limit).astype(np.float64)
+    few = int(np.searchsorted(pf, _FEW_PRIMES_BELOW))
+    # Row r of the 2-d pass holds p**(r + 1) for the first ``few`` primes.
+    powers = np.multiply.accumulate(np.broadcast_to(pf[:few], (_SMAX + 1, few)), axis=0)
     sums = np.full(_SMAX + 2, np.nan)
-    power = inv * inv
-    for s in range(2, _SMAX + 2):
-        power = power[: np.count_nonzero(power >= _NEGLIGIBLE)]
-        sums[s] = power.sum()
-        power *= inv[: len(power)]
-    sums.flags.writeable = False
+    sums[2:] = np.reciprocal(powers[1:], out=powers[1:]).sum(axis=1)
+    rest = pf[few:]
+    power, term = rest * rest, np.empty_like(rest)
+    s = 2
+    while len(power):
+        power = power[: np.searchsorted(power, 1.0 / _NEGLIGIBLE, side="right")]
+        sums[s] += np.divide(1.0, power, out=term[: len(power)]).sum()
+        power *= rest[: len(power)]
+        s += 1
     return sums
 
 
+def _log_tail_table(prime_limit: int) -> tuple[float, ...]:
+    """table[t] = L(t) = sum_{p > prime_limit} -log(1 - p**-t) for t = 2..T.
+
+    T is the last t whose elementary bound 2 * P**(1-t)/(t-1) exceeds
+    _NEGLIGIBLE_TAIL: 5 at P = 2**16, 8 at P = 1000.  L(t) is log zeta(t)
+    minus sum_{a>=1} sum_{p <= P} p**-(at) / a up to at = _SMAX + 1 (the
+    rest is below 2**-55), in one fsum, with log zeta(t) the log of the
+    nearest float plus the remainder of the fixed-point sum over it.  The
+    error, the log's rounding plus the power sums' weighted 1/a, is under
+    5e-15.
+    """
+    top = 2
+    while 2.0 * _nsum_tail(top + 1, prime_limit) > _NEGLIGIBLE_TAIL:
+        top += 1
+    sums = _prime_power_sums(prime_limit).tolist()
+    one = 1 << _FIXED_BITS
+    table = [math.nan] * 2
+    for t in range(2, top + 1):
+        acc, _ = _zeta_fixed(t)
+        value = acc / one
+        rest = (acc - int(math.ldexp(value, _FIXED_BITS))) / one
+        terms = [math.log(value), rest / value]
+        terms += [-sums[a * t] / a for a in range(1, (_SMAX + 1) // t + 1)]
+        table.append(math.fsum(terms))
+    return tuple(table)
+
+
+def _log_tails(prime_limit: int) -> tuple[float, ...]:
+    """The log-tail table of prime_limit, built once per limit."""
+    return _cached(("log_tails", prime_limit), _log_tail_table, prime_limit)
+
+
+def _log_tail(t: int, prime_limit: int) -> tuple[float, float]:
+    """(value, error bound) for L(t) = sum_{p > prime_limit} -log(1 - p**-t).
+
+    Past the table, L(t) lies in [0, 2 * sum_{n>P} n**-t].
+    """
+    table = _log_tails(prime_limit)
+    if t < len(table):
+        return table[t], _LOG_TAIL_SLACK
+    return 0.0, 2.0 * _nsum_tail(t, prime_limit)
+
+
 def _power_tail(s: int, prime_limit: int) -> tuple[float, float]:
-    """(value, error bound) for sum_{p > prime_limit} p**-s."""
-    pz, pz_err = _cached(("prime_zeta",), _prime_zeta_table)[s]
-    partial = _cached(("power_sums", prime_limit), _prime_power_sums, prime_limit)[s]
-    return pz - float(partial), pz_err + _POWER_SUM_SLACK
+    """(value, error bound) for sum_{p > prime_limit} p**-s.
+
+    The Moebius inversion sum_{j>=1} mu(j)/j * L(js) over the js in the
+    log-tail table.  The terms from the first js past the table on (all of
+    them if s is past it) add up to at most 2 * sum_{n>P} n**-js.
+    """
+    table = _log_tails(prime_limit)
+    value = err = 0.0
+    j = 1
+    while j * s < len(table):
+        value += _MU_WEIGHTS[j] / j * table[j * s]
+        err += _LOG_TAIL_SLACK / j
+        j += 1
+    return value, err + 2.0 * _nsum_tail(j * s, prime_limit)
 
 
 def _log_product(key: tuple, prime_limit: int, log_factors) -> float:
@@ -254,20 +304,17 @@ def _product_estimate(
         value = math.exp(base)
         return ConstantEstimate(value, value * math.expm1(log_err), prime_limit)
     corr, err = head() if head is not None else (0.0, 0.0)
+    top = len(_log_tails(prime_limit)) - 1
     i = 0
-    while m + i * k <= _SMAX:
+    while m + i * k <= top:
         t1, e1 = _power_tail(m + i * k, prime_limit)
         t2, e2 = _power_tail(m + 1 + i * k, prime_limit)
         corr -= t1 - t2
         err += e1 + e2
         i += 1
     err += 2.0 * _nsum_tail(m + i * k, prime_limit)  # dropped expansion terms
-    if 2 * m <= _SMAX:
-        t, e = _power_tail(2 * m, prime_limit)
-        err += 0.6 * (abs(t) + e)
-    else:
-        err += 0.6 * _nsum_tail(2 * m, prime_limit)
-    err += _LOG_SUM_SLACK
+    t, e = _power_tail(2 * m, prime_limit)
+    err += 0.6 * (abs(t) + e) + _LOG_SUM_SLACK
     value = math.exp(base + corr)
     bound = max(value * math.expm1(err), _TAIL_FLOOR)
     return ConstantEstimate(value, bound, prime_limit)
@@ -325,16 +372,10 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
     base = _log_product(("apostol_A", k), prime_limit, log_factors)
 
     # factor = (1 - u) * (1 - w), u = p^-k, w = (u - u/p)/(1 - u): w is x_p of
-    # alpha_{k,k}, and log(1 - u) = -sum_{j>=1} p^-(jk)/j.
+    # alpha_{k,k}, and the sum of log(1 - u) over p > P is -L(k).
     def log_series() -> tuple[float, float]:
-        corr = err = 0.0
-        j = 1
-        while j * k <= _SMAX:
-            t, e = _power_tail(j * k, prime_limit)
-            corr -= t / j
-            err += e / j
-            j += 1
-        return corr, err + 2.0 * _nsum_tail(j * k, prime_limit)
+        tail, err = _log_tail(k, prime_limit)
+        return -tail, err
 
     return _product_estimate(base, prime_limit, k, k, 4.0, log_series)
 

@@ -105,10 +105,12 @@ class TestConstants:
         _, big, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "1e5")
         assert bound(small) > bound(big)
 
-    def test_prime_limit_defaults_to_one_million(self, capsys):
+    def test_default_prime_limit_prints_the_capped_bytes(self, capsys):
+        # Any default from 2**16 up prints these bytes; the parser test pins
+        # the default itself.
         _, default, _ = run(capsys, "constants", "--k", "2", "--m", "3")
-        _, given, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "1e6")
-        assert default == given
+        _, capped, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "65536")
+        assert default == capped
 
     @pytest.mark.parametrize("k,m,limit", [("3", "4", "1e6"), ("2", "2", "1e9")])
     def test_limits_past_the_cap_print_the_capped_bytes(self, capsys, k, m, limit):

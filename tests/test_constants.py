@@ -228,7 +228,7 @@ class TestPrimeCap:
     def test_caches_hold_no_limit_past_the_cap(self):
         alpha((2, 3), 10**9)
         apostol_A(2, 10**7)
-        limits = [key[-1] for key in constants._cache if key != ("prime_zeta",)]
+        limits = [key[-1] for key in constants._cache]
         assert limits and max(limits) <= FIRST_TABLE_LIMIT
 
     def test_cold_constants_sieve_only_the_first_table(self):
@@ -311,12 +311,12 @@ def references():
         return {case: _reference(*case, tails) for case in _REF_CASES}
 
 
-# Float steps from each reference with the primes to 10**6 multiplied out.
+# Float steps from each reference at prime limit 10**6 (p <= 2**16 multiplied out).
 _STEPS_AT_1E6 = {
-    (2, None): -2, (2, 2): -1, (2, 3): 1, (2, 7): 0, (2, 40): 1,
-    (3, None): -1, (3, 3): -2, (3, 4): 5, (3, 9): -4, (3, 40): 1,
-    (4, None): 3, (4, 4): 3, (4, 5): -2, (4, 11): 0, (4, 40): 1,
-    (7, None): -3, (7, 7): -2, (7, 8): -1, (7, 17): 0, (7, 40): 0,
+    (2, None): 1, (2, 2): 1, (2, 3): 0, (2, 7): 0, (2, 40): 0,
+    (3, None): 0, (3, 3): 0, (3, 4): -1, (3, 9): 0, (3, 40): 0,
+    (4, None): -1, (4, 4): 0, (4, 5): 0, (4, 11): 0, (4, 40): 0,
+    (7, None): 0, (7, 7): 0, (7, 8): 0, (7, 17): 0, (7, 40): 0,
 }
 
 
@@ -341,8 +341,9 @@ class TestReferenceValues:
                 assert abs(mpmath.mpf(est.value) - ref) <= est.tail_bound, (case, limit)
 
     def test_default_limit_within_five_ulps(self, references):
-        # 5 ulps: the worst distance with the primes to 10**6 multiplied out,
-        # alpha_{3,4}'s.  No case may be further than it was then.
+        # 5 ulps: the worst distance once seen at 10**6, alpha_{3,4}'s, when
+        # every prime-zeta value came from one 55-entry table.  Each case is
+        # pinned to its present distance, at most 1, and may come no further.
         for case, ref in references.items():
             nearest = float(ref)
             steps = (_estimate(case, DEFAULT_PRIME_LIMIT).value - nearest) / math.ulp(nearest)
@@ -372,24 +373,19 @@ class TestPowerSumTable:
 
     def test_cold_limit_from_many_threads(self):
         # More threads than cores and a short switch interval: every thread
-        # must see the one cached prime-zeta table, the one cached power-sum
-        # table and the same estimate.
+        # must see the one cached log-tail table and the same estimate.
         limit = 54_321
-        for key in ("prime_zeta",), ("power_sums", limit), ("alpha", 2, 3, limit):
+        for key in ("log_tails", limit), ("alpha", 2, 3, limit):
             constants._cache.pop(key, None)
         n_threads = 4
         barrier = threading.Barrier(n_threads)
-        zeta_tables = [None] * n_threads
         tables = [None] * n_threads
         results = [None] * n_threads
 
         def work(i):
             barrier.wait()
-            zeta_tables[i] = constants._cached(("prime_zeta",), constants._prime_zeta_table)
+            tables[i] = constants._log_tails(limit)
             barrier.wait()
-            tables[i] = constants._cached(
-                ("power_sums", limit), constants._prime_power_sums, limit
-            )
             results[i] = alpha((2, 3), limit)
 
         old_interval = sys.getswitchinterval()
@@ -403,10 +399,29 @@ class TestPowerSumTable:
         finally:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
-        assert all(t is constants._cache[("prime_zeta",)] for t in zeta_tables)
-        assert all(t is constants._cache[("power_sums", limit)] for t in tables)
+        assert all(t is constants._cache[("log_tails", limit)] for t in tables)
         assert results[0] is not None
         assert all(r == results[0] for r in results)
+
+    def test_nested_build_completes(self):
+        # A build that fetches another entry: with a plain lock this blocks
+        # forever, so it runs in a thread that the test only waits on.
+        inner, outer = ("nested", "inner"), ("nested", "outer")
+        got = []
+
+        def work():
+            got.append(constants._cached(outer, lambda: ("built", constants._cached(inner, str, 7))))
+
+        try:
+            thread = threading.Thread(target=work, daemon=True)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "a nested _cached build blocked"
+            assert got == [("built", "7")]
+            assert constants._cache[inner] == "7"
+        finally:
+            constants._cache.pop(inner, None)
+            constants._cache.pop(outer, None)
 
     def test_log_product_cached_bit_identical(self, monkeypatch):
         limit = 12_345
@@ -428,17 +443,53 @@ class TestPowerSumTable:
         monkeypatch.setattr(constants, "primes_up_to", forbidden)
         assert alpha((2, 3), limit) == a and apostol_A(3, limit) == a3
 
-    def test_prime_zeta_table_against_mpmath(self):
-        table = constants._cached(("prime_zeta",), constants._prime_zeta_table)
-        assert len(table) == constants._SMAX + 2
-        for s in range(2, constants._SMAX + 2):
-            value, bound = table[s]
-            assert abs(value - float(mpmath.primezeta(s))) <= bound, s
+    @pytest.mark.parametrize("limit,top", [(10**3, 8), (10**4, 6), (FIRST_TABLE_LIMIT, 5)])
+    def test_log_tails_against_mpmath(self, limit, top):
+        # L(t) = sum_{p > P} -log(1 - p**-t) = log zeta(t) - sum_{p <= P} ...,
+        # the finite sum taken prime by prime at 40 digits.
+        table = constants._log_tail_table(limit)
+        assert len(table) == top + 1
+        primes = prime_list_up_to(limit)
+        with mpmath.workdps(40):
+            for t in range(2, top + 4):
+                head = mpmath.fsum(-mpmath.log1p(-mpmath.mpf(p) ** -t) for p in primes)
+                exact = mpmath.log(mpmath.zeta(t)) - head
+                value, bound = constants._log_tail(t, limit)
+                assert abs(value - exact) <= bound, (limit, t)
+                if t <= top:
+                    assert bound == constants._LOG_TAIL_SLACK
+                    assert abs(value - exact) <= 1e-16, (limit, t)
+                else:
+                    assert value == 0.0 and bound <= constants._NEGLIGIBLE_TAIL
 
-    def test_prime_zeta_weights_are_mu(self):
-        from moebius_km.constants import _MU_SERIES
+    def test_power_tail_weights_are_mu(self):
+        from moebius_km.constants import _CORRECTION_MIN_P, _MU_WEIGHTS
 
-        assert _MU_SERIES == tuple(mu(j) if j else 0 for j in range(60 // 2 + 1))
+        # j * s stays in the longest log-tail table, the lowest limit's, and s >= 2.
+        longest = len(constants._log_tail_table(_CORRECTION_MIN_P)) - 1
+        assert len(_MU_WEIGHTS) == longest // 2 + 1
+        assert _MU_WEIGHTS == tuple(mu(j) if j else 0 for j in range(len(_MU_WEIGHTS)))
+
+    def test_cold_products_evaluate_zeta_at_most_four_times(self):
+        # A fresh interpreter, so no log-tail table is cached yet.
+        src = os.path.dirname(os.path.dirname(constants.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_ZETA_COUNT], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "3", "4", "5"]
+
+
+_COLD_ZETA_COUNT = """
+from moebius_km import constants
+calls = []
+fixed = constants._zeta_fixed
+constants._zeta_fixed = lambda k: calls.append(k) or fixed(k)
+constants.apostol_A(2, 10**6)
+constants.alpha((2, 3), 10**6)
+print(*calls)
+"""
 
 
 class TestTailMachinery:

@@ -53,7 +53,9 @@ def test_shared_table_is_read_only():
 def test_products_leave_the_prime_table_intact():
     limit = 10**6
     before = primes_up_to(limit).tobytes()
-    for key in ("alpha", 2, 3, limit), ("apostol_A", 2, limit):
+    # The products are cached under the limit they multiply out, 2**16.
+    capped = primes.FIRST_TABLE_LIMIT
+    for key in ("alpha", 2, 3, capped), ("apostol_A", 2, capped), ("log_tails", capped):
         constants._cache.pop(key, None)
     alpha((2, 3), limit)
     apostol_A(2, limit)
