@@ -174,12 +174,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, args.limit)
+    # Each suite's line is printed as it finishes, so a later suite that
+    # rejects the limit loses none of the earlier results.
     code = EXIT_OK
-    for result in results:
-        print(result.line())
-        if not result.ok:
-            code = EXIT_VERIFY
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        for result in run_suite(suite, args.limit):
+            print(result.line(), flush=True)
+            if not result.ok:
+                code = EXIT_VERIFY
     return code
 
 

@@ -5,8 +5,8 @@ constant A_k = prod_p (1 - 2/p^k + 1/p^(k+1)), and the family density
 alpha_{k,m} = prod_p (1 - 1/(p^(m-k+1) + ... + p^m)) together with its
 finite companion alpha_{k,m}(n).  Every float estimate carries a tail_bound
 that provably dominates |true - value|, float rounding included: zeta's
-bound counts its one rounding explicitly, and the products' bounds dwarf
-their rounding by construction.
+bound counts its one rounding explicitly, and every product's bound is
+floored at 1e-10, far above its accumulated rounding.
 
 Tail handling, documented here because the bound choice is load-bearing:
 
@@ -20,13 +20,13 @@ Tail handling, documented here because the bound choice is load-bearing:
   for every k, so every tol down to 1e-13 costs the same few microseconds.
 * products: alpha_{k,m} and A_k multiply out the primes p <= P =
   min(prime_limit, 2**16), the prime table's first sieve, and share one
-  tail routine that covers every prime above P.  At P >= 1000 the cached
-  log of the product over p <= P is corrected by the leading terms of
+  tail routine that covers every prime above P, for every P >= 2.  The
+  cached log of the product over p <= P is corrected by the leading terms of
   sum_{p>P} log(factor_p), expanded exactly into prime-power tails
   sum_{p>P} p^-s (A_k first adds sum_{p>P} log(1 - p^-k) = -L(k)).
   Both come from the log tails L(t) = sum_{p>P} -log(1 - p^-t), computed
   once per P for t = 2..T only: T is the last t whose elementary bound
-  2 P^(1-t)/(t-1) exceeds 1e-22, so 5 at P = 2**16 and 8 at P = 1000.
+  2 P^(1-t)/(t-1) exceeds 1e-22: 5 at P = 2**16, 8 at P = 1000, 68 at P = 2.
   Each is log zeta(t) minus sum_{a>=1} S(at)/a, with the partial sums
   S(s) = sum_{p<=P} p^-s from one pass over the primes, and the
   prime-power tails are their Moebius inversion sum_j mu(j)/j L(js) (the
@@ -39,10 +39,8 @@ Tail handling, documented here because the bound choice is load-bearing:
   2**16 each of the 20 values tested lies within 1 ulp of its 50-digit
   reference.  Far fewer would cost some, as the expansion keeps only the
   first order of log(1 - x_p): at 10**4, A_2 is 134 ulps off, the dropped
-  0.6 * sum_{p>P} p^-2m.
-* products at prime_limit < 1000 stay plain truncated products with the
-  loose elementary bound 2 * sum_{n>P} n^-m per factor (factor-sum form),
-  so tiny prime limits return the literal few-factor product.
+  0.6 * sum_{p>P} p^-2m.  At tiny limits the bound is large but still
+  holds: at P = 2 the worst value tested is 3.2e-3 off, within its bound.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import FactoredInteger, as_factored
+from .arith import FactoredInteger, as_factored, is_prime
 from .functions import OrderPair, as_order
 from .primes import FIRST_TABLE_LIMIT, primes_up_to
 
@@ -63,8 +61,7 @@ DEFAULT_TOL = 1e-12
 
 _MIN_TOL = 1e-13
 _SMAX = 54  # power sums with exponent above this fall below 2**-54 termwise
-_CORRECTION_MIN_P = 1000
-_TAIL_FLOOR = 1e-10  # floor of every corrected product's bound
+_TAIL_FLOOR = 1e-10  # floor of every product's bound
 _LOG_SUM_SLACK = 1e-12  # float slack of the log-sum over p <= P
 _LOG_TAIL_SLACK = 1e-12  # float slack of one log tail L(t), whose error is under 5e-15
 _NEGLIGIBLE = 1e-30  # p**-s below this leaves the power-sum pass
@@ -79,9 +76,13 @@ _BERNOULLI = (
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
 )
 _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, 1))
-# mu(j) for j = 0..4, the weights of the power-tail series: j * s <= 8 = the
-# top of the longest log-tail table (P = 1000), and s >= 2.
-_MU_WEIGHTS = (0, 1, -1, -1, 0)
+# mu(j) for j = 0..34, the weights of the power-tail series: j * s <= 68 = the
+# top of the longest log-tail table (P = 2), and s >= 2.  A literal, so that
+# importing this module sieves nothing.
+_MU_WEIGHTS = (
+    0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1,
+    0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1, -1, 0, 1, 1,
+)
 
 
 class PrecisionError(ArithmeticError):
@@ -190,12 +191,12 @@ def _log_tail_table(prime_limit: int) -> tuple[float, ...]:
     """table[t] = L(t) = sum_{p > prime_limit} -log(1 - p**-t) for t = 2..T.
 
     T is the last t whose elementary bound 2 * P**(1-t)/(t-1) exceeds
-    _NEGLIGIBLE_TAIL: 5 at P = 2**16, 8 at P = 1000.  L(t) is log zeta(t)
-    minus sum_{a>=1} sum_{p <= P} p**-(at) / a up to at = _SMAX + 1 (the
-    rest is below 2**-55), in one fsum, with log zeta(t) the log of the
-    nearest float plus the remainder of the fixed-point sum over it.  The
-    error, the log's rounding plus the power sums' weighted 1/a, is under
-    5e-15.
+    _NEGLIGIBLE_TAIL: 5 at P = 2**16, 8 at P = 1000, 68 at P = 2.  L(t) is
+    log zeta(t) minus sum_{a>=1} sum_{p <= P} p**-(at) / a up to at =
+    _SMAX + 1 (the rest is below 2**-55), in one fsum, with log zeta(t) the
+    log of the nearest float plus the remainder of the fixed-point sum over
+    it.  The error, the log's rounding plus the power sums' weighted 1/a,
+    is under 5e-15.
     """
     top = 2
     while 2.0 * _nsum_tail(top + 1, prime_limit) > _NEGLIGIBLE_TAIL:
@@ -270,7 +271,7 @@ def _nsum_tail(s: int, prime_limit: int) -> float:
 def euler_factor(p: int, order: OrderPair | tuple[int, int]) -> Fraction:
     """Exact local factor 1 - 1/(p^(m-k+1) + ... + p^m) of alpha_{k,m}."""
     o = as_order(order)
-    if p < 2:
+    if not is_prime(p):
         raise ValueError("p must be a prime >= 2")
     d = sum(p**e for e in range(o.m - o.k + 1, o.m + 1))
     return 1 - Fraction(1, d)
@@ -287,23 +288,18 @@ def alpha_n(order: OrderPair | tuple[int, int], n: int | FactoredInteger) -> Fra
 
 
 def _product_estimate(
-    base: float, prime_limit: int, m: int, k: int, loose: float, head=None
+    base: float, prime_limit: int, m: int, k: int, head: tuple[float, float] = (0.0, 0.0)
 ) -> ConstantEstimate:
     """The estimate of prod_p (1 - x_p), x_p = 1/(p^(m-k+1) + ... + p^m).
 
-    ``base`` is the log of the product over p <= prime_limit.  Below
-    _CORRECTION_MIN_P its exp is returned with the bound ``loose`` *
-    sum_{n>P} n^-m on the log.  Above, each p > P adds log(1 - x_p) =
-    -x_p - r_p, with x_p = sum_{i>=0} [p^-(m+ik) - p^-(m+1+ik)] exactly and
-    r_p = sum_{j>=2} x_p^j / j <= 0.6 x_p^2 <= 0.6 p^-2m.  ``head``, if
-    given, returns the (correction, error) of further log factors, which
-    are summed first.
+    ``base`` is the log of the product over p <= P = prime_limit, and
+    ``head`` the (correction, error) of further log factors over p > P,
+    summed first.  Each p > P adds log(1 - x_p) = -x_p - r_p, with x_p =
+    sum_{i>=0} [p^-(m+ik) - p^-(m+1+ik)] exactly and r_p = sum_{j>=2} x_p^j / j.
+    As P >= 2, every such p is at least 3, so x_p <= p^-m <= 1/9 and
+    r_p <= x_p^2 / (2 (1 - x_p)) <= (9/16) x_p^2 <= 0.6 p^-2m.
     """
-    if prime_limit < _CORRECTION_MIN_P:
-        log_err = loose * _nsum_tail(m, prime_limit)
-        value = math.exp(base)
-        return ConstantEstimate(value, value * math.expm1(log_err), prime_limit)
-    corr, err = head() if head is not None else (0.0, 0.0)
+    corr, err = head
     top = len(_log_tails(prime_limit)) - 1
     i = 0
     while m + i * k <= top:
@@ -348,7 +344,7 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
         return np.log1p(denom, out=denom)
 
     base = _log_product(("alpha", k, m), prime_limit, log_factors)
-    return _product_estimate(base, prime_limit, m, k, 2.0)
+    return _product_estimate(base, prime_limit, m, k)
 
 
 def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
@@ -373,11 +369,8 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
 
     # factor = (1 - u) * (1 - w), u = p^-k, w = (u - u/p)/(1 - u): w is x_p of
     # alpha_{k,k}, and the sum of log(1 - u) over p > P is -L(k).
-    def log_series() -> tuple[float, float]:
-        tail, err = _log_tail(k, prime_limit)
-        return -tail, err
-
-    return _product_estimate(base, prime_limit, k, k, 4.0, log_series)
+    tail, err = _log_tail(k, prime_limit)
+    return _product_estimate(base, prime_limit, k, k, (-tail, err))
 
 
 def identity_gap(

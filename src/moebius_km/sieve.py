@@ -465,8 +465,9 @@ def stream_sum(
 ) -> list[tuple[int, int]]:
     """Partial sums of mu_{k,m} over r <= checkpoint with gcd(r, coprime_to) = 1.
 
-    One streaming pass over [1, x]; returns (checkpoint, sum) pairs in input
-    order.  Checkpoints must be ascending (duplicates allowed) and <= x.
+    One streaming pass over [1, last checkpoint]; returns (checkpoint, sum)
+    pairs in input order.  Checkpoints must be ascending (duplicates
+    allowed) and <= x.
     The result is exact and identical for every segment size and worker
     count.  When 2 or 3 divides coprime_to, only the wheel columns coprime
     to them are sieved, ``segment_size`` cells of each per segment.
@@ -477,11 +478,12 @@ def stream_sum(
     if coprime_to < 1:
         raise ValueError("coprime_to must be >= 1")
     cps = checked_checkpoints([x] if checkpoints is None else checkpoints, x)
+    top = cps[-1]  # nothing past the last checkpoint is returned, so nothing is sieved
 
     coprime_primes = tuple(p for p, _ in as_factored(coprime_to).factors)
     pattern = _pattern(o.k, o.m, coprime_primes)
     wheel = pattern.wheel
-    primes, powers = _kernel_primes(iroot(x, o.k), o.k, pattern)
+    primes, powers = _kernel_primes(iroot(top, o.k), o.k, pattern)
     mask_primes = [p for p in coprime_primes if p not in pattern.held and wheel % p]
     # Column c holds r = wheel * t + c for t >= 0.
     columns = [c for c in range(1, wheel + 1) if math.gcd(c, wheel) == 1]
@@ -504,7 +506,7 @@ def stream_sum(
         partials = [0] * len(here)
         total = 0
         for c in columns:
-            n_cells = min(seg, (x - c) // wheel + 1 - t_lo)
+            n_cells = min(seg, (top - c) // wheel + 1 - t_lo)
             if n_cells <= 0:
                 continue
             block = buffers.block[:n_cells]
@@ -526,7 +528,7 @@ def stream_sum(
     results: list[tuple[int, int]] = []
     running = 0
     for total, partials in _ordered_map(
-        segment_result, range(0, (x - 1) // wheel + 1, seg), cfg.worker_count
+        segment_result, range(0, (top - 1) // wheel + 1, seg), cfg.worker_count
     ):
         results.extend((c, running + s) for c, s in partials)
         running += total

@@ -101,7 +101,7 @@ class TestConstants:
             for line in out.splitlines():
                 if line.startswith("alpha"):
                     return float(line.split(",")[2])
-        _, small, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "100")
+        _, small, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "10")
         _, big, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "1e5")
         assert bound(small) > bound(big)
 
@@ -242,6 +242,15 @@ class TestVerify:
         assert out.splitlines()[0] == "table: 515500/515500 pass"
         code, out, _ = run(capsys, "verify", "--suite", "table", "--limit", "300")
         assert (code, out) == (0, "table: 6500/6500 pass\n")
+
+    def test_finished_suites_are_printed_before_a_later_one_fails(self, capsys):
+        # Only the last suite, constants, needs more: its limit is a prime limit.
+        code, out, err = run(capsys, "verify", "--suite", "all", "--limit", "1")
+        lines = out.splitlines()
+        assert code == 1
+        assert [line.split(":")[0] for line in lines] == list(verify_mod.SUITES)[:-1]
+        assert all(line.endswith(" pass") for line in lines)
+        assert err == "error: prime_limit must be >= 2\n"
 
     @pytest.mark.parametrize("argv", [("lemma24", "0"), ("sums", "-3")])
     def test_limit_below_one_is_usage_error(self, capsys, argv):

@@ -106,6 +106,11 @@ class TestEulerFactor:
     def test_examples(self, p, km, expected):
         assert euler_factor(p, km) == expected
 
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 91, 2**61 + 1])
+    def test_rejects_non_primes(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            euler_factor(p, (2, 3))
+
     def test_identity_with_psi(self):
         # same factor via 1 - 1/(p^(m-1) psi_k(p)), exactly
         for k in (2, 3, 4):
@@ -146,13 +151,11 @@ class TestProducts:
         bounds = [alpha((2, 3), p).tail_bound for p in (10**3, 10**4, 10**5)]
         assert bounds[0] >= bounds[1] >= bounds[2]
 
-    def test_single_factor_product(self):
-        # below the correction threshold the value is the literal product
-        for k in (2, 3):
-            est = apostol_A(k, 2)
-            expected = 1 - 2 / 2**k + 1 / 2 ** (k + 1)
-            assert est.value == pytest.approx(expected, abs=1e-15)
-            assert est.tail_bound > 0.01
+    def test_huge_orders_at_small_limits_keep_the_floor(self):
+        # Every factor past p = 100 rounds to 1.0; the bound still covers rounding.
+        for est in alpha((2, 5000), 100), apostol_A(3000, 100):
+            assert est.value == 1.0
+            assert est.tail_bound >= constants._TAIL_FLOOR == 1e-10
 
     def test_nearly_single_factor_for_large_m(self):
         est = alpha((2, 12), 10**5)
@@ -165,11 +168,12 @@ class TestProducts:
         assert 1 - apostol_A(3, 10**5).value < 1 - apostol_A(2, 10**5).value
 
     def test_closing_identity_within_combined_bounds(self):
-        for k in (2, 3):
-            diff, combined = identity_gap(
-                alpha((k, k), 10**5), zeta(k, 1e-12), apostol_A(k, 10**5)
-            )
-            assert diff <= combined
+        for limit in (2, 3, 10, 100, 999, 10**5):
+            for k in (2, 3, 5):
+                diff, combined = identity_gap(
+                    alpha((k, k), limit), zeta(k, 1e-12), apostol_A(k, limit)
+                )
+                assert diff <= combined, (k, limit)
 
     def test_identity_gap_combines_the_three_bounds(self):
         a = ConstantEstimate(0.5, 0.125, 0)
@@ -333,7 +337,9 @@ class TestReferenceValues:
                 gap = references[k, k] - mpmath.zeta(k) * references[k, None]
                 assert abs(gap) < mpmath.mpf(10) ** -45, k
 
-    @pytest.mark.parametrize("limit", [10**3, 10**4, FIRST_TABLE_LIMIT, 10**6])
+    @pytest.mark.parametrize(
+        "limit", [2, 3, 10, 100, 999, 10**3, 10**4, FIRST_TABLE_LIMIT, 10**6]
+    )
     def test_within_tail_bound(self, references, limit):
         with mpmath.workdps(50):
             for case, ref in references.items():
@@ -463,10 +469,10 @@ class TestPowerSumTable:
                     assert value == 0.0 and bound <= constants._NEGLIGIBLE_TAIL
 
     def test_power_tail_weights_are_mu(self):
-        from moebius_km.constants import _CORRECTION_MIN_P, _MU_WEIGHTS
+        from moebius_km.constants import _MU_WEIGHTS
 
         # j * s stays in the longest log-tail table, the lowest limit's, and s >= 2.
-        longest = len(constants._log_tail_table(_CORRECTION_MIN_P)) - 1
+        longest = len(constants._log_tail_table(2)) - 1
         assert len(_MU_WEIGHTS) == longest // 2 + 1
         assert _MU_WEIGHTS == tuple(mu(j) if j else 0 for j in range(len(_MU_WEIGHTS)))
 

@@ -135,6 +135,27 @@ def test_stream_sum_checkpoint_validation():
         stream_sum(10, (2, 3), 0, [10])
 
 
+@pytest.mark.parametrize("coprime_to", [1, 6])
+def test_stream_sum_sieves_only_up_to_the_last_checkpoint(monkeypatch, coprime_to):
+    calls = []
+    block = sieve._sieve_block
+
+    def counting(out, lo, k, m, pattern, primes, powers):
+        calls.append((lo, len(out), len(primes)))
+        return block(out, lo, k, m, pattern, primes, powers)
+
+    monkeypatch.setattr(sieve, "_sieve_block", counting)
+    cfg = SieveConfig(segment_size=64, worker_count=1)
+    far = stream_sum(10**6, (2, 3), coprime_to, [500, 1000], cfg)
+    far_calls, calls[:] = calls[:], []
+    near = stream_sum(1000, (2, 3), coprime_to, [500, 1000], cfg)
+    assert far == near
+    # The same blocks, with the same kernel primes (those up to sqrt(1000)).
+    assert far_calls == calls and 0 < len(calls) <= 1000 // 64 + 1
+    with pytest.raises(ValueError):
+        stream_sum(999, (2, 3), coprime_to, [1000], cfg)  # still checked against x
+
+
 def test_segment_and_worker_independence():
     checkpoints = [1000, 10**4 + 1, 10**5]
     reference = None
