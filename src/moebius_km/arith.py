@@ -19,7 +19,8 @@ from .primes import prime_list_up_to
 
 MAX_VALUE = 2**63 - 1
 
-_TRIAL_LIMIT = 1 << 16
+_TRIAL_BITS = 16
+_TRIAL_LIMIT = 1 << _TRIAL_BITS
 
 # Deterministic Miller-Rabin witnesses for n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -144,8 +145,9 @@ def _factor_large(n: int, out: list[tuple[int, int]]) -> None:
 
 
 @functools.cache
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(prime_list_up_to(_TRIAL_LIMIT))
+def _trial_primes(bits: int) -> tuple[int, ...]:
+    """The primes below 2**bits, one tuple per tier (bits <= 16)."""
+    return tuple(prime_list_up_to(1 << bits))
 
 
 def factorize(n: int) -> FactoredInteger:
@@ -156,7 +158,8 @@ def factorize(n: int) -> FactoredInteger:
         return FactoredInteger(1, ())
     rem = n
     factors: list[tuple[int, int]] = []
-    for p in _trial_primes():
+    # isqrt(n) < 2**bits: for n < 2**32 the tier holds every prime <= sqrt(n).
+    for p in _trial_primes(min(math.isqrt(n).bit_length(), _TRIAL_BITS)):
         if p * p > rem:
             break
         if rem % p == 0:

@@ -19,8 +19,9 @@ Tail handling, documented here because the bound choice is load-bearing:
   fixed-point floors plus half an ulp of the returned float: about 2e-16
   for every k, so every tol down to 1e-13 costs the same few microseconds.
 * products: alpha_{k,m} and A_k multiply out the primes p <= P =
-  min(prime_limit, 2**16), the prime table's first sieve, and share one
-  tail routine that covers every prime above P, for every P >= 2.  The
+  min(prime_limit, PRODUCT_PRIME_CAP = 2**16), so they never grow the
+  prime table past 2**16, and share one tail routine that covers every
+  prime above P, for every P >= 2.  The
   cached log of the product over p <= P is corrected by the leading terms of
   sum_{p>P} log(factor_p), expanded exactly into prime-power tails
   sum_{p>P} p^-s (A_k first adds sum_{p>P} log(1 - p^-k) = -L(k)).
@@ -54,10 +55,11 @@ import numpy as np
 
 from .arith import FactoredInteger, as_factored, is_prime
 from .functions import OrderPair, as_order
-from .primes import FIRST_TABLE_LIMIT, primes_up_to
+from .primes import primes_up_to
 
 DEFAULT_PRIME_LIMIT = 1_000_000
 DEFAULT_TOL = 1e-12
+PRODUCT_PRIME_CAP = 1 << 16  # the products multiply out the primes up to this
 
 _MIN_TOL = 1e-13
 _SMAX = 54  # power sums with exponent above this fall below 2**-54 termwise
@@ -320,7 +322,7 @@ def _multiplied_out(prime_limit: int) -> int:
     """The limit of the primes a product multiplies out: at most 2**16."""
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    return min(prime_limit, FIRST_TABLE_LIMIT)
+    return min(prime_limit, PRODUCT_PRIME_CAP)
 
 
 def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstimate:
@@ -328,7 +330,7 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
 
     The primes p <= min(prime_limit, 2**16) are multiplied out and the
     tail expansion covers the rest, so every larger limit gives the 2**16
-    estimate and never grows the prime table past its first sieve.
+    estimate and never grows the prime table past 2**16.
     """
     o = as_order(order)
     k, m = o.k, o.m

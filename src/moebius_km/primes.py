@@ -1,10 +1,12 @@
 """Shared prime table and integer root helpers.
 
 The prime table is grown lazily by an odd-only Eratosthenes sieve and cached
-at module level.  Growth is guarded by a lock and swapped in as one atomic
-state tuple, so concurrent callers always observe a consistent table.  The
-table is marked read-only before it is published, so no caller can change
-what every other caller reads.
+at module level.  A request past its end sieves it again to the larger of
+the request and twice the old end, so a process holds the primes it has
+asked for, at most doubled, and no fixed first size.  Growth is guarded by
+a lock and swapped in as one atomic state tuple, so concurrent callers
+always observe a consistent table.  The table is marked read-only before
+it is published, so no caller can change what every other caller reads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import threading
 import numpy as np
 
 _PRIME_TABLE_CAP = 1 << 26
-FIRST_TABLE_LIMIT = 1 << 16  # the first sieve covers at least this far
 
 _lock = threading.Lock()
 # (sieved_to, primes_array) — replaced wholesale, never mutated.
@@ -51,7 +52,7 @@ def _grown_to(limit: int) -> tuple[int, np.ndarray]:
         with _lock:
             state = _state
             if limit > state[0]:
-                target = min(max(limit, 2 * state[0], FIRST_TABLE_LIMIT), _PRIME_TABLE_CAP)
+                target = min(max(limit, 2 * state[0]), _PRIME_TABLE_CAP)
                 table = _sieve(target)
                 table.flags.writeable = False
                 state = (target, table)

@@ -41,6 +41,14 @@ def test_factorize_large_power_multiplies_back():
         3215031751,  # strong pseudoprime to several small bases
         614889782588491410,  # product of the first 15 primes
         2147483647 * 2147483629,  # semiprime near 2**62
+        # Edges of the trial-prime tiers: the last n whose isqrt has 16 bits,
+        # the first whose tier is capped at 16, squares of the primes around
+        # 2**16 and the last n below (2**16 + 1)**2.
+        2**32 - 1,
+        2**32,
+        65521**2,
+        65537**2,
+        (2**16 + 1) ** 2 - 1,
     ],
 )
 def test_factorize_hard_cases_against_sympy(n):

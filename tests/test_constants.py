@@ -13,6 +13,7 @@ import pytest
 from moebius_km import constants
 from moebius_km.constants import (
     DEFAULT_PRIME_LIMIT,
+    PRODUCT_PRIME_CAP,
     ConstantEstimate,
     PrecisionError,
     alpha,
@@ -23,7 +24,7 @@ from moebius_km.constants import (
     zeta,
 )
 from moebius_km.functions import mu, psi_k
-from moebius_km.primes import FIRST_TABLE_LIMIT, prime_list_up_to, primes_up_to
+from moebius_km.primes import prime_list_up_to, primes_up_to
 
 # Values of the previous implementation (per-call p**-s powers over the
 # primes), as (value, tail_bound), keyed by prime limit.
@@ -186,7 +187,7 @@ class TestProducts:
     def test_large_k_warns_nothing(self, limit):
         # p**70 and p**71 overflow float64 above p = 25000; the factor there
         # is exactly 1.  The products are cached under the capped limit.
-        capped = min(limit, FIRST_TABLE_LIMIT)
+        capped = min(limit, PRODUCT_PRIME_CAP)
         for key in ("alpha", 70, 70, capped), ("apostol_A", 70, capped):
             constants._cache.pop(key, None)
         with warnings.catch_warnings():
@@ -212,20 +213,20 @@ assert a.prime_limit == b.prime_limit == 1 << 16
 
 
 class TestPrimeCap:
-    @pytest.mark.parametrize("limit", [FIRST_TABLE_LIMIT, 10**6, 10**9])
+    @pytest.mark.parametrize("limit", [PRODUCT_PRIME_CAP, 10**6, 10**9])
     def test_limits_past_the_cap_give_the_capped_estimate(self, limit):
-        assert FIRST_TABLE_LIMIT == 65536
+        assert PRODUCT_PRIME_CAP == 65536
         for km in ((2, 3), (3, 4), (2, 2)):
             est = alpha(km, limit)
-            assert est == alpha(km, FIRST_TABLE_LIMIT)
+            assert est == alpha(km, PRODUCT_PRIME_CAP)
             assert est.prime_limit == 65536
         for k in (2, 3):
             est = apostol_A(k, limit)
-            assert est == apostol_A(k, FIRST_TABLE_LIMIT)
+            assert est == apostol_A(k, PRODUCT_PRIME_CAP)
             assert est.prime_limit == 65536
 
     def test_limits_below_the_cap_are_kept(self):
-        for limit in (2, 999, 1000, 54_321, FIRST_TABLE_LIMIT - 1):
+        for limit in (2, 999, 1000, 54_321, PRODUCT_PRIME_CAP - 1):
             assert alpha((2, 3), limit).prime_limit == limit
             assert apostol_A(2, limit).prime_limit == limit
 
@@ -233,7 +234,7 @@ class TestPrimeCap:
         alpha((2, 3), 10**9)
         apostol_A(2, 10**7)
         limits = [key[-1] for key in constants._cache]
-        assert limits and max(limits) <= FIRST_TABLE_LIMIT
+        assert limits and max(limits) <= PRODUCT_PRIME_CAP
 
     def test_cold_constants_sieve_only_the_first_table(self):
         # A fresh interpreter: this test process may have grown the table.
@@ -338,7 +339,7 @@ class TestReferenceValues:
                 assert abs(gap) < mpmath.mpf(10) ** -45, k
 
     @pytest.mark.parametrize(
-        "limit", [2, 3, 10, 100, 999, 10**3, 10**4, FIRST_TABLE_LIMIT, 10**6]
+        "limit", [2, 3, 10, 100, 999, 10**3, 10**4, PRODUCT_PRIME_CAP, 10**6]
     )
     def test_within_tail_bound(self, references, limit):
         with mpmath.workdps(50):
@@ -449,7 +450,7 @@ class TestPowerSumTable:
         monkeypatch.setattr(constants, "primes_up_to", forbidden)
         assert alpha((2, 3), limit) == a and apostol_A(3, limit) == a3
 
-    @pytest.mark.parametrize("limit,top", [(10**3, 8), (10**4, 6), (FIRST_TABLE_LIMIT, 5)])
+    @pytest.mark.parametrize("limit,top", [(10**3, 8), (10**4, 6), (PRODUCT_PRIME_CAP, 5)])
     def test_log_tails_against_mpmath(self, limit, top):
         # L(t) = sum_{p > P} -log(1 - p**-t) = log zeta(t) - sum_{p <= P} ...,
         # the finite sum taken prime by prime at 40 digits.

@@ -54,7 +54,7 @@ def test_products_leave_the_prime_table_intact():
     limit = 10**6
     before = primes_up_to(limit).tobytes()
     # The products are cached under the limit they multiply out, 2**16.
-    capped = primes.FIRST_TABLE_LIMIT
+    capped = constants.PRODUCT_PRIME_CAP
     for key in ("alpha", 2, 3, capped), ("apostol_A", 2, capped), ("log_tails", capped):
         constants._cache.pop(key, None)
     alpha((2, 3), limit)

@@ -1,4 +1,7 @@
+import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -342,6 +345,95 @@ class TestSharedMuTable:
                             (10**11, (3, 4), 30)):
             sum_convolution(SumQuery(x, OrderPair(*order), n))
         assert mu_sieves == [iroot(3 * 10**9, 2)]
+
+
+def _spf_mu(top: int) -> np.ndarray:
+    """mu(0..top) from a smallest-prime-factor table: mu(r) = -mu(r/p) or 0.
+
+    r / p < 2^j for r < 2^(j+1), so each range [2^j, 2^(j+1)) reads only
+    the ranges before it.
+    """
+    spf = np.zeros(top + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(top) + 1):
+        if spf[p] == 0:
+            hits = spf[p * p :: p]
+            hits[hits == 0] = p
+    spf[spf == 0] = np.arange(top + 1)[spf == 0]
+    out = np.zeros(top + 1, dtype=np.int64)
+    out[1] = 1
+    for j in range(1, top.bit_length()):
+        r = np.arange(1 << j, min(2 << j, top + 1))
+        p = spf[r]
+        s = r // p
+        out[r] = np.where(s % p == 0, 0, -out[s])
+    return out
+
+
+class TestMuSieve:
+    def test_every_small_top(self):
+        ref = _spf_mu(4096).tolist()
+        for top in range(1, 4097):
+            got = summatory._mu_sieve(top)
+            assert got.dtype == np.int8 and not got.flags.writeable, top
+            assert got.tolist() == ref[: top + 1], top
+
+    def test_large_top(self):
+        top = 1 << 22
+        assert np.array_equal(summatory._mu_sieve(top), _spf_mu(top))
+
+    def test_memory_is_at_most_three_bytes_a_cell(self):
+        top = 1 << 20
+        tracemalloc.start()
+        try:
+            summatory._mu_sieve(top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * top, peak
+
+
+_COLD_CONV = """
+import sys
+from moebius_km import arith, primes
+from moebius_km.constants import alpha
+from moebius_km.functions import OrderPair
+from moebius_km.summatory import SumQuery, sum_convolution
+
+def conv():
+    return sum_convolution(SumQuery(2986829538, OrderPair(2, 3)))
+
+def constants():
+    return alpha((2, 3), 10**6).value.hex()
+
+if sys.argv[1] == "conv first":
+    tiers = []
+    trial = arith._trial_primes
+    arith._trial_primes = lambda bits: tiers.append(bits) or trial(bits)
+    s = conv()
+    assert primes._state[0] < 1 << 16, primes._state[0]
+    assert tiers and max(tiers) < 16, max(tiers)
+    a = constants()
+    assert primes._state[0] == 1 << 16, primes._state[0]
+else:
+    a = constants()
+    s = conv()
+print(s, a)
+"""
+
+
+def test_cold_query_sieves_only_what_it_reads():
+    # Fresh interpreters: this test process may have grown every table.
+    src = os.path.dirname(os.path.dirname(summatory.__file__))
+    outs = []
+    for first in ("conv first", "constants first"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_CONV, first], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.split())
+    s = sum_convolution(SumQuery(2986829538, OrderPair(2, 3)))
+    assert outs[0] == outs[1] == [str(s), alpha((2, 3), 10**6).value.hex()]
 
 
 class TestPsiDivisorIdentity:
