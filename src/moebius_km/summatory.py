@@ -2,10 +2,19 @@
 
 The headline sum S(x; n) = sum_{r <= x, gcd(r,n)=1} mu_{k,m}(r) is computed
 two independent ways: a streaming sieve pass (:func:`sum_direct`) and the
-divisor-convolution route (:func:`sum_convolution`) built from k-free
-counts.  The two must agree exactly on every input, which is the library's
-strongest self-check.  :func:`convolution_sums` is the convolution route
-for a whole ascending grid of x, sharing one walk and its tables.
+divisor-convolution route (:func:`sum_convolution`).  The two must agree
+exactly on every input, which is the library's strongest self-check.
+:func:`convolution_sums` is the convolution route for a whole ascending
+grid of x, sharing one walk and its tables.
+
+The convolution route has one engine per regime, picked by m == k alone.
+For Apostol's mu_k (m = k), mu_{k,k} = 1 * h with h(p^k) = -2,
+h(p^(k+1)) = +1 and h = 0 at every other exponent, so S(x; n) sums
+h(d) * C_n(x // d) over the k-full d coprime to n, C_n(y) =
+#{t <= y : gcd(t, n) = 1}: no k-free count and no Moebius table.  For
+m > k, mu_{k,m} = q_k * g with g supported on the m-full d, and S sums
+g(d) * Q_k(x // d, n) over k-free counts.  One walk (:func:`_walk`)
+enumerates the d of either, from the nonzero terms of its local factor.
 
 Every Moebius value the module reads comes from one process-wide table,
 grown on demand like the prime table and never mutated: :func:`mu_range`
@@ -83,11 +92,12 @@ def coprime_count(z, n: int) -> int:
 
 
 def _conv_limit(k: int) -> int:
-    """Largest x the convolution route accepts for order k.
+    """Largest x the convolution route accepts for order k, whatever m.
 
-    Its floors are int64, so x <= 2^62, and it reads mu(e) for e <= x^(1/k)
-    from the shared table of :func:`mu_range`, capped at ``_ARRAY_CAP``;
-    for k = 2 that ends x at (2^25 + 1)^2 - 1.
+    Its floors are int64, so x <= 2^62, and for m > k it reads mu(e) for
+    e <= x^(1/k) from the shared table of :func:`mu_range`, capped at
+    ``_ARRAY_CAP``; for k = 2 that ends x at (2^25 + 1)^2 - 1.  The m = k
+    route reads no table but keeps the same limit.
     """
     return min(MAX_RANGE, (_ARRAY_CAP + 1) ** k - 1)
 
@@ -133,19 +143,33 @@ def _staircase(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, f) -> np
     return out
 
 
+def _coprime_counts(z: np.ndarray, divs: list[tuple[int, int]]) -> np.ndarray:
+    """C_n(z) = #{t <= z : gcd(t, n) = 1} for each z of the int64 array ``z``.
+
+    ``divs`` is :func:`squarefree_divisors` of n; inclusion-exclusion over
+    them.  For n = 1 the result is ``z`` itself, not a copy.
+    """
+    if len(divs) == 1:
+        return z
+    w, part = z.copy(), np.empty_like(z)
+    for d, s in divs[1:]:
+        np.floor_divide(z, d, out=part)
+        (np.add if s > 0 else np.subtract)(w, part, out=w)
+    return w
+
+
 class _KFreeCounts:
     """Q_k(y, n) for y <= top from mu(e), e <= top^(1/k), of the shared table.
 
-    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * #{t <= y/e^k : gcd(t,n)=1}:
-    one :func:`_staircase` with the e^k as columns, mu(e) as weights and
-    the inner count, by inclusion-exclusion over the squarefree divisors
-    of n, as f.  The table's prefix is read-only and shared by every
-    caller, so for n > 1 the e coprime to n are taken from a copy of it;
-    n = 1 reads it as it is.
+    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * C_n(y / e^k): one
+    :func:`_staircase` with the e^k as columns, mu(e) as weights and
+    :func:`_coprime_counts` as f.  The table's prefix is read-only and
+    shared by every caller, so for n > 1 the e coprime to n are taken from
+    a copy of it; n = 1 reads it as it is.
     """
 
     def __init__(self, top: int, n: int, k: int) -> None:
-        self._divs = squarefree_divisors(n)
+        self._coprime = partial(_coprime_counts, divs=squarefree_divisors(n))
         mus = mu_range(iroot(top, k))
         if n > 1:
             mus = mus.copy()
@@ -153,16 +177,6 @@ class _KFreeCounts:
         e = np.flatnonzero(mus)
         self._sign = mus[e]
         self._ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62
-
-    def _coprime(self, z: np.ndarray) -> np.ndarray:
-        """#{t <= z : gcd(t, n) = 1} for each z of the int64 array ``z``."""
-        if len(self._divs) == 1:
-            return z
-        w, part = z.copy(), np.empty_like(z)
-        for d, s in self._divs[1:]:
-            np.floor_divide(z, d, out=part)
-            (np.add if s > 0 else np.subtract)(w, part, out=w)
-        return w
 
     def counts(self, ys: np.ndarray) -> np.ndarray:
         """Q_k(y, n) for each y of the int64 array ``ys`` (1 <= y <= top), in any order."""
@@ -222,24 +236,51 @@ def sum_direct(q: SumQuery) -> int:
     return stream_sum(q.x, q.order, q.coprime_to, [q.x])[0][1]
 
 
-def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
-    """(g(d), d) as int64 arrays over the m-full 1 < d <= x built from ``primes``.
+def _g_terms(x: int, k: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (a, g(p^a)), a >= 1, of g with mu_{k,m} = q_k * g, for m > k.
 
-    g(p^a) is -1 for a = m + jk, +1 for a = m + 1 + jk (j >= 0) and 0 for
-    every other a >= 1.  A node is (d, g(d), index of the next prime it may
-    use).  A frontier of nodes is expanded at most ``_BLOCK`` (node, prime)
-    pairs per step; each pair steps its exponent by p and p^(k-1) in turn,
-    flipping the sign, while d stays <= x, and every d with x // d >= the
-    next prime's p^m becomes a node of the step's child frontier.  Frontiers
-    sit on a stack, so the walk is depth-first over them and its arrays stay
-    bounded by the span times the depth.
+    Multiplying the local factor of mu_{k,m} by that of q_k's inverse,
+    (1 - p^-s) / (1 - p^-ks), gives g(p^a) = -1 for a = m + jk and +1 for
+    a = m + 1 + jk (j >= 0).  The list ends past x.bit_length(), beyond
+    which no p^a <= x.
     """
-    pms = np.append(primes**m, x + 1)  # no prime after the last one
+    top = max(m, x.bit_length())
+    return tuple(t for a in range(m, top + 1, k) for t in ((a, -1), (a + 1, 1)))
+
+
+def _h_terms(k: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (a, h(p^a)), a >= 1, of h with mu_{k,k} = 1 * h.
+
+    The local factor of Apostol's mu_k times (1 - p^-s) is
+    1 - 2p^-ks + p^-(k+1)s.
+    """
+    return ((k, -2), (k + 1, 1))
+
+
+def _walk(x: int, terms: tuple[tuple[int, int], ...], primes: np.ndarray):
+    """(w(d), d) as int64 arrays over the 1 < d <= x with w(d) != 0 built from ``primes``.
+
+    w is multiplicative with the same local terms at every prime:
+    ``terms`` lists the nonzero (a, w(p^a)), a >= 1, by ascending a
+    (:func:`_g_terms`, :func:`_h_terms`).  Each gap between exponents is at
+    most the first exponent a0, so with p^a0 <= x no power built here passes
+    x.  A node is (d, w(d), index of the next prime it may use).  A frontier
+    of nodes is expanded at most ``_BLOCK`` (node, prime) pairs per step;
+    each pair steps through the terms, multiplying d by p^gap, while d stays
+    <= x, and every d with x // d >= the next prime's p^a0 becomes a node of
+    the step's child frontier.  Frontiers sit on a stack, so the walk is
+    depth-first over them and its arrays stay bounded by the span times the
+    depth.
+    """
+    coefs = np.array([c for _, c in terms])
+    gaps = [b - a for (a, _), (b, _) in zip(terms, terms[1:])]
+    powers = {gap: primes**gap for gap in set(gaps)}
+    steps = [powers[gap] for gap in gaps]
+    pms = np.append(primes ** terms[0][0], x + 1)  # no prime after the last one
     next_pms = pms[1:]
-    steps = (primes, primes ** (k - 1))
     stack = [(np.array([1]), np.array([1]), np.array([0]))]
     while stack:
-        base, g, start = stack.pop()
+        base, w, start = stack.pop()
         counts = np.searchsorted(pms, x // base, side="right") - start
         ends = np.cumsum(counts)
         if ends[-1] > _BLOCK:
@@ -247,8 +288,8 @@ def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
             take = _BLOCK - (int(ends[cut - 1]) if cut else 0)
             later = start[cut:].copy()
             later[0] += take
-            stack.append((base[cut:], g[cut:], later))
-            base, g, start = base[: cut + 1], g[: cut + 1], start[: cut + 1]
+            stack.append((base[cut:], w[cut:], later))
+            base, w, start = base[: cut + 1], w[: cut + 1], start[: cut + 1]
             counts = counts[: cut + 1].copy()
             counts[-1] = take
             ends = np.cumsum(counts)
@@ -257,28 +298,32 @@ def _g_walk(x: int, k: int, m: int, primes: np.ndarray):
         node = np.repeat(np.arange(len(counts)), counts)
         j = np.arange(int(ends[-1])) - (ends - counts - start)[node]
         d = base[node] * pms[j]
-        sign = -g[node]
-        signs, ds, js = [], [], []
-        t = 0
-        while len(d):
-            signs.append(sign)
-            ds.append(d)
-            js.append(j)
-            step = steps[t][j]
+        w = w[node]
+        ws, ds, js = [w], [d], [j]
+        for step in steps:
+            step = step[j]
             live = step <= x // d
             # A dead lane's d * step may wrap; it is dropped with the lane.
-            d, sign, j = (d * step)[live], -sign[live], j[live]
-            t ^= 1
-        g, d, j = (np.concatenate(c) for c in (signs, ds, js))
+            d, w, j = (d * step)[live], w[live], j[live]
+            if not len(d):
+                break
+            ws.append(w)
+            ds.append(d)
+            js.append(j)
+        # One multiply by the terms' coefficients per frontier step: a small
+        # array times a Python int costs about 4x a negation.
+        c = np.repeat(coefs[: len(ds)], [len(a) for a in ds])
+        w, d, j = (np.concatenate(a) for a in (ws, ds, js))
+        w *= c
         kid = x // d >= next_pms[j]
         if kid.any():
-            stack.append((d[kid], g[kid], j[kid] + 1))
-        yield g, d
+            stack.append((d[kid], w[kid], j[kid] + 1))
+        yield w, d
 
 
-def _walk_primes(x: int, m: int, n: int) -> np.ndarray:
-    """The primes p with p^m <= x that do not divide n: those of the m-full walk."""
-    primes = primes_up_to(iroot(x, m))
+def _walk_primes(x: int, a0: int, n: int) -> np.ndarray:
+    """The primes p with p^a0 <= x that do not divide n, for a walk whose first exponent is a0."""
+    primes = primes_up_to(iroot(x, a0))
     return primes[n % primes != 0]
 
 
@@ -287,19 +332,16 @@ def convolution_sums(
 ) -> list[tuple[int, int]]:
     """(x, S(x; n)) for each checkpoint x, as :func:`stream_sum` returns them.
 
-    All checkpoints share one m-full walk to the largest x, one batched
-    k-free counter up to it over the shared Moebius table, and one small
-    Q_k table.  S(x; n) sums g(d) * Q_k(x // d, n) over d = 1 and the
-    walk's d <= x: Q_k(x, n) for d = 1, then one :func:`_staircase` per
-    walk step, with the checkpoints as rows, the step's sorted d as
-    columns, g(d) as weights and Q_k as f, whose large arguments go
-    through the counter's own staircase.  The int64 sums cannot wrap: a
-    partial sum is at most x times the sum of 1/d over the m-full d, which
-    is below 1.4 for m >= 3 (x <= 2^62), and k = 2 ends x near 2^50.
-    Cost: about the sum over checkpoints of x^(1/k) floors per k-free count
-    and one pair per (x, d), so it beats the stream on sparse grids and
-    loses on very dense ones (the README's engine table).
-    The checkpoints are ascending (duplicates allowed) and the largest is
+    The route of :func:`sum_convolution`, with one walk to the largest x and
+    one f shared by every checkpoint: f(x) is the d = 1 term, then each walk
+    step is one :func:`_staircase` with the checkpoints as rows, the step's
+    sorted d as columns, w(d) as weights and f as f.  For m > k, f = Q_k
+    reads one small table up to ``_TABLE_TOP`` and one batched k-free
+    counter up to the largest x.  The int64 sums cannot wrap, by the bound
+    of :func:`sum_convolution`.  Cost: one pair per (x, d), and for m > k
+    about x^(1/k) floors per k-free count, so it beats the stream on sparse
+    grids and loses on very dense ones (the README's engine table).  The
+    checkpoints are ascending (duplicates allowed) and the largest is
     limited as in :func:`sum_convolution`.
     """
     o = as_order(order)
@@ -308,47 +350,68 @@ def convolution_sums(
     cps = checked_checkpoints(checkpoints, MAX_RANGE)
     x, n = cps[-1], coprime_to
     _check_conv_domain(x, o.k)
-    table = _small_table(min(x, _TABLE_TOP), n, o.k)
-    kfree = partial(_kfree_values, counts=_KFreeCounts(x, n, o.k), table=table)
+    if o.m == o.k:
+        terms, f = _h_terms(o.k), partial(_coprime_counts, divs=squarefree_divisors(n))
+    else:
+        table = _small_table(min(x, _TABLE_TOP), n, o.k)
+        terms = _g_terms(x, o.k, o.m)
+        f = partial(_kfree_values, counts=_KFreeCounts(x, n, o.k), table=table)
     xs = np.array(cps, dtype=np.int64)
-    sums = kfree(xs)  # the d = 1 term
-    for g, d in _g_walk(x, o.k, o.m, _walk_primes(x, o.m, n)):
+    sums = f(xs).copy()  # the d = 1 term; C_n(xs) for n = 1 is xs itself
+    for w, d in _walk(x, terms, _walk_primes(x, terms[0][0], n)):
         order = np.argsort(d)
-        sums += _staircase(xs, d[order], g[order], kfree)
+        sums += _staircase(xs, d[order], w[order], f)
     return list(zip(cps, sums.tolist()))
 
 
 def sum_convolution(q: SumQuery) -> int:
-    """S(x; n) by the independent convolution route over k-free counts.
+    """S(x; n) by the independent convolution route: sum w(d) * F_n(x // d).
 
-    mu_{k,m} = q_k * g with g as in :func:`_g_walk`, and all three are 1
-    at primes dividing n, so S(x; n) = sum over m-full d <= x coprime to n
-    of g(d) * Q_k(x // d, n).  The d = 1 term is :func:`qk_count`.  For
-    d > 1, x // d is at most x / p^m with p the least prime not dividing n;
-    Q_k(y, n) is a table lookup for y <= ``_TABLE_TOP`` and a batched signed
-    sum over mu(e), e <= (x / p^m)^(1/k), above it.  Both counts slice the
-    process-wide Moebius table of :func:`mu_range`, which the first query
-    sieves to x^(1/k) and later queries up to that size only read.  The
-    walk is the one that :func:`convolution_sums` shares among its
-    checkpoints, but with one x each step is a single row, summed by one
-    dot product instead of a :func:`_staircase`.
-    Cost: about x^(1/k) NumPy work and memory for the counts (and for the
-    table, the first time it reaches that size), plus one entry per m-full
-    d, walked in NumPy steps of at most ``_BLOCK`` (node, prime) pairs and
-    counted in staircase blocks of at most ``_BLOCK`` (y, e) pairs; that
-    one budget, not x, bounds the walk's and the counts' temporaries.
+    For a Dirichlet factorisation mu_{k,m} = f * w, S(x; n) sums w(d) times
+    F_n(x // d) = sum of f(t) over t <= x // d coprime to n, over the d
+    coprime to n: the indicator of gcd(r, n) = 1 is completely
+    multiplicative.  The route is picked by m == k alone:
+
+    - m = k (Apostol's mu_k): mu_{k,k} = 1 * h (:func:`_h_terms`), so S sums
+      h(d) * C_n(x // d) over the k-full d, C_n(y) = #{t <= y :
+      gcd(t, n) = 1}.  It reads no k-free count and no Moebius table.
+    - m > k: mu_{k,m} = q_k * g (:func:`_g_terms`), so S sums
+      g(d) * Q_k(x // d, n) over the m-full d.  The d = 1 term is
+      :func:`qk_count`.  For d > 1, x // d is at most x / p^m with p the
+      least prime not dividing n, and Q_k(y, n) is a table lookup for
+      y <= ``_TABLE_TOP`` and a batched signed sum over mu(e),
+      e <= (x / p^m)^(1/k), above it, both from the Moebius table of
+      :func:`mu_range`.
+
+    The d come from :func:`_walk`, and each walk step is one dot product.
+    The int64 dot products cannot wrap: a partial sum is at most
+    x * sum |w(d)| / d.  For m = k that is x * prod_p (1 + 2p^-k + p^-(k+1)),
+    below 2.48x for k = 2 and 1.47x for k >= 3; for m > k it is below 1.4x.
+    k = 2 ends x near 2^50 and k >= 3 at 2^62.
+    Cost: one entry per walk d, about c * x^(1/k) of them for m = k and
+    c * x^(1/m) for m > k, plus for m > k about x^(1/k) NumPy work and memory
+    for the counts (and for the Moebius table, the first time it reaches
+    that size).  The one ``_BLOCK`` budget, not x, bounds the walk's and the
+    counts' temporaries.
     """
     o = q.order
     x, n = q.x, q.coprime_to
-    total = qk_count(x, n, o.k)
-    primes = _walk_primes(x, o.m, n)
-    if not len(primes):
-        return total
-    rest = x // int(primes[0]) ** o.m
-    counts = _KFreeCounts(rest, n, o.k)
-    table = _small_table(min(rest, _TABLE_TOP), n, o.k)
-    for g, d in _g_walk(x, o.k, o.m, primes):
-        total += int(np.dot(g, _kfree_values(x // d, counts, table)))
+    if o.m == o.k:
+        _check_conv_domain(x, o.k)
+        total = coprime_count(x, n)
+        primes = _walk_primes(x, o.k, n)
+        terms, f = _h_terms(o.k), partial(_coprime_counts, divs=squarefree_divisors(n))
+    else:
+        total = qk_count(x, n, o.k)
+        primes = _walk_primes(x, o.m, n)
+        if not len(primes):
+            return total
+        rest = x // int(primes[0]) ** o.m
+        table = _small_table(min(rest, _TABLE_TOP), n, o.k)
+        terms = _g_terms(x, o.k, o.m)
+        f = partial(_kfree_values, counts=_KFreeCounts(rest, n, o.k), table=table)
+    for w, d in _walk(x, terms, primes):
+        total += int(np.dot(w, f(x // d)))
     return total
 
 

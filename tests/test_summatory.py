@@ -200,17 +200,55 @@ class TestSums:
         # The walk expands at most _BLOCK pairs per step, so its peak grows
         # only by its two arrays over the primes (16 bytes a prime, 1.2 MiB
         # at 1e12); with the whole frontier expanded at once it is 55 MiB.
-        peaks = []
-        for x in (10**10, 10**12):
-            primes = primes_up_to(iroot(x, 2))
-            tracemalloc.start()
-            try:
-                entries = sum(len(d) for _, d in summatory._g_walk(x, 2, 2, primes))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert entries > 4 * _BLOCK
-        assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
+        # Both walks: g's terms for exponents from 2 and m = k's h terms.
+        for terms in (summatory._g_terms(10**12, 2, 2), summatory._h_terms(2)):
+            peaks = []
+            for x in (10**10, 10**12):
+                primes = primes_up_to(iroot(x, 2))
+                tracemalloc.start()
+                try:
+                    entries = sum(len(d) for _, d in summatory._walk(x, terms, primes))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert entries > 4 * _BLOCK
+            assert peaks[1] <= peaks[0] + 2 * 2**20, (terms, peaks)
+
+    @pytest.mark.parametrize("block", [1, 5, _BLOCK], ids=["1", "5", "default"])
+    def test_m_equals_k_reads_no_kfree_count(self, monkeypatch, block):
+        # mu_{k,k} = 1 * h: the route sums h(d) C_n(x // d) over the k-full d
+        # and never reaches a k-free count or the Moebius table.
+        rng = random.Random(20261019)
+        cases = []
+        for k in (2, 3, 4):
+            for n in (1, 6, 30, 210):
+                xs = sorted([1, 1, 2, 2**k - 1, 2**k, 2**(k + 1), 3000, 3000]
+                            + [rng.randint(1, 3 * 10**5) for _ in range(12)])
+                cases.append((k, n, xs, stream_sum(xs[-1], (k, k), n, xs)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the m = k route read a k-free count or the Moebius table")
+
+        for name in ("mu_range", "qk_count", "_KFreeCounts", "_small_table", "mu"):
+            monkeypatch.setattr(summatory, name, forbidden)
+        monkeypatch.setattr(summatory, "_BLOCK", block)
+        for k, n, xs, ref in cases:
+            assert convolution_sums(xs, (k, k), n) == ref, (k, n)
+            for x, s in ref[::4]:
+                assert sum_convolution(SumQuery(x, OrderPair(k, k), n)) == s, (x, k, n)
+
+    def test_m_above_k_counts_through_qk_count_once(self, monkeypatch):
+        # The d = 1 term of the m > k route is one qk_count call.
+        calls = []
+        count = summatory.qk_count
+
+        def counted(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(summatory, "qk_count", counted)
+        assert sum_convolution(SumQuery(10**6, OrderPair(2, 3), 6)) == 300659
+        assert calls == [(10**6, 6, 2)]
 
     def test_convolution_independent_of_sieve(self, monkeypatch):
         def forbidden(*args, **kwargs):
