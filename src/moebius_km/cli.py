@@ -258,36 +258,39 @@ _COMMANDS = {
 }
 
 
-def build_parser(names: list[str] | None = None) -> _Parser:
-    """The ``moebius`` parser with the subcommands ``names`` (all of them by default).
-
-    Every subcommand comes from its one entry in ``_COMMANDS``, so a
-    subcommand's parser is the same whichever others are built beside it.
-    """
+def build_parser() -> _Parser:
+    """The ``moebius`` parser with every subcommand."""
     parser = _Parser(prog="moebius", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if names is None else names:
-        summary, handler, add_flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
-        for add in add_flags:
-            add(p)
+    for name, (summary, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=summary, parents=[_command_parser(name)], add_help=False)
+    return parser
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of the subcommand ``name`` alone, from its one entry in ``_COMMANDS``."""
+    _, handler, add_flags = _COMMANDS[name]
+    parser = _Parser(prog=f"moebius {name}")
+    parser.set_defaults(handler=handler)
+    for add in add_flags:
+        add(parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the command ``argv`` (default: ``sys.argv[1:]``) and return its exit code.
 
-    Only the parser of the named command is built.  With no command, an
-    unknown one or a top-level option such as ``--help``, the full parser is
-    built, so its usage and errors list every command.
+    A named command builds only its own parser and parses the rest of
+    ``argv``.  With no command, an unknown one or a top-level option such as
+    ``--help``, the full parser is built, so its usage and errors list every
+    command.
     """
     if argv is None:
         argv = sys.argv[1:]
-    named = argv[:1] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(named)
+    named = bool(argv) and argv[0] in _COMMANDS
+    parser = _command_parser(argv[0]) if named else build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if named else argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,8 +13,10 @@ h(p^(k+1)) = +1 and h = 0 at every other exponent, so S(x; n) sums
 h(d) * C_n(x // d) over the k-full d coprime to n, C_n(y) =
 #{t <= y : gcd(t, n) = 1}: no k-free count and no Moebius table.  For
 m > k, mu_{k,m} = q_k * g with g supported on the m-full d, and S sums
-g(d) * Q_k(x // d, n) over k-free counts.  One walk (:func:`_walk`)
-enumerates the d of either, from the nonzero terms of its local factor.
+g(d) * Q_k(x // d, n) over k-free counts, the floors above a small table
+taken by one batched count per query.  One walk (:func:`_walk`) enumerates
+the d of either, from the nonzero terms of its local factor; it divides
+once per prime, not once per d.
 
 Every Moebius value the module reads comes from one process-wide table,
 grown on demand like the prime table and never mutated: :func:`mu_range`
@@ -49,7 +51,7 @@ from .primes import iroot, prime_list_up_to, primes_up_to
 from .sieve import MAX_RANGE, checked_checkpoints, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
-_TABLE_TOP = 1 << 13  # sum_convolution looks Q_k(y, n) up for y <= this
+_TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
 _BLOCK = 1 << 13  # pairs per NumPy step: walk (node, prime), staircase (row, col)
 
 _mu_lock = threading.Lock()
@@ -262,26 +264,36 @@ def _walk(x: int, terms: tuple[tuple[int, int], ...], primes: np.ndarray):
 
     w is multiplicative with the same local terms at every prime:
     ``terms`` lists the nonzero (a, w(p^a)), a >= 1, by ascending a
-    (:func:`_g_terms`, :func:`_h_terms`).  Each gap between exponents is at
-    most the first exponent a0, so with p^a0 <= x no power built here passes
-    x.  A node is (d, w(d), index of the next prime it may use).  A frontier
-    of nodes is expanded at most ``_BLOCK`` (node, prime) pairs per step;
-    each pair steps through the terms, multiplying d by p^gap, while d stays
-    <= x, and every d with x // d >= the next prime's p^a0 becomes a node of
-    the step's child frontier.  Frontiers sit on a stack, so the walk is
-    depth-first over them and its arrays stay bounded by the span times the
-    depth.
+    (:func:`_g_terms`, :func:`_h_terms`).  Every prime p has p^a0 <= x, a0
+    the first exponent, and each gap between exponents is at most a0, so no
+    power built here passes x.
+
+    The walk divides once per prime, never per d: lim0[j] = x // p_j^a0 and,
+    for each gap, lim[j] = x // p_j^gap.  A node is (d, w(d), index of the
+    next prime it may use).  d * p_j^a0 <= x exactly when d <= lim0[j], and
+    lim0 is non-increasing, so one ``searchsorted`` over its negation counts
+    a node's primes.  A frontier of nodes is expanded at most ``_BLOCK``
+    (node, prime) pairs per step.  Each pair steps through the terms; only
+    the live lanes, d <= lim[j], are multiplied by p^gap, so no product
+    wraps.  Every d <= lim0[j + 1] becomes a node of the step's child
+    frontier.  Frontiers sit on a stack, so the walk is depth-first over
+    them and its arrays stay bounded by the span times the depth.  Over the
+    primes it holds -lim0 and, per gap, p^gap and lim, with ``primes``
+    itself as the power of gap 1: two int64 arrays when every gap is 1.
     """
-    coefs = np.array([c for _, c in terms])
+    a0 = terms[0][0]
+    neg = np.append(-(x // primes**a0), 0)  # -lim0, ascending; 0: no next prime
+    next_neg = neg[1:]
     gaps = [b - a for (a, _), (b, _) in zip(terms, terms[1:])]
-    powers = {gap: primes**gap for gap in set(gaps)}
-    steps = [powers[gap] for gap in gaps]
-    pms = np.append(primes ** terms[0][0], x + 1)  # no prime after the last one
-    next_pms = pms[1:]
+    powers = {gap: primes if gap == 1 else primes**gap for gap in set(gaps)}
+    lims = {gap: x // power for gap, power in powers.items()}
+    # NumPy scalars: a small array times a Python int costs more.
+    c0, *coefs = (np.int64(c) for _, c in terms)
+    steps = [(powers[gap], lims[gap], c) for gap, c in zip(gaps, coefs)]
     stack = [(np.array([1]), np.array([1]), np.array([0]))]
     while stack:
         base, w, start = stack.pop()
-        counts = np.searchsorted(pms, x // base, side="right") - start
+        counts = np.searchsorted(neg, -base, side="right") - start
         ends = np.cumsum(counts)
         if ends[-1] > _BLOCK:
             cut = int(np.searchsorted(ends, _BLOCK))
@@ -295,27 +307,21 @@ def _walk(x: int, terms: tuple[tuple[int, int], ...], primes: np.ndarray):
             ends = np.cumsum(counts)
         if not ends[-1]:
             continue
-        node = np.repeat(np.arange(len(counts)), counts)
-        j = np.arange(int(ends[-1])) - (ends - counts - start)[node]
-        d = base[node] * pms[j]
-        w = w[node]
-        ws, ds, js = [w], [d], [j]
-        for step in steps:
-            step = step[j]
-            live = step <= x // d
-            # A dead lane's d * step may wrap; it is dropped with the lane.
-            d, w, j = (d * step)[live], w[live], j[live]
-            if not len(d):
+        j = np.arange(int(ends[-1])) - np.repeat(ends - counts - start, counts)
+        d = np.repeat(base, counts) * primes[j] ** a0
+        w = np.repeat(w, counts)
+        ws, ds, js = [w * c0], [d], [j]
+        for power, lim, c in steps:
+            live = d <= lim[j]
+            j = j[live]
+            if not len(j):
                 break
-            ws.append(w)
+            d, w = d[live] * power[j], w[live]
+            ws.append(w * c)
             ds.append(d)
             js.append(j)
-        # One multiply by the terms' coefficients per frontier step: a small
-        # array times a Python int costs about 4x a negation.
-        c = np.repeat(coefs[: len(ds)], [len(a) for a in ds])
         w, d, j = (np.concatenate(a) for a in (ws, ds, js))
-        w *= c
-        kid = x // d >= next_pms[j]
+        kid = next_neg[j] + d <= 0
         if kid.any():
             stack.append((d[kid], w[kid], j[kid] + 1))
         yield w, d
@@ -383,35 +389,46 @@ def sum_convolution(q: SumQuery) -> int:
       e <= (x / p^m)^(1/k), above it, both from the Moebius table of
       :func:`mu_range`.
 
-    The d come from :func:`_walk`, and each walk step is one dot product.
+    The d come from :func:`_walk`.  For m = k each walk step is one dot
+    product.  For m > k a step reads its floors x // d <= ``_TABLE_TOP``
+    from the table by one dot product and sets the larger ones aside with
+    their weights; after the walk one batched count over all of them
+    (:meth:`_KFreeCounts.counts`) is dotted with their weights.
     The int64 dot products cannot wrap: a partial sum is at most
     x * sum |w(d)| / d.  For m = k that is x * prod_p (1 + 2p^-k + p^-(k+1)),
     below 2.48x for k = 2 and 1.47x for k >= 3; for m > k it is below 1.4x.
     k = 2 ends x near 2^50 and k >= 3 at 2^62.
     Cost: one entry per walk d, about c * x^(1/k) of them for m = k and
-    c * x^(1/m) for m > k, plus for m > k about x^(1/k) NumPy work and memory
-    for the counts (and for the Moebius table, the first time it reaches
-    that size).  The one ``_BLOCK`` budget, not x, bounds the walk's and the
-    counts' temporaries.
+    c * x^(1/m) for m > k, plus for m > k one staircase over the floors set
+    aside, with about x^(1/k) NumPy work and memory for its columns (and for
+    the Moebius table, the first time it reaches that size).  The one
+    ``_BLOCK`` budget, not x, bounds the walk's and the counts' temporaries;
+    the floors set aside are at most the m-full walk's entries.
     """
     o = q.order
     x, n = q.x, q.coprime_to
     if o.m == o.k:
         _check_conv_domain(x, o.k)
-        total = coprime_count(x, n)
-        primes = _walk_primes(x, o.k, n)
-        terms, f = _h_terms(o.k), partial(_coprime_counts, divs=squarefree_divisors(n))
-    else:
-        total = qk_count(x, n, o.k)
-        primes = _walk_primes(x, o.m, n)
-        if not len(primes):
-            return total
-        rest = x // int(primes[0]) ** o.m
-        table = _small_table(min(rest, _TABLE_TOP), n, o.k)
-        terms = _g_terms(x, o.k, o.m)
-        f = partial(_kfree_values, counts=_KFreeCounts(rest, n, o.k), table=table)
-    for w, d in _walk(x, terms, primes):
-        total += int(np.dot(w, f(x // d)))
+        total, divs = coprime_count(x, n), squarefree_divisors(n)
+        for w, d in _walk(x, _h_terms(o.k), _walk_primes(x, o.k, n)):
+            total += int(np.dot(w, _coprime_counts(x // d, divs)))
+        return total
+    total = qk_count(x, n, o.k)
+    primes = _walk_primes(x, o.m, n)
+    if not len(primes):
+        return total
+    rest = x // int(primes[0]) ** o.m
+    table = _small_table(min(rest, _TABLE_TOP), n, o.k)
+    floors, weights = [], []
+    for w, d in _walk(x, _g_terms(x, o.k, o.m), primes):
+        y = x // d
+        small = y <= _TABLE_TOP
+        total += int(np.dot(w[small], table[y[small]]))
+        floors.append(y[~small])
+        weights.append(w[~small])
+    if rest > _TABLE_TOP:
+        counts = _KFreeCounts(rest, n, o.k).counts(np.concatenate(floors))
+        total += int(np.dot(np.concatenate(weights), counts))
     return total
 
 

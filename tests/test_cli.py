@@ -324,26 +324,32 @@ class TestContracts:
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_single_command_parser_matches_full_parser(self, name):
-        def subparser(parser):
-            commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            return commands.choices[name]
-
-        full, alone = subparser(cli.build_parser()), subparser(cli.build_parser([name]))
-        assert alone.format_help() == full.format_help()
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert cli._command_parser(name).format_help() == commands.choices[name].format_help()
 
     def test_main_builds_only_the_named_command(self, capsys, monkeypatch):
+        # A named command builds one parser, its own; any other argv the full one.
         built = []
-        build = cli.build_parser
+        command, parser_class = cli._command_parser, cli._Parser
 
-        def spy(names=None):
-            built.append(names)
-            return build(names)
+        def spy(name):
+            built.append(name)
+            return command(name)
 
-        monkeypatch.setattr(cli, "build_parser", spy)
-        run(capsys, "eval", "--k", "2", "--m", "3", "--n", "8")
-        run(capsys, "nonsense")
-        run(capsys)
-        assert built == [["eval"], None, None]
+        class Counted(parser_class):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_command_parser", spy)
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        assert run(capsys, "eval", "--k", "2", "--m", "3", "--n", "8")[:2] == (0, "-1\n")
+        assert built == ["eval", "moebius eval"]
+        for argv in (["nonsense"], []):
+            built.clear()
+            run(capsys, *argv)
+            assert built[0] == "moebius" and set(COMMANDS) <= set(built)
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

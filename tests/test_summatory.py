@@ -105,8 +105,8 @@ class TestSums:
 
     @pytest.mark.parametrize(
         "table_top,block",
-        [(16, _BLOCK), (_TABLE_TOP, _BLOCK), (16, 3)],
-        ids=["16", "8192", "16-block3"],
+        [(16, _BLOCK), (1 << 13, _BLOCK), (16, 3), (_TABLE_TOP, _BLOCK)],
+        ids=["16", "8192", "16-block3", "default"],
     )
     def test_convolution_matches_stream_seeded(self, monkeypatch, table_top, block):
         # With a 16-entry table nearly every count takes the NumPy-sum route.
@@ -214,6 +214,55 @@ class TestSums:
                 assert entries > 4 * _BLOCK
             assert peaks[1] <= peaks[0] + 2 * 2**20, (terms, peaks)
 
+    @pytest.mark.parametrize("block", [1, 3, _BLOCK], ids=["1", "3", "default"])
+    def test_walk_yields_each_d_once_with_its_weight(self, monkeypatch, block):
+        # The sorted (d, w(d)) pairs of the walk are the 1 < d <= x coprime to
+        # n with w(d) != 0, w multiplicative with the local terms of the list.
+        monkeypatch.setattr(summatory, "_BLOCK", block)
+        top = 20000
+        exponents = [()] * 2 + [[e for _, e in factorize(d).factors] for d in range(2, top + 1)]
+
+        def brute(terms, x, n):
+            local = dict(terms)
+            pairs = [(d, math.prod(local.get(e, 0) for e in exponents[d]))
+                     for d in range(2, x + 1) if gcd(d, n) == 1]
+            return [(d, w) for d, w in pairs if w]
+
+        # h's terms for m = k, g's for m > k; either way the first exponent is m.
+        for k, m in ((2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (2, 5), (3, 4), (3, 7), (2, 40)):
+            # x = 6^m puts a child 2^m * 3^m exactly at x.
+            xs = {1, 8, 9, 2**k - 1, 2**k + 1, 2**m - 1, 2**m + 1, 6**m, 3000, top}
+            for n in (1, 6, 30, 77):
+                for x in sorted(x for x in xs if x <= top):
+                    terms = summatory._h_terms(k) if m == k else summatory._g_terms(x, k, m)
+                    walked = [(int(d), int(w)) for ws, ds in summatory._walk(
+                        x, terms, summatory._walk_primes(x, m, n)) for w, d in zip(ws, ds)]
+                    assert sorted(walked) == brute(terms, x, n), (terms, x, n)
+
+    # (x, order, n, entries) at the top of the domain, as counted by the walk
+    # that divided once per d.
+    WALK_ENTRIES = [
+        (2**62, (3, 3), 1, 2332975),
+        (2**62, (4, 4), 6, 24669),
+        (2**62, (4, 5), 1, 22163),
+        (2**62, (3, 4), 30, 21381),
+        (10**12, (2, 2), 1, 1124038),
+        (10**12, (2, 3), 1, 41135),
+    ]
+
+    @pytest.mark.parametrize(
+        "x,order,n,entries", WALK_ENTRIES, ids=[f"{k}-{m}-{n}" for _, (k, m), n, _ in WALK_ENTRIES]
+    )
+    def test_walk_at_top_of_domain(self, x, order, n, entries):
+        k, m = order
+        terms = summatory._h_terms(k) if m == k else summatory._g_terms(x, k, m)
+        seen = 0
+        for w, d in summatory._walk(x, terms, summatory._walk_primes(x, terms[0][0], n)):
+            assert d.dtype == np.int64 and len(w) == len(d)
+            assert d.min() > 1 and d.max() <= x and np.all(w != 0)
+            seen += len(d)
+        assert seen == entries
+
     @pytest.mark.parametrize("block", [1, 5, _BLOCK], ids=["1", "5", "default"])
     def test_m_equals_k_reads_no_kfree_count(self, monkeypatch, block):
         # mu_{k,k} = 1 * h: the route sums h(d) C_n(x // d) over the k-full d
@@ -238,17 +287,38 @@ class TestSums:
                 assert sum_convolution(SumQuery(x, OrderPair(k, k), n)) == s, (x, k, n)
 
     def test_m_above_k_counts_through_qk_count_once(self, monkeypatch):
-        # The d = 1 term of the m > k route is one qk_count call.
-        calls = []
-        count = summatory.qk_count
+        # The d = 1 term of the m > k route is one qk_count call.  The floors
+        # x // d above the table are counted by one batched call after the walk.
+        calls, events = [], []
+        count, walk, counts = summatory.qk_count, summatory._walk, summatory._KFreeCounts.counts
 
         def counted(*args):
             calls.append(args)
             return count(*args)
 
+        def walked(*args):
+            yield from walk(*args)
+            events.append("walked")
+
+        def batched(self, ys):
+            events.append(len(ys))
+            return counts(self, ys)
+
         monkeypatch.setattr(summatory, "qk_count", counted)
-        assert sum_convolution(SumQuery(10**6, OrderPair(2, 3), 6)) == 300659
-        assert calls == [(10**6, 6, 2)]
+        monkeypatch.setattr(summatory, "_walk", walked)
+        monkeypatch.setattr(summatory._KFreeCounts, "counts", batched)
+        x, q = 10**6, SumQuery(10**6, OrderPair(2, 3), 6)
+        ys = np.concatenate([x // d for _, d in walk(
+            x, summatory._g_terms(x, 2, 3), summatory._walk_primes(x, 3, 6))])
+        # Every floor is at most x / 5^3 = 8000: with a 2^13 table none is counted.
+        for top in (1 << 13, _TABLE_TOP, 16):
+            monkeypatch.setattr(summatory, "_TABLE_TOP", top)
+            calls.clear()
+            events.clear()
+            floors = int((ys > top).sum())
+            assert sum_convolution(q) == 300659
+            assert calls == [(x, 6, 2)]
+            assert events == [1, "walked"] + ([floors] if floors else []), top
 
     def test_convolution_independent_of_sieve(self, monkeypatch):
         def forbidden(*args, **kwargs):
