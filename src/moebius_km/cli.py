@@ -23,9 +23,7 @@ from .constants import (
     DEFAULT_PRIME_LIMIT, DEFAULT_TOL, PrecisionError, alpha, apostol_A, identity_gap, zeta,
 )
 from .functions import OrderPair, mu_km
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE, SieveConfig, default_worker_count, segment_memory_estimate, stream_sum,
-)
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, segment_memory_estimate, stream_sum
 from .summatory import SumQuery, sum_convolution, sum_direct
 from .verify import SUITES, run_suite
 
@@ -188,13 +186,12 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     if args.x < 10**6:
         raise ValueError("bench requires x >= 1e6")
-    threads = args.threads if args.threads is not None else default_worker_count()
-    config = SieveConfig(segment_size=args.segment, worker_count=threads)
+    config = SieveConfig(segment_size=args.segment)
     start = time.perf_counter()
     value = stream_sum(args.x, OrderPair(2, 3), 1, [args.x], config)[0][1]
     elapsed = time.perf_counter() - start
     print(
-        f"x={args.x} segment={args.segment} threads={threads} "
+        f"x={args.x} segment={args.segment} "
         f"elapsed={elapsed:.3f}s rate={args.x / elapsed:.3e}/s "
         f"segment_memory={segment_memory_estimate(config)}B sum={value}"
     )
@@ -239,7 +236,6 @@ def _verify_flags(p) -> None:
 def _bench_flags(p) -> None:
     p.add_argument("--x", type=_int_flag, required=True)
     p.add_argument("--segment", type=_int_flag, default=DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--threads", type=_int_flag, default=None)
 
 
 # name: (summary, handler, the functions that add its flags, in order)

@@ -36,18 +36,18 @@ loop over the hits alone.  This is the bucket idea of the same paper.
 Primes of the filter past the pattern and the wheel are masked last.  A
 block is summed by folding it into 64 rows, added exactly in int8.
 
-The public operations are deterministic: segments are reduced in ascending
-order and all arithmetic is exact integer arithmetic, so results do not
-depend on the segment size or the worker count.
+A stream runs on the caller's thread: one loop over the segments in
+ascending order, reusing one block and one fold for the whole call.  All
+arithmetic is exact integer arithmetic, so results do not depend on the
+segment size.  The pattern store and the prime table are lock-guarded for
+callers that stream from threads of their own.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .primes import _PRIME_TABLE_CAP, iroot, primes_up_to
 MAX_RANGE = 1 << 62
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Peak bytes one worker holds per cell of its segment: the int8 block (reused
+# Peak bytes a stream holds per cell of its segment: the int8 block (reused
 # from segment to segment), the saved exponent-m slice of the dense-prime
 # pass (at most a quarter cell), the int8 fold of the reduction (1 /
 # _FOLD_ROWS cell, reused too) and the hit-list temporaries, with room to
@@ -67,7 +67,7 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # hit once each, plus at most n_cells * sum(1 / q) repeat hits over the q
 # past n_cells // _DENSE_HITS, which is below a fifth of the round for every
 # block size.  The _MIN_PRIMES floor adds _MIN_PRIMES * _PRIME_BYTES bytes
-# per worker for small blocks.
+# for small blocks.
 _CELL_BYTES = 4
 _CELLS_PER_PRIME = 64
 _MIN_PRIMES = 4096
@@ -93,23 +93,17 @@ _PATTERN_CELLS = DEFAULT_SEGMENT_SIZE
 _PATTERN_STORE = 8
 
 
-def default_worker_count() -> int:
-    """Worker count from MOEBIUS_WORKERS, defaulting to 1."""
-    raw = os.environ.get("MOEBIUS_WORKERS")
-    if raw is None:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError("MOEBIUS_WORKERS must be a positive integer")
-    return count
-
-
 @dataclass(frozen=True)
 class SieveConfig:
-    """Segment size and worker count for streaming passes."""
+    """Segment size for streaming passes.
+
+    ``worker_count`` is validated and read by no code: every stream runs on
+    the caller's thread.  It stays while the benchmark harness
+    (``perfbench/worker.py``) passes it.
+    """
 
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    worker_count: int = field(default_factory=default_worker_count)
+    worker_count: int = 1
 
     def __post_init__(self) -> None:
         if self.segment_size < 64:
@@ -134,18 +128,16 @@ class SieveBlock:
 def segment_memory_estimate(config: SieveConfig) -> int:
     """Upper estimate (bytes) of the peak sieve working set for a config.
 
-    Counts the arrays each worker holds for its segment (``segment_size``
+    Counts the arrays a stream holds for its segment (``segment_size``
     cells of one wheel column and an int8 fold of 1/64 of that, both reused
     across segments and columns), the hit-list temporaries of the smallest
     round (one entry per prime, plus repeat hits that stay under a fifth of
     that), and the one pre-sieved pattern a pass reads (at most
-    ``_PATTERN_CELLS`` bytes, shared by its workers); the estimate is
-    independent of the range being streamed.  The shared prime table and
-    the other patterns of the store (at most ``_PATTERN_STORE - 1`` more)
-    are not included.
+    ``_PATTERN_CELLS`` bytes); the estimate is independent of the range
+    being streamed.  The shared prime table and the other patterns of the
+    store (at most ``_PATTERN_STORE - 1`` more) are not included.
     """
-    per_worker = config.segment_size * _CELL_BYTES + _MIN_PRIMES * _PRIME_BYTES
-    return config.worker_count * per_worker + _PATTERN_CELLS
+    return config.segment_size * _CELL_BYTES + _MIN_PRIMES * _PRIME_BYTES + _PATTERN_CELLS
 
 
 def _max_range(k: int) -> int:
@@ -421,28 +413,6 @@ def _block_sum(block: np.ndarray, fold: np.ndarray) -> int:
     return int(np.add.reduce(fold[:c], 0, np.int64)) + sum(block[head:].tolist())
 
 
-def _ordered_map(fn, items, workers: int):
-    """fn over items, results in input order, at most 2 * workers in flight.
-
-    ``concurrent.futures`` (and ``logging`` with it) is imported only here,
-    when a pool is started, so a process that never runs one pays nothing
-    for it.
-    """
-    if workers == 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for item in items:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
-
-
 def checked_checkpoints(checkpoints, x: int) -> list[int]:
     """The checkpoints as a list, once they are non-empty, ascending and in [1, x]."""
     cps = list(checkpoints)
@@ -468,9 +438,11 @@ def stream_sum(
     One streaming pass over [1, last checkpoint]; returns (checkpoint, sum)
     pairs in input order.  Checkpoints must be ascending (duplicates
     allowed) and <= x.
-    The result is exact and identical for every segment size and worker
-    count.  When 2 or 3 divides coprime_to, only the wheel columns coprime
-    to them are sieved, ``segment_size`` cells of each per segment.
+    The result is exact and identical for every segment size.  The segments
+    are sieved in ascending order on the caller's thread, into one block
+    and one fold allocated per call.  When 2 or 3 divides coprime_to, only
+    the wheel columns coprime to them are sieved, ``segment_size`` cells of
+    each per segment.
     """
     o = as_order(order)
     cfg = config or SieveConfig()
@@ -496,40 +468,31 @@ def stream_sum(
     cps_by_seg: dict[int, list[int]] = {}
     for cp in cps:
         cps_by_seg.setdefault((cp - 1) // span, []).append(cp)
-    buffers = threading.local()
+    block = np.empty(seg, dtype=np.int8)
+    fold = np.empty(seg // _FOLD_ROWS, dtype=np.int8)
 
-    def segment_result(t_lo: int):
-        if not hasattr(buffers, "block"):
-            buffers.block = np.empty(seg, dtype=np.int8)
-            buffers.fold = np.empty(seg // _FOLD_ROWS, dtype=np.int8)
+    results: list[tuple[int, int]] = []
+    running = 0
+    for t_lo in range(0, (top - 1) // wheel + 1, seg):
         here = cps_by_seg.get(t_lo // seg, ())
-        partials = [0] * len(here)
-        total = 0
+        partials = [running] * len(here)
         for c in columns:
             n_cells = min(seg, (top - c) // wheel + 1 - t_lo)
             if n_cells <= 0:
                 continue
-            block = buffers.block[:n_cells]
+            cells = block[:n_cells]
             lo = wheel * t_lo + c
-            _sieve_block(block, lo, o.k, o.m, pattern, primes, powers)
-            _mask_non_coprime(block, lo, wheel, mask_primes)
+            _sieve_block(cells, lo, o.k, o.m, pattern, primes, powers)
+            _mask_non_coprime(cells, lo, wheel, mask_primes)
             # Sum the block piece by piece between checkpoints; the cells
             # up to checkpoint X are those with t <= (X - c) // wheel.
             acc = 0
             start = 0
             for i, cp in enumerate(here):
                 stop = (cp - c) // wheel - t_lo + 1
-                acc += _block_sum(block[start:stop], buffers.fold)
+                acc += _block_sum(cells[start:stop], fold)
                 start = stop
                 partials[i] += acc
-            total += acc + _block_sum(block[start:], buffers.fold)
-        return total, zip(here, partials)
-
-    results: list[tuple[int, int]] = []
-    running = 0
-    for total, partials in _ordered_map(
-        segment_result, range(0, (top - 1) // wheel + 1, seg), cfg.worker_count
-    ):
-        results.extend((c, running + s) for c, s in partials)
-        running += total
+            running += acc + _block_sum(cells[start:], fold)
+        results.extend(zip(here, partials))
     return results

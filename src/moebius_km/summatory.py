@@ -18,10 +18,13 @@ taken by one batched count per query.  One walk (:func:`_walk`) enumerates
 the d of either, from the nonzero terms of its local factor; it divides
 once per prime, not once per d.
 
-Every Moebius value the module reads comes from one process-wide table,
-grown on demand like the prime table and never mutated: :func:`mu_range`
-returns a read-only prefix view of it, so a k-free count, a float partial
-sum or a later query slices the table instead of sieving its own.
+The Moebius values of the batched k-free counts and of the float partial
+sums come from one process-wide table, grown on demand like the prime
+table and never mutated: :func:`mu_range` returns a read-only prefix view
+of it, so a later query slices the table instead of sieving its own.  The
+small table of k-free counts (:func:`_small_table`) is the exception: it
+evaluates :func:`~moebius_km.functions.mu` pointwise for its few
+e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.
 
 Float-valued partial sums (L_n, the 1/psi_k sums) accumulate in ascending
 r via a cumulative sum, so results are reproducible bit-for-bit.
@@ -177,6 +180,10 @@ class _KFreeCounts:
             mus = mus.copy()
             _zero_non_coprime(mus, n)
         e = np.flatnonzero(mus)
+        # The weights stay int8.  int64 weights would save about 17 us per
+        # batched count, but add 7 bytes for each of the ~20.4M nonzero
+        # mu(e) at the k = 2 top: about 140 MB on top of the 236 MiB that
+        # the (2,3) edge query peaks at, past CI's 300 MiB guard.
         self._sign = mus[e]
         self._ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62
 

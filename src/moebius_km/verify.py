@@ -247,7 +247,11 @@ def check_constants_identity(
 
 
 def _check_sums_up_to(limit: int) -> SuiteResult:
-    return check_sum_agreement([10**e for e in range(3, 8) if 10**e <= max(limit, 10**3)])
+    """check_sum_agreement at every power of ten from 1e3 up to the limit (at least 1e3)."""
+    xs = [10**3]
+    while xs[-1] * 10 <= limit:
+        xs.append(xs[-1] * 10)
+    return check_sum_agreement(xs)
 
 
 # Each suite's check and its default input size, in the order of ``--suite all``.

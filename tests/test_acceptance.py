@@ -159,27 +159,27 @@ def test_criterion_10_coprime_main_term():
 
 def test_criterion_11_performance_and_determinism():
     budget = 64 * 2**20
-    cfg1 = SieveConfig(segment_size=1 << 20, worker_count=1)
-    cfg4 = SieveConfig(segment_size=1 << 20, worker_count=4)
-    estimate = segment_memory_estimate(cfg4)
+    large = SieveConfig(segment_size=1 << 20)
+    small = SieveConfig(segment_size=1 << 16)
+    estimate = segment_memory_estimate(large)
     assert estimate <= budget
     start = time.perf_counter()
-    s1 = stream_sum(10**8, (2, 3), config=cfg1)[0][1]
+    s_small = stream_sum(10**8, (2, 3), config=small)[0][1]
     mid = time.perf_counter()
     tracemalloc.start()
     try:
-        s4 = stream_sum(10**8, (2, 3), config=cfg4)[0][1]
+        s_large = stream_sum(10**8, (2, 3), config=large)[0][1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     done = time.perf_counter()
-    assert s1 == s4
+    assert s_small == s_large
     assert peak <= estimate, (peak, estimate)
     _report(
         11,
         "performance",
-        f"S(1e8)={s1}, 1-thread {mid - start:.2f}s, 4-thread traced {done - mid:.2f}s, "
-        f"peak={peak / 2**20:.1f}MiB<=estimate={estimate / 2**20:.0f}MiB<=64MiB",
+        f"S(1e8)={s_large}, segment 2^16 {mid - start:.2f}s, segment 2^20 traced "
+        f"{done - mid:.2f}s, peak={peak / 2**20:.1f}MiB<=estimate={estimate / 2**20:.0f}MiB<=64MiB",
     )
 
 

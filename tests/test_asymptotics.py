@@ -131,7 +131,7 @@ class TestScan:
             stream=lambda x, o, n, cps, config: zeros(cps),
             conv=lambda cps, o, n: zeros(cps),
         )
-        config = SieveConfig(worker_count=1)
+        config = SieveConfig(segment_size=1 << 16)
         top = _conv_limit(2)
         for cps in ([10**3, top], [10**3, top + 1], [top + 1]):
             scan((2, 3), coprime_to=30, checkpoints=cps, prime_limit=10**4, config=config)

@@ -8,7 +8,7 @@ import moebius_km.cli as cli
 import moebius_km.verify as verify_mod
 from moebius_km.asymptotics import FitResult, ScanRow
 from moebius_km.constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL
-from moebius_km.sieve import SieveConfig, default_worker_count
+from moebius_km.sieve import SieveConfig
 
 
 def run(capsys, *argv):
@@ -266,14 +266,18 @@ class TestBench:
         assert code == 1 and "1e6" in err
 
     def test_report_line(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--x", "1e6", "--segment", "1e5", "--threads", "2"
-        )
+        code, out, _ = run(capsys, "bench", "--x", "1e6", "--segment", "1e5")
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 1
-        assert "elapsed=" in lines[0] and "segment_memory=" in lines[0]
+        assert lines[0].startswith("x=1000000 segment=100000 elapsed=")
+        assert "segment_memory=" in lines[0] and "threads" not in lines[0]
         assert lines[0].endswith(" sum=535895")
+
+    def test_threads_flag_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--x", "1e6", "--threads", "2")
+        assert (code, out) == (1, "")
+        assert "--threads" in err
 
 
 COMMANDS = ("eval", "sum", "constants", "scan", "verify", "bench")
@@ -317,8 +321,7 @@ class TestContracts:
         assert (args.tol, args.prime_limit) == (DEFAULT_TOL, DEFAULT_PRIME_LIMIT)
         assert args.m is None
 
-    def test_bench_segment_defaults_to_sieve_config(self, monkeypatch):
-        monkeypatch.delenv("MOEBIUS_WORKERS", raising=False)
+    def test_bench_segment_defaults_to_sieve_config(self):
         args = cli.build_parser().parse_args(["bench", "--x", "1e6"])
         assert args.segment == SieveConfig().segment_size
 
@@ -379,18 +382,3 @@ class TestContracts:
                 for r in rows
             ]
             assert cli.rows_to_lines(rows, mode, "csv") == want
-
-    def test_parser_does_not_read_worker_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOEBIUS_WORKERS", "0")
-        code, out, _ = run(capsys, "eval", "--k", "2", "--m", "3", "--n", "8")
-        assert (code, out) == (0, "-1\n")
-
-
-class TestEnvironment:
-    def test_worker_env(self, monkeypatch):
-        monkeypatch.setenv("MOEBIUS_WORKERS", "3")
-        assert default_worker_count() == 3
-        assert SieveConfig().worker_count == 3
-        monkeypatch.setenv("MOEBIUS_WORKERS", "0")
-        with pytest.raises(ValueError):
-            default_worker_count()

@@ -145,7 +145,7 @@ def test_stream_sum_sieves_only_up_to_the_last_checkpoint(monkeypatch, coprime_t
         return block(out, lo, k, m, pattern, primes, powers)
 
     monkeypatch.setattr(sieve, "_sieve_block", counting)
-    cfg = SieveConfig(segment_size=64, worker_count=1)
+    cfg = SieveConfig(segment_size=64)
     far = stream_sum(10**6, (2, 3), coprime_to, [500, 1000], cfg)
     far_calls, calls[:] = calls[:], []
     near = stream_sum(1000, (2, 3), coprime_to, [500, 1000], cfg)
@@ -154,18 +154,6 @@ def test_stream_sum_sieves_only_up_to_the_last_checkpoint(monkeypatch, coprime_t
     assert far_calls == calls and 0 < len(calls) <= 1000 // 64 + 1
     with pytest.raises(ValueError):
         stream_sum(999, (2, 3), coprime_to, [1000], cfg)  # still checked against x
-
-
-def test_segment_and_worker_independence():
-    checkpoints = [1000, 10**4 + 1, 10**5]
-    reference = None
-    for segment_size in (64, 4096, 1 << 20):
-        for workers in (1, 4):
-            cfg = SieveConfig(segment_size=segment_size, worker_count=workers)
-            got = stream_sum(10**5, (2, 3), 6, checkpoints, cfg)
-            if reference is None:
-                reference = got
-            assert got == reference, (segment_size, workers)
 
 
 def _assert_blocks_match_pointwise(lo, hi, orders, segment_size):
@@ -228,7 +216,7 @@ def test_domain_limit_per_k():
 
 
 def test_stream_sum_memory_independent_of_segment_count():
-    cfg = SieveConfig(segment_size=1024, worker_count=2)
+    cfg = SieveConfig(segment_size=1024)
     stream_sum(3000 * 1024, (3, 4), config=cfg)  # warm the prime table
 
     def peak(n_segments):
@@ -248,14 +236,14 @@ def test_stream_sum_memory_independent_of_segment_count():
 def test_block_peak_within_per_worker_estimate(coprime_primes, segment_size):
     # Near 2**61 every round of the hit-list pass is full, including the
     # _MIN_PRIMES floor of small blocks: the block, the int8 fold and the
-    # kernel's temporaries must fit one worker's share of the estimate.
+    # kernel's temporaries must fit the estimate less its pattern.
     k, m = 3, 4
     pattern = sieve._pattern(k, m, coprime_primes)
     lo = 2**61 + 1
     hi = lo + pattern.wheel * (segment_size - 1)
     primes, powers = sieve._kernel_primes(iroot(hi, k), k, pattern)
     assert len(primes) > 4 * sieve._MIN_PRIMES
-    share = segment_memory_estimate(SieveConfig(segment_size, 1)) - sieve._PATTERN_CELLS
+    share = segment_memory_estimate(SieveConfig(segment_size)) - sieve._PATTERN_CELLS
     tracemalloc.start()
     try:
         block = np.empty(segment_size, dtype=np.int8)
@@ -288,8 +276,7 @@ def test_qk_values_are_indicator():
 
 
 def test_memory_estimate_within_budget():
-    cfg = SieveConfig(segment_size=1 << 20, worker_count=4)
-    assert segment_memory_estimate(cfg) <= 64 * 2**20
+    assert segment_memory_estimate(SieveConfig()) <= 64 * 2**20
 
 
 
@@ -606,14 +593,16 @@ def test_block_sum_matches_int_sum():
     assert sieve._block_sum(piece[5:], fold[: len(piece[5:]) // sieve._FOLD_ROWS]) == 5 - (1 << 20)
 
 
-@pytest.mark.parametrize("coprime_to", [1, 30])
+@pytest.mark.parametrize("coprime_to", [1, 6, 30])
 def test_stream_sum_identical_across_segments_and_workers(coprime_to):
-    checkpoints = [1, 1054, 99_999, 5 * 10**5, 6 * 10**5]
+    # worker_count is validated and read by no code; the benchmark harness
+    # still passes values above 1, which must change no sum.
+    checkpoints = [1, 1000, 1054, 10**4 + 1, 99_999, 10**5, 5 * 10**5, 6 * 10**5]
     results = {
         (seg, workers): stream_sum(
             6 * 10**5, (2, 3), coprime_to, checkpoints, SieveConfig(seg, workers)
         )
-        for seg in (64, 1000, 1 << 16, 1 << 20)
+        for seg in (64, 1000, 4096, 1 << 16, 1 << 20)
         for workers in (1, 2)
     }
     assert len(set(map(tuple, results.values()))) == 1, results
@@ -644,7 +633,7 @@ def test_repeat_hits_peak_within_per_worker_estimate(segment_size):
     hi = lo + segment_size - 1
     primes, powers = sieve._kernel_primes(iroot(hi, k), k, pattern)
     assert len(primes) > 4 * max(sieve._MIN_PRIMES, segment_size // sieve._CELLS_PER_PRIME)
-    share = segment_memory_estimate(SieveConfig(segment_size, 1)) - sieve._PATTERN_CELLS
+    share = segment_memory_estimate(SieveConfig(segment_size)) - sieve._PATTERN_CELLS
     tracemalloc.start()
     try:
         block = np.empty(segment_size, dtype=np.int8)
@@ -658,27 +647,23 @@ def test_repeat_hits_peak_within_per_worker_estimate(segment_size):
     assert block.tolist()[:200] == [mu_km(r, (k, m)) for r in range(lo, lo + 200)]
 
 
-_POOL_ON_DEMAND = """
+_IMPORT_AND_STREAM = """
 import sys
 import moebius_km
 assert "concurrent.futures" not in sys.modules, "imported with the package"
 from moebius_km.sieve import SieveConfig, stream_sum
 cps = [10**5, 3 * 10**5, 10**6]
-one = stream_sum(10**6, (2, 3), 30, cps, SieveConfig(segment_size=1 << 16, worker_count=1))
-assert "concurrent.futures" not in sys.modules, "imported by a 1-worker stream"
-two = stream_sum(10**6, (2, 3), 30, cps, SieveConfig(segment_size=1 << 16, worker_count=2))
-assert "concurrent.futures" in sys.modules
-assert one == two, (one, two)
+stream_sum(10**6, (2, 3), 30, cps, SieveConfig(segment_size=1 << 16, worker_count=2))
+assert "concurrent.futures" not in sys.modules, "imported by a stream"
 """
 
 
-def test_thread_pool_imported_only_when_started():
+def test_import_and_stream_never_import_concurrent_futures():
     # A fresh interpreter: this test process has long imported concurrent.futures.
     src = os.path.dirname(os.path.dirname(sieve.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("MOEBIUS_WORKERS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", _POOL_ON_DEMAND], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", _IMPORT_AND_STREAM], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import pytest
 from moebius_km.sieve import _max_range
 from moebius_km.verify import (
     SUITES,
+    SuiteResult,
     check_apostol_agreement,
     check_constants_identity,
     check_convolution_identity,
@@ -39,6 +40,24 @@ def test_run_suite_dispatch():
     assert all(r.ok for r in results)
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize(
+    "limit, xs",
+    [(1, [10**3]), (99_999, [10**3, 10**4]), (10**8, [10**3, 10**4, 10**5, 10**6, 10**7, 10**8])],
+)
+def test_sums_suite_checks_every_power_of_ten_up_to_the_limit(monkeypatch, limit, xs):
+    import moebius_km.verify as verify_mod
+
+    seen = []
+
+    def spy(grid):
+        seen.append(list(grid))
+        return SuiteResult("sums", len(grid), 0)
+
+    monkeypatch.setattr(verify_mod, "check_sum_agreement", spy)
+    assert run_suite("sums", limit)[0].ok
+    assert seen == [xs]
 
 
 def test_failure_reports_first_counterexample(monkeypatch):
