@@ -46,6 +46,7 @@ callers that stream from threads of their own.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -413,9 +414,17 @@ def _block_sum(block: np.ndarray, fold: np.ndarray) -> int:
     return int(np.add.reduce(fold[:c], 0, np.int64)) + sum(block[head:].tolist())
 
 
+def checked_int(value, name: str) -> int:
+    """``value`` as an int; a float such as 10.5 raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def checked_checkpoints(checkpoints, x: int) -> list[int]:
-    """The checkpoints as a list, once they are non-empty, ascending and in [1, x]."""
-    cps = list(checkpoints)
+    """The checkpoints as a list of ints, once they are non-empty, ascending and in [1, x]."""
+    cps = [checked_int(c, "checkpoint") for c in checkpoints]
     if not cps:
         raise ValueError("checkpoints must be non-empty")
     for a, b in zip(cps, cps[1:]):

@@ -2,27 +2,29 @@
 
 The headline sum S(x; n) = sum_{r <= x, gcd(r,n)=1} mu_{k,m}(r) is computed
 two independent ways: a streaming sieve pass (:func:`sum_direct`) and the
-divisor-convolution route (:func:`sum_convolution`).  The two must agree
-exactly on every input, which is the library's strongest self-check.
-:func:`convolution_sums` is the convolution route for a whole ascending
-grid of x, sharing one walk and its tables.
+divisor-convolution route.  The two must agree exactly on every input,
+which is the library's strongest self-check.  The convolution route is one
+engine, :func:`convolution_sums`, for one x or an ascending grid of x
+sharing one walk and its tables; :func:`sum_convolution` is that engine at
+one checkpoint.
 
-The convolution route has one engine per regime, picked by m == k alone.
-For Apostol's mu_k (m = k), mu_{k,k} = 1 * h with h(p^k) = -2,
+The engine has one factorisation per regime, picked by m == k alone.  For
+Apostol's mu_k (m = k), mu_{k,k} = 1 * h with h(p^k) = -2,
 h(p^(k+1)) = +1 and h = 0 at every other exponent, so S(x; n) sums
 h(d) * C_n(x // d) over the k-full d coprime to n, C_n(y) =
 #{t <= y : gcd(t, n) = 1}: no k-free count and no Moebius table.  For
 m > k, mu_{k,m} = q_k * g with g supported on the m-full d, and S sums
-g(d) * Q_k(x // d, n) over k-free counts, the floors above a small table
-taken by one batched count per query.  One walk (:func:`_walk`) enumerates
-the d of either, from the nonzero terms of its local factor; it divides
-once per prime, not once per d.
+g(d) * Q_k(x // d, n) over k-free counts: a small table up to
+``_TABLE_TOP``, and one :func:`qk_count` call over every larger floor of
+the query, the checkpoints among them.  One walk (:func:`_walk`)
+enumerates the d of either, from the nonzero terms of its local factor;
+it divides once per prime, not once per d.
 
-The Moebius values of the batched k-free counts and of the float partial
-sums come from one process-wide table, grown on demand like the prime
-table and never mutated: :func:`mu_range` returns a read-only prefix view
-of it, so a later query slices the table instead of sieving its own.  The
-small table of k-free counts (:func:`_small_table`) is the exception: it
+The Moebius values of the k-free counts and of the float partial sums come
+from one process-wide table, grown on demand like the prime table and
+never mutated: :func:`mu_range` returns a read-only prefix view of it, so
+a later query slices the table instead of sieving its own.  The small
+table of k-free counts (:func:`_small_table`) is the exception: it
 evaluates :func:`~moebius_km.functions.mu` pointwise for its few
 e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -51,7 +54,7 @@ from .constants import (
 )
 from .functions import OrderPair, as_order, mu, psi_k
 from .primes import iroot, prime_list_up_to, primes_up_to
-from .sieve import MAX_RANGE, checked_checkpoints, stream_sum
+from .sieve import MAX_RANGE, checked_checkpoints, checked_int, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
@@ -71,9 +74,9 @@ class SumQuery:
     coprime_to: int = 1
 
     def __post_init__(self) -> None:
-        if self.x < 1:
+        if checked_int(self.x, "x") < 1:
             raise ValueError("x must be >= 1")
-        if self.coprime_to < 1:
+        if checked_int(self.coprime_to, "coprime_to") < 1:
             raise ValueError("coprime_to must be >= 1")
 
 
@@ -122,30 +125,28 @@ def _zero_non_coprime(values: np.ndarray, n: int) -> None:
 def _staircase(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, f) -> np.ndarray:
     """sum of weights[j] * f(row // cols[j]) over the cols[j] <= row, for each row.
 
-    ``rows`` is an int64 array in any order, ``cols`` an ascending one and
-    ``f`` maps an int64 array of floors to one of the same shape, with
-    f(0) = 0.  The rows are taken from the largest down, in blocks of at
-    most ``_BLOCK`` (row, col) pairs that share the cols <= the block's
-    largest row: a smaller row's extra cols give row // col = 0, which f
-    maps to 0.  A row that alone needs more than ``_BLOCK`` pairs is split
-    over column chunks.  Each block folds into its rows by one matrix
-    product with the weights.
+    ``rows`` and ``cols`` are ascending int64 arrays and ``f`` maps an
+    int64 array of floors to one of the same shape, with f(0) = 0.  The
+    rows are taken from the largest down, in blocks of at most ``_BLOCK``
+    (row, col) pairs that share the cols <= the block's largest row: a
+    smaller row's extra cols give row // col = 0, which f maps to 0.  A
+    block stops at a row with less than an eighth of those cols, so one
+    large row, such as a checkpoint among its floors, does not make the
+    rows below it read all of its cols.  A row that alone needs more than
+    ``_BLOCK`` pairs is split over column chunks.  Each block folds into
+    its rows by one matrix product with the weights.
     """
-    order = np.argsort(rows)
-    rows = rows[order]
-    cuts = np.searchsorted(cols, rows, side="right")
+    cuts = np.searchsorted(cols, rows, side="right").tolist()
     sums = np.zeros(len(rows), dtype=np.int64)
     b = len(rows)
     while b and cuts[b - 1]:
-        cut = int(cuts[b - 1])
-        a = max(0, b - max(1, _BLOCK // cut))
+        cut = cuts[b - 1]
+        a = max(b - max(1, _BLOCK // cut), bisect_left(cuts, cut // 8, 0, b))
         for c in range(0, cut, _BLOCK):
             j = slice(c, min(c + _BLOCK, cut))
             sums[a:b] += f(rows[a:b, None] // cols[j]) @ weights[j]
         b = a
-    out = np.empty_like(sums)
-    out[order] = sums
-    return out
+    return sums
 
 
 def _coprime_counts(z: np.ndarray, divs: list[tuple[int, int]]) -> np.ndarray:
@@ -163,38 +164,6 @@ def _coprime_counts(z: np.ndarray, divs: list[tuple[int, int]]) -> np.ndarray:
     return w
 
 
-class _KFreeCounts:
-    """Q_k(y, n) for y <= top from mu(e), e <= top^(1/k), of the shared table.
-
-    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * C_n(y / e^k): one
-    :func:`_staircase` with the e^k as columns, mu(e) as weights and
-    :func:`_coprime_counts` as f.  The table's prefix is read-only and
-    shared by every caller, so for n > 1 the e coprime to n are taken from
-    a copy of it; n = 1 reads it as it is.
-    """
-
-    def __init__(self, top: int, n: int, k: int) -> None:
-        self._coprime = partial(_coprime_counts, divs=squarefree_divisors(n))
-        mus = mu_range(iroot(top, k))
-        if n > 1:
-            mus = mus.copy()
-            _zero_non_coprime(mus, n)
-        e = np.flatnonzero(mus)
-        # The weights stay int8.  int64 weights would save about 17 us per
-        # batched count, but add 7 bytes for each of the ~20.4M nonzero
-        # mu(e) at the k = 2 top: about 140 MB on top of the 236 MiB that
-        # the (2,3) edge query peaks at, past CI's 300 MiB guard.
-        self._sign = mus[e]
-        self._ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62
-
-    def counts(self, ys: np.ndarray) -> np.ndarray:
-        """Q_k(y, n) for each y of the int64 array ``ys`` (1 <= y <= top), in any order."""
-        return _staircase(ys, self._ek, self._sign, self._coprime)
-
-    def count(self, y: int) -> int:
-        return int(self.counts(np.array([y], dtype=np.int64))[0])
-
-
 def _small_table(top: int, n: int, k: int) -> np.ndarray:
     """Q_k(y, n) for y = 0..top as int64: mu(e) added on the multiples of e^k.
 
@@ -210,34 +179,45 @@ def _small_table(top: int, n: int, k: int) -> np.ndarray:
     return values.cumsum()
 
 
-def _kfree_values(y: np.ndarray, counts: _KFreeCounts, table: np.ndarray) -> np.ndarray:
-    """Q_k(y, n) for each y >= 0 of the int64 array ``y``, of any shape.
+def qk_count(x, n: int, k: int):
+    """Exact count of k-free r <= x with gcd(r, n) = 1, for an int x or each entry of an int64 array.
 
-    ``table[y]`` up to the table's end, and one batched ``counts`` call above it.
-    """
-    top = len(table) - 1
-    q = table[np.minimum(y, top)]
-    large = y > top
-    if large.any():
-        q[large] = counts.counts(y[large])
-    return q
-
-
-def qk_count(x: int, n: int, k: int) -> int:
-    """Exact count of k-free r <= x with gcd(r, n) = 1.
-
-    Uses Q_k(x, n) = sum_{d <= x^(1/k), gcd(d,n)=1} mu(d) * #{t <= x/d^k :
-    gcd(t, n) = 1}, evaluated with NumPy over one Moebius table; floors are
-    exact int64 arithmetic.  x is limited as in :func:`sum_convolution`.
+    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * C_n(y / e^k): one
+    :func:`_staircase` with the entries as rows, the e^k as columns, mu(e)
+    as weights and :func:`_coprime_counts` as f, over the e <= x^(1/k) of
+    the shared Moebius table, x the largest entry.  The entries come in any
+    order, may repeat and count 0 below 1; an array gives an int64 array in
+    its order.  The table's prefix is read-only, so for n > 1 the e coprime
+    to n are taken from a copy of it; n = 1 reads it as it is.  x is
+    limited as in :func:`convolution_sums`.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if x < 1:
-        return 0
-    _check_conv_domain(x, k)
-    return _KFreeCounts(x, n, k).count(x)
+    many = isinstance(x, np.ndarray)
+    top = int(x.max(initial=0)) if many else x
+    if top < 1:
+        return np.zeros(len(x), dtype=np.int64) if many else 0
+    _check_conv_domain(top, k)
+    mus = mu_range(iroot(top, k))
+    if n > 1:
+        mus = mus.copy()
+        _zero_non_coprime(mus, n)
+    e = np.flatnonzero(mus)
+    # The weights stay int8.  int64 weights would save about 17 us per
+    # count, but add 7 bytes for each of the ~20.4M nonzero mu(e)
+    # at the k = 2 top: about 140 MB on top of the 241 MiB that the (2,3)
+    # edge query peaks at, past CI's 300 MiB guard.
+    sign = mus[e]
+    ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62
+    ys = x if many else np.array([x], dtype=np.int64)
+    by_y = np.argsort(ys)
+    counts = np.empty_like(ys)
+    counts[by_y] = _staircase(
+        ys[by_y], ek, sign, partial(_coprime_counts, divs=squarefree_divisors(n))
+    )
+    return counts if many else int(counts[0])
 
 
 def sum_direct(q: SumQuery) -> int:
@@ -345,98 +325,83 @@ def convolution_sums(
 ) -> list[tuple[int, int]]:
     """(x, S(x; n)) for each checkpoint x, as :func:`stream_sum` returns them.
 
-    The route of :func:`sum_convolution`, with one walk to the largest x and
-    one f shared by every checkpoint: f(x) is the d = 1 term, then each walk
-    step is one :func:`_staircase` with the checkpoints as rows, the step's
-    sorted d as columns, w(d) as weights and f as f.  For m > k, f = Q_k
-    reads one small table up to ``_TABLE_TOP`` and one batched k-free
-    counter up to the largest x.  The int64 sums cannot wrap, by the bound
-    of :func:`sum_convolution`.  Cost: one pair per (x, d), and for m > k
-    about x^(1/k) floors per k-free count, so it beats the stream on sparse
-    grids and loses on very dense ones (the README's engine table).  The
-    checkpoints are ascending (duplicates allowed) and the largest is
-    limited as in :func:`sum_convolution`.
-    """
-    o = as_order(order)
-    if coprime_to < 1:
-        raise ValueError("coprime_to must be >= 1")
-    cps = checked_checkpoints(checkpoints, MAX_RANGE)
-    x, n = cps[-1], coprime_to
-    _check_conv_domain(x, o.k)
-    if o.m == o.k:
-        terms, f = _h_terms(o.k), partial(_coprime_counts, divs=squarefree_divisors(n))
-    else:
-        table = _small_table(min(x, _TABLE_TOP), n, o.k)
-        terms = _g_terms(x, o.k, o.m)
-        f = partial(_kfree_values, counts=_KFreeCounts(x, n, o.k), table=table)
-    xs = np.array(cps, dtype=np.int64)
-    sums = f(xs).copy()  # the d = 1 term; C_n(xs) for n = 1 is xs itself
-    for w, d in _walk(x, terms, _walk_primes(x, terms[0][0], n)):
-        order = np.argsort(d)
-        sums += _staircase(xs, d[order], w[order], f)
-    return list(zip(cps, sums.tolist()))
-
-
-def sum_convolution(q: SumQuery) -> int:
-    """S(x; n) by the independent convolution route: sum w(d) * F_n(x // d).
-
-    For a Dirichlet factorisation mu_{k,m} = f * w, S(x; n) sums w(d) times
-    F_n(x // d) = sum of f(t) over t <= x // d coprime to n, over the d
-    coprime to n: the indicator of gcd(r, n) = 1 is completely
-    multiplicative.  The route is picked by m == k alone:
+    The convolution route, for one x or a grid.  For a Dirichlet
+    factorisation mu_{k,m} = f * w, S(x; n) sums w(d) times F_n(x // d) =
+    sum of f(t) over t <= x // d coprime to n, over the d coprime to n: the
+    indicator of gcd(r, n) = 1 is completely multiplicative.  The
+    factorisation is picked by m == k alone:
 
     - m = k (Apostol's mu_k): mu_{k,k} = 1 * h (:func:`_h_terms`), so S sums
       h(d) * C_n(x // d) over the k-full d, C_n(y) = #{t <= y :
       gcd(t, n) = 1}.  It reads no k-free count and no Moebius table.
     - m > k: mu_{k,m} = q_k * g (:func:`_g_terms`), so S sums
-      g(d) * Q_k(x // d, n) over the m-full d.  The d = 1 term is
-      :func:`qk_count`.  For d > 1, x // d is at most x / p^m with p the
-      least prime not dividing n, and Q_k(y, n) is a table lookup for
-      y <= ``_TABLE_TOP`` and a batched signed sum over mu(e),
-      e <= (x / p^m)^(1/k), above it, both from the Moebius table of
-      :func:`mu_range`.
+      g(d) * Q_k(x // d, n) over the m-full d.  Q_k(y, n) is read from a
+      small table for y <= ``_TABLE_TOP``.  The d whose floors may pass
+      it are set aside, d = 1 for the checkpoints among them; after the
+      walk each is paired with the checkpoints whose floor passes the
+      table, and one :func:`qk_count` call counts all those floors, added
+      in exactly.
 
-    The d come from :func:`_walk`.  For m = k each walk step is one dot
-    product.  For m > k a step reads its floors x // d <= ``_TABLE_TOP``
-    from the table by one dot product and sets the larger ones aside with
-    their weights; after the walk one batched count over all of them
-    (:meth:`_KFreeCounts.counts`) is dotted with their weights.
-    The int64 dot products cannot wrap: a partial sum is at most
+    One walk (:func:`_walk`) to the largest x serves every checkpoint.  Each
+    step is one :func:`_staircase` with the checkpoints as rows, the step's
+    sorted d as columns, w(d) as weights and C_n, or the table, as f.  The
+    staircase and its sort exist for the checkpoints below some d: when
+    every checkpoint is x (one checkpoint), which no d exceeds, a step is
+    one dot product.  The int64 sums cannot wrap: a partial sum is at most
     x * sum |w(d)| / d.  For m = k that is x * prod_p (1 + 2p^-k + p^-(k+1)),
     below 2.48x for k = 2 and 1.47x for k >= 3; for m > k it is below 1.4x.
-    k = 2 ends x near 2^50 and k >= 3 at 2^62.
-    Cost: one entry per walk d, about c * x^(1/k) of them for m = k and
-    c * x^(1/m) for m > k, plus for m > k one staircase over the floors set
-    aside, with about x^(1/k) NumPy work and memory for its columns (and for
-    the Moebius table, the first time it reaches that size).  The one
-    ``_BLOCK`` budget, not x, bounds the walk's and the counts' temporaries;
-    the floors set aside are at most the m-full walk's entries.
+    Cost: one pair per (x, d), about c * x^(1/k) walk entries for m = k and
+    c * x^(1/m) for m > k, plus for m > k one count with about x^(1/k)
+    NumPy work and memory for its columns (and for the Moebius table, the
+    first time it reaches that size).  So it beats the stream on sparse
+    grids and loses on very dense ones (the README's engine table).  The
+    ``_BLOCK`` budget bounds the walk's and the staircases' temporaries;
+    the d set aside are at most the walk's, and their pairs are the floors
+    counted.  The checkpoints are ascending (duplicates allowed) integers,
+    the largest at most :func:`_conv_limit`: 2^62, and (2^25 + 1)^2 - 1
+    for k = 2.
     """
-    o = q.order
-    x, n = q.x, q.coprime_to
+    o = as_order(order)
+    if coprime_to < 1:
+        raise ValueError("coprime_to must be >= 1")
+    cps = checked_checkpoints(checkpoints, math.inf)  # the domain check names the limit
+    x, n = cps[-1], coprime_to
+    _check_conv_domain(x, o.k)
+    xs = np.array(cps, dtype=np.int64)
     if o.m == o.k:
-        _check_conv_domain(x, o.k)
-        total, divs = coprime_count(x, n), squarefree_divisors(n)
-        for w, d in _walk(x, _h_terms(o.k), _walk_primes(x, o.k, n)):
-            total += int(np.dot(w, _coprime_counts(x // d, divs)))
-        return total
-    total = qk_count(x, n, o.k)
-    primes = _walk_primes(x, o.m, n)
-    if not len(primes):
-        return total
-    rest = x // int(primes[0]) ** o.m
-    table = _small_table(min(rest, _TABLE_TOP), n, o.k)
-    floors, weights = [], []
-    for w, d in _walk(x, _g_terms(x, o.k, o.m), primes):
-        y = x // d
-        small = y <= _TABLE_TOP
-        total += int(np.dot(w[small], table[y[small]]))
-        floors.append(y[~small])
-        weights.append(w[~small])
-    if rest > _TABLE_TOP:
-        counts = _KFreeCounts(rest, n, o.k).counts(np.concatenate(floors))
-        total += int(np.dot(np.concatenate(weights), counts))
-    return total
+        terms, top, ws, ds = _h_terms(o.k), x, [], []
+        f = partial(_coprime_counts, divs=squarefree_divisors(n))
+    else:
+        terms, top = _g_terms(x, o.k, o.m), min(x, _TABLE_TOP)
+        # Q_k from the small table; the floors above top clip to an appended 0.
+        f = partial(np.take, np.append(_small_table(top, n, o.k), 0), mode="clip")
+        # d = 1 with w(1) = 1: the checkpoints above top are counted with the floors.
+        ws, ds = [np.ones(1, dtype=np.int64)], [np.ones(1, dtype=np.int64)]
+    sums = f(xs).copy()  # d = 1 up to top; C_n(xs) for n = 1 is xs itself
+    reach = x // (top + 1)  # a floor x // d passes top only for d <= reach
+    for w, d in _walk(x, terms, _walk_primes(x, terms[0][0], n)):
+        if cps[0] < x:  # a checkpoint below x may lie below some d
+            by_d = np.argsort(d)
+            sums += _staircase(xs, d[by_d], w[by_d], f)
+        else:  # every checkpoint is x, which no d exceeds: one dot product
+            sums += f(x // d) @ w
+        if reach:
+            near = d <= reach
+            ws.append(w[near])
+            ds.append(d[near])
+    if ws:
+        w, d = np.concatenate(ws), np.concatenate(ds)
+        first = np.searchsorted(xs // (top + 1), d)  # the rows from here on have xs // d > top
+        counts = len(xs) - first
+        rows = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        w, d = np.repeat(w, counts), np.repeat(d, counts)
+        np.add.at(sums, rows, w * qk_count(xs[rows] // d, n, o.k))
+    return list(zip(cps, sums.tolist()))
+
+
+def sum_convolution(q: SumQuery) -> int:
+    """S(x; n) by the convolution route: :func:`convolution_sums` at the one checkpoint x."""
+    return convolution_sums([q.x], q.order, q.coprime_to)[0][1]
 
 
 def _main_value(

@@ -19,7 +19,7 @@ from .constants import DEFAULT_TOL, alpha, apostol_A, identity_gap, zeta
 from .functions import OrderPair, as_order, mu, mu_apostol, mu_km, psi_k
 from .primes import iroot
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, _max_range, sieve_mu_km, sieve_qk, stream_sum
-from .summatory import SumQuery, _KFreeCounts, convolution_sums, qk_count, sum_convolution
+from .summatory import SumQuery, convolution_sums, qk_count, sum_convolution
 
 DEFAULT_ORDERS = (
     OrderPair(2, 2),
@@ -175,8 +175,7 @@ def check_psi_divisor_identity(limit: int, ks=(2, 3, 4, 5)) -> SuiteResult:
 def check_qk_count(limit: int, ns=(1, 2, 6, 30, 210), ks=(2, 3)) -> SuiteResult:
     """Formula-based k-free coprime counts match brute-force sieve counts.
 
-    Each (n, k) counts every x < limit in one batched call; the public
-    ``qk_count`` is called once per pair, at x = limit.
+    Each (n, k) counts every x in 1..limit by one ``qk_count`` call on an array.
     """
     checked = 0
     for k in ks:
@@ -186,8 +185,7 @@ def check_qk_count(limit: int, ns=(1, 2, 6, 30, 210), ks=(2, 3)) -> SuiteResult:
             for p, _ in factorize(n).factors:
                 vals[p - 1 :: p] = 0
             brute = np.cumsum(vals)
-            got = _KFreeCounts(limit, n, k).counts(np.arange(1, limit, dtype=np.int64))
-            got = np.append(got, qk_count(limit, n, k))
+            got = qk_count(np.arange(1, limit + 1, dtype=np.int64), n, k)
             bad = np.flatnonzero(got != brute)
             if len(bad):
                 x = int(bad[0]) + 1
@@ -206,8 +204,9 @@ def check_sum_agreement(
 ) -> SuiteResult:
     """Streaming sums equal convolution sums exactly on a grid of inputs.
 
-    Each x is checked against ``sum_convolution`` and against the
-    ``convolution_sums`` walk shared by the whole grid.
+    The stream is the independent route.  ``conv`` and ``shared`` are the
+    one convolution engine, at each x alone (``sum_convolution``) and at
+    the whole grid (``convolution_sums``); both must equal the stream.
     """
     xs = sorted(xs)
     checked = 0
@@ -222,8 +221,9 @@ def check_sum_agreement(
                 if not s_direct == s_conv == s_shared:
                     return SuiteResult(
                         "sums", checked, 1,
-                        f"x={x} order=({o.k},{o.m}) n={n}: direct={s_direct} conv={s_conv}"
-                        f" shared={s_shared}",
+                        f"x={x} order=({o.k},{o.m}) n={n}: direct={s_direct} (stream);"
+                        f" conv={s_conv} shared={s_shared} (one convolution engine at this x"
+                        f" and at the grid)",
                     )
     return SuiteResult("sums", checked, 0)
 

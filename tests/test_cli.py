@@ -224,7 +224,7 @@ class TestVerify:
         assert "1200/1200 pass" in out  # 300 inputs x 4 orders
 
     def test_injected_fault_reports_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify_mod, "qk_count", lambda x, n, k: -1)
+        monkeypatch.setattr(verify_mod, "qk_count", lambda x, n, k: x * 0 - 1)
         code, out, _ = run(capsys, "verify", "--suite", "qk", "--limit", "50")
         assert code == 2
         assert "first:" in out

@@ -133,6 +133,10 @@ def test_stream_sum_checkpoint_validation():
         stream_sum(10, (2, 3), 1, [])
     with pytest.raises(ValueError):
         stream_sum(10, (2, 3), 0, [10])
+    with pytest.raises(ValueError, match="checkpoint must be an integer, got 10.5"):
+        stream_sum(20, (2, 3), 1, [10.5, 20])
+    with pytest.raises(ValueError, match="checkpoint must be an integer, got 20.0"):
+        stream_sum(20, (2, 3), 1, [10, 20.0])
 
 
 @pytest.mark.parametrize("coprime_to", [1, 6])

@@ -142,13 +142,21 @@ class TestSums:
         # A 1- or 5-pair block splits every walk frontier and every block's
         # rows and columns, in the sums and in the batched counts alike.
         # Duplicates, x = 1 and x below every walk d take the empty-prefix paths.
+        # At x = 8 (_TABLE_TOP + 1) the floor of d = 2^3 is the first above the table.
         monkeypatch.setattr(summatory, "_BLOCK", block)
         rng = random.Random(20261019)
+        edge = 8 * (_TABLE_TOP + 1)
         for k, m in ((2, 2), (2, 3), (3, 4), (4, 4)):
             for n in (1, 6, 30, 77):
-                xs = sorted([1, 1, 2, 7, 7, 64, 3000, 3000] + [rng.randint(1, 3 * 10**5) for _ in range(12)])
+                xs = sorted([1, 1, 2, 7, 7, 64, 3000, 3000, edge - 1, edge]
+                            + [rng.randint(1, 3 * 10**5) for _ in range(12)])
                 got = convolution_sums(xs, (k, m), n)
                 assert got == stream_sum(xs[-1], (k, m), n, xs), (k, m, n)
+                # Every checkpoint equal to x: each step is one dot product.
+                assert convolution_sums(xs[-1:] * 3, (k, m), n) == got[-1:] * 3, (k, m, n)
+                for x, s in dict(got).items():
+                    if x in (edge - 1, edge):
+                        assert sum_convolution(SumQuery(x, OrderPair(k, m), n)) == s, (x, k, m, n)
 
     def test_convolution_sums_on_a_geometric_grid(self):
         xs = sorted({round(10 ** (3 + i / 20)) for i in range(81)})
@@ -161,6 +169,10 @@ class TestSums:
         for bad in ([], [5, 4], [0, 3]):
             with pytest.raises(ValueError, match="checkpoints"):
                 convolution_sums(bad, (2, 3))
+        for bad, shown in (([10.5, 20], "10.5"), ([10, 20.0], "20.0"), ([np.float64(3), 20], "3.0")):
+            with pytest.raises(ValueError, match=f"checkpoint must be an integer, got .*{shown}"):
+                convolution_sums(bad, (2, 3))
+        assert convolution_sums([np.int64(10), 20], (2, 3)) == [(10, 6), (20, 12)]
         with pytest.raises(ValueError, match="coprime_to"):
             convolution_sums([10], (2, 3), 0)
         with pytest.raises(ValueError, match=f"limit {_conv_limit(2)} for k=2"):
@@ -168,7 +180,7 @@ class TestSums:
 
     @pytest.mark.parametrize("block", [1, 3, _BLOCK], ids=["1", "3", "default"])
     def test_staircase_matches_double_loop(self, monkeypatch, block):
-        # Unsorted rows with duplicates, rows below every col, and no rows.
+        # Ascending rows with duplicates, rows below every col, and no rows.
         monkeypatch.setattr(summatory, "_BLOCK", block)
         rng = random.Random(16)
 
@@ -177,24 +189,29 @@ class TestSums:
 
         cols = np.array(sorted(rng.sample(range(4, 400), 40)), dtype=np.int64)
         weights = np.array([rng.choice((-2, -1, 1, 3)) for _ in cols], dtype=np.int64)
-        rows = [rng.randint(1, 3000) for _ in range(50)] + [1, 3, 2999, 2999, 4, 4, 1]
-        rng.shuffle(rows)
-        for rs in (rows, [3, 1, 3], []):
+        rows = sorted([rng.randint(1, 3000) for _ in range(50)] + [1, 3, 2999, 2999, 4, 4, 1])
+        for rs in (rows, [1, 3, 3], [], [2999, 2999]):
             got = summatory._staircase(np.array(rs, dtype=np.int64), cols, weights, f)
             ref = [sum(int(w) * f(r // int(c)) for c, w in zip(cols, weights) if c <= r) for r in rs]
             assert got.tolist() == ref, rs
 
     def test_batched_counts_in_any_order(self, monkeypatch):
-        # Unsorted, repeated y over several blocks and column chunks.
+        # qk_count on an array: unsorted, repeated y, 1 and the top, over
+        # several blocks and column chunks; each entry is the scalar call.
         monkeypatch.setattr(summatory, "_BLOCK", 5)
         rng = random.Random(7)
         top = 3000
         for k in (2, 3):
             for n in (1, 6, 35):
-                ys = [rng.randint(1, top) for _ in range(60)] + [1, top, top]
-                got = summatory._KFreeCounts(top, n, k).counts(np.array(ys, dtype=np.int64))
+                ys = [rng.randint(1, top) for _ in range(60)] + [1, top, top, 1]
+                rng.shuffle(ys)
+                got = qk_count(np.array(ys, dtype=np.int64), n, k)
+                assert got.dtype == np.int64
                 ref = dict(stream_sum(top, (k, 12), n, sorted(set(ys))))
                 assert got.tolist() == [ref[y] for y in ys], (k, n)
+                assert got.tolist() == [qk_count(y, n, k) for y in ys], (k, n)
+        assert qk_count(np.array([0, 5, -3, 10]), 1, 2).tolist() == [0, 4, 0, 7]
+        assert qk_count(np.zeros(0, dtype=np.int64), 1, 2).tolist() == []
 
     def test_walk_memory_independent_of_x(self):
         # The walk expands at most _BLOCK pairs per step, so its peak grows
@@ -278,7 +295,7 @@ class TestSums:
         def forbidden(*args, **kwargs):
             raise AssertionError("the m = k route read a k-free count or the Moebius table")
 
-        for name in ("mu_range", "qk_count", "_KFreeCounts", "_small_table", "mu"):
+        for name in ("mu_range", "qk_count", "_small_table", "mu"):
             monkeypatch.setattr(summatory, name, forbidden)
         monkeypatch.setattr(summatory, "_BLOCK", block)
         for k, n, xs, ref in cases:
@@ -287,38 +304,41 @@ class TestSums:
                 assert sum_convolution(SumQuery(x, OrderPair(k, k), n)) == s, (x, k, n)
 
     def test_m_above_k_counts_through_qk_count_once(self, monkeypatch):
-        # The d = 1 term of the m > k route is one qk_count call.  The floors
-        # x // d above the table are counted by one batched call after the walk.
+        # An m > k query or grid makes one qk_count call, after the walk: its
+        # entries are the floors above the table, the checkpoints (d = 1)
+        # among them, and none when the largest checkpoint is within it.
         calls, events = [], []
-        count, walk, counts = summatory.qk_count, summatory._walk, summatory._KFreeCounts.counts
+        count, walk = summatory.qk_count, summatory._walk
 
-        def counted(*args):
-            calls.append(args)
-            return count(*args)
+        def counted(ys, n, k):
+            calls.append((sorted(ys.tolist()), n, k))
+            events.append("counted")
+            return count(ys, n, k)
 
         def walked(*args):
             yield from walk(*args)
             events.append("walked")
 
-        def batched(self, ys):
-            events.append(len(ys))
-            return counts(self, ys)
-
         monkeypatch.setattr(summatory, "qk_count", counted)
         monkeypatch.setattr(summatory, "_walk", walked)
-        monkeypatch.setattr(summatory._KFreeCounts, "counts", batched)
-        x, q = 10**6, SumQuery(10**6, OrderPair(2, 3), 6)
-        ys = np.concatenate([x // d for _, d in walk(
-            x, summatory._g_terms(x, 2, 3), summatory._walk_primes(x, 3, 6))])
-        # Every floor is at most x / 5^3 = 8000: with a 2^13 table none is counted.
-        for top in (1 << 13, _TABLE_TOP, 16):
-            monkeypatch.setattr(summatory, "_TABLE_TOP", top)
-            calls.clear()
-            events.clear()
-            floors = int((ys > top).sum())
-            assert sum_convolution(q) == 300659
-            assert calls == [(x, 6, 2)]
-            assert events == [1, "walked"] + ([floors] if floors else []), top
+        n, (k, m) = 6, (2, 3)
+        ds = np.concatenate([d for _, d in walk(
+            10**6, summatory._g_terms(10**6, k, m), summatory._walk_primes(10**6, m, n))])
+        for xs in ([10**6], [5000, 2 * 10**5, 10**6], [10, 1000]):
+            ref = stream_sum(xs[-1], (k, m), n, xs)
+            # Every floor is at most 10^6 / 5^3 = 8000: with a 2^13 table none is counted.
+            for top in (1 << 13, _TABLE_TOP, 16):
+                monkeypatch.setattr(summatory, "_TABLE_TOP", top)
+                calls.clear()
+                events.clear()
+                floors = [int(y) for x in xs for y in (x, *(x // ds)) if y > min(top, xs[-1])]
+                assert convolution_sums(xs, (k, m), n) == ref, (xs, top)
+                assert calls == [(sorted(floors), n, k)], (xs, top)
+                assert events == ["walked", "counted"], (xs, top)
+        monkeypatch.setattr(summatory, "_TABLE_TOP", _TABLE_TOP)
+        calls.clear()
+        assert sum_convolution(SumQuery(10**6, OrderPair(k, m), n)) == 300659
+        assert len(calls) == 1
 
     def test_convolution_independent_of_sieve(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -354,6 +374,10 @@ class TestSums:
             SumQuery(0, OrderPair(2, 3))
         with pytest.raises(ValueError):
             SumQuery(10, OrderPair(2, 3), 0)
+        with pytest.raises(ValueError, match="x must be an integer, got 10.5"):
+            SumQuery(10.5, OrderPair(2, 3))
+        with pytest.raises(ValueError, match="coprime_to must be an integer, got 6.0"):
+            SumQuery(10, OrderPair(2, 3), 6.0)
 
 
 @pytest.fixture
@@ -395,9 +419,11 @@ class TestSharedMuTable:
     def test_kfree_counts_leave_table_intact(self, mu_sieves):
         top = 3000**2
         before = mu_range(4000).tobytes()
-        counts = summatory._KFreeCounts(top, 30, 2)
+        ys = [top, 10**6, 1, top // 7]
+        got = qk_count(np.array(ys, dtype=np.int64), 30, 2)
         assert summatory._mu_state[1].tobytes() == before
-        assert counts.count(top) == stream_sum(top, (2, 24), 30)[0][1]
+        ref = dict(stream_sum(top, (2, 24), 30, sorted(ys)))
+        assert got.tolist() == [ref[y] for y in ys]
 
     def test_kfree_counts_for_n_one_read_the_table_uncopied(self, monkeypatch, mu_sieves):
         # n = 1 has nothing to zero, so the read-only prefix is used as it is.
@@ -406,8 +432,11 @@ class TestSharedMuTable:
 
         monkeypatch.setattr(summatory, "_zero_non_coprime", forbidden)
         top = 3000**2
-        counts = summatory._KFreeCounts(top, 1, 2)
-        assert counts.count(top) == stream_sum(top, (2, 24), 1)[0][1]
+        ys = [top, 1, top // 7]
+        got = qk_count(np.array(ys, dtype=np.int64), 1, 2)
+        ref = dict(stream_sum(top, (2, 24), 1, sorted(ys)))
+        assert got.tolist() == [ref[y] for y in ys]
+        assert qk_count(top, 1, 2) == ref[top]
         assert mu_range(3000).tolist() == _pointwise_mu(3000)
 
     def test_concurrent_growth_from_empty(self, monkeypatch, mu_sieves):
