@@ -16,16 +16,18 @@ h(d) * C_n(x // d) over the k-full d coprime to n, C_n(y) =
 m > k, mu_{k,m} = q_k * g with g supported on the m-full d, and S sums
 g(d) * Q_k(x // d, n) over k-free counts: a small table up to
 ``_TABLE_TOP``, and one :func:`qk_count` call over every larger floor of
-the query, the checkpoints among them.  One walk (:func:`_walk`)
-enumerates the d of either, from the nonzero terms of its local factor;
-it divides once per prime, not once per d.
+the query, the checkpoints among them.  That count splits its pairs by
+the hyperbola method, about y^(1/(k+1)) terms a floor y.  One walk
+(:func:`_walk`) enumerates the d of either, from the nonzero terms of its
+local factor; it divides once per prime, not once per d.
 
 The Moebius values of the k-free counts and of the float partial sums come
 from one process-wide table, grown on demand like the prime table and
 never mutated: :func:`mu_range` returns a read-only prefix view of it, so
-a later query slices the table instead of sieving its own.  The small
-table of k-free counts (:func:`_small_table`) is the exception: it
-evaluates :func:`~moebius_km.functions.mu` pointwise for its few
+a later query slices the table instead of sieving its own; a count sums
+it into the Mertens values it reads.  The small table of k-free counts
+(:func:`_small_table`) is the exception: it evaluates
+:func:`~moebius_km.functions.mu` pointwise for its few
 e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.
 
 Float-valued partial sums (L_n, the 1/psi_k sums) accumulate in ascending
@@ -36,14 +38,14 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from .arith import as_factored, squarefree_divisors
+from .arith import FactoredInteger, as_factored, squarefree_divisors
 from .constants import (
     DEFAULT_PRIME_LIMIT,
     DEFAULT_TOL,
@@ -58,7 +60,8 @@ from .sieve import MAX_RANGE, checked_checkpoints, checked_int, stream_sum
 
 _ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
-_BLOCK = 1 << 13  # pairs per NumPy step: walk (node, prime), staircase (row, col)
+_PERIOD_CAP = 1 << 16  # largest rad(n) whose C_n is read from one period
+_BLOCK = 1 << 13  # pairs per NumPy step: walk (node, prime), staircase and count (row, col)
 
 _mu_lock = threading.Lock()
 # (top, mu(0..top) as read-only int8) — replaced wholesale, never mutated.
@@ -102,10 +105,11 @@ def coprime_count(z, n: int) -> int:
 def _conv_limit(k: int) -> int:
     """Largest x the convolution route accepts for order k, whatever m.
 
-    Its floors are int64, so x <= 2^62, and for m > k it reads mu(e) for
-    e <= x^(1/k) from the shared table of :func:`mu_range`, capped at
-    ``_ARRAY_CAP``; for k = 2 that ends x at (2^25 + 1)^2 - 1.  The m = k
-    route reads no table but keeps the same limit.
+    Its floors are int64, so x <= 2^62, and for m > k its k-free counts
+    read the Mertens values M_n(z) for z <= x^(1/k), summed from the shared
+    table of :func:`mu_range`, capped at ``_ARRAY_CAP``; for k = 2 that
+    ends x at (2^25 + 1)^2 - 1.  The m = k route reads no table but keeps
+    the same limit.
     """
     return min(MAX_RANGE, (_ARRAY_CAP + 1) ** k - 1)
 
@@ -149,11 +153,30 @@ def _staircase(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, f) -> np
     return sums
 
 
-def _coprime_counts(z: np.ndarray, divs: list[tuple[int, int]]) -> np.ndarray:
-    """C_n(z) = #{t <= z : gcd(t, n) = 1} for each z of the int64 array ``z``.
+def _coprime_counter(n: int | FactoredInteger):
+    """The map z -> C_n(z) = #{t <= z : gcd(t, n) = 1} on int64 arrays of z >= 0.
 
-    ``divs`` is :func:`squarefree_divisors` of n; inclusion-exclusion over
-    them.  For n = 1 the result is ``z`` itself, not a copy.
+    Inclusion-exclusion over the squarefree divisors of n costs 2^omega(n) - 1
+    floors an entry.  With N = rad(n), C_n(z) = phi(N) (z // N) + C_n(z mod N):
+    one floor and one lookup in C_n over [0, N), cheaper once n has two primes.
+    That form is taken while N <= ``_PERIOD_CAP``.  For n = 1 the map returns z
+    itself, not a copy.
+    """
+    fn = as_factored(n)
+    rad = math.prod(p for p, _ in fn.factors)
+    if len(fn.factors) < 2 or rad > _PERIOD_CAP:
+        return partial(_coprime_counts, divs=squarefree_divisors(fn))
+    coprime = np.ones(rad, dtype=np.int64)
+    for p, _ in fn.factors:
+        coprime[::p] = 0
+    return partial(_periodic_counts, rad=rad, period=np.cumsum(coprime))
+
+
+def _coprime_counts(z: np.ndarray, divs: list[tuple[int, int]]) -> np.ndarray:
+    """C_n(z) for each z of ``z``, by inclusion-exclusion over ``divs``.
+
+    ``divs`` is :func:`squarefree_divisors` of n.  For n = 1 the result is
+    ``z`` itself, not a copy.
     """
     if len(divs) == 1:
         return z
@@ -162,6 +185,15 @@ def _coprime_counts(z: np.ndarray, divs: list[tuple[int, int]]) -> np.ndarray:
         np.floor_divide(z, d, out=part)
         (np.add if s > 0 else np.subtract)(w, part, out=w)
     return w
+
+
+def _periodic_counts(z: np.ndarray, rad: int, period: np.ndarray) -> np.ndarray:
+    """C_n(z) for each z of ``z``, ``period`` = C_n(0..rad - 1) and rad = rad(n)."""
+    q = z // rad
+    counts = period[z - q * rad]
+    q *= int(period[-1])  # phi(rad)
+    counts += q
+    return counts
 
 
 def _small_table(top: int, n: int, k: int) -> np.ndarray:
@@ -179,16 +211,54 @@ def _small_table(top: int, n: int, k: int) -> np.ndarray:
     return values.cumsum()
 
 
+def _iroots(z: np.ndarray, k: int, top: int) -> np.ndarray:
+    """floor(z^(1/k)) for each entry of the int64 array ``z``, all in [0, top], top <= 2^62.
+
+    For k = 2 the float square root is correctly rounded, so its floor is
+    exact below 2^52, past the whole k = 2 domain.  For k >= 3 the float
+    root (relative error below 2^-47) raised by 2^-40 floors to the root
+    or to one above it.  One above needs z >= (root + 1)^k (1 - k 2^-39),
+    so z + 1 >= 2^39 / k, and then (root + 1)^k stays below 2^63: one exact
+    comparison, made only when top is that large, settles it.
+    """
+    if k == 2:
+        return np.sqrt(z).astype(np.int64)
+    r = np.cbrt(z) if k == 3 else z ** (1 / k)
+    r *= 1 + 2.0**-40
+    r = r.astype(np.int64)
+    if k * (top + 1) >= 1 << 39:
+        r -= r**k > z
+    return r
+
+
 def qk_count(x, n: int, k: int):
     """Exact count of k-free r <= x with gcd(r, n) = 1, for an int x or each entry of an int64 array.
 
-    Q_k(y, n) = sum_{e^k <= y, gcd(e,n)=1} mu(e) * C_n(y / e^k): one
-    :func:`_staircase` with the entries as rows, the e^k as columns, mu(e)
-    as weights and :func:`_coprime_counts` as f, over the e <= x^(1/k) of
-    the shared Moebius table, x the largest entry.  The entries come in any
-    order, may repeat and count 0 below 1; an array gives an int64 array in
-    its order.  The table's prefix is read-only, so for n > 1 the e coprime
-    to n are taken from a copy of it; n = 1 reads it as it is.  x is
+    Q_k(y, n) sums mu_n(e) over the pairs (e, v) with e^k v <= y, mu_n(e)
+    = mu(e) on the e coprime to n and 0 elsewhere, v coprime to n.  The
+    hyperbola method splits the pairs at e = D, for any D >= 0:
+
+        Q_k(y, n) = sum_{e <= D} mu_n(e) C_n(y // e^k)
+                  + sum_v [M_n(max(iroot(y // v, k), D)) - M_n(D)],
+
+    v over the integers <= y // (D+1)^k coprime to n, with M_n(z) =
+    sum_{e <= z} mu_n(e).  The first sum has about D terms, the second
+    about y / D^k, so D = iroot(y, k + 1) gives each about y^(1/(k+1)).
+    The second calls no C_n: one floor, one root and one lookup in the
+    Mertens table M_n(0..x^(1/k)), a cumulative sum of the shared Moebius
+    table (x the largest entry, 4 bytes a cell).
+
+    The entries, sorted, are taken from the largest down in blocks that
+    share one D, that of the block's largest entry y: the e <= D as
+    columns of the first sum, the v <= y // (D+1)^k of the second.  Both
+    hold for the block's smaller entries, whose extra columns add 0.  As
+    in :func:`_staircase`, a block has at most ``_BLOCK`` (entry, column)
+    pairs, a row that alone needs more is split over column chunks, and a
+    block stops at an entry below y / 8^(k+1), whose own columns would be
+    under an eighth of the block's.  No block reaches below 0 and 0 adds
+    0, so an entry below 1 counts 0.  The entries come in any order and
+    may repeat; an array gives an int64 array in its order.  The table's
+    prefix stays as it is: mu_n and then M_n are one new int32 array.  x is
     limited as in :func:`convolution_sums`.
     """
     if k < 2:
@@ -200,23 +270,43 @@ def qk_count(x, n: int, k: int):
     if top < 1:
         return np.zeros(len(x), dtype=np.int64) if many else 0
     _check_conv_domain(top, k)
-    mus = mu_range(iroot(top, k))
-    if n > 1:
-        mus = mus.copy()
-        _zero_non_coprime(mus, n)
-    e = np.flatnonzero(mus)
-    # The weights stay int8.  int64 weights would save about 17 us per
-    # count, but add 7 bytes for each of the ~20.4M nonzero mu(e)
-    # at the k = 2 top: about 140 MB on top of the 241 MiB that the (2,3)
-    # edge query peaks at, past CI's 300 MiB guard.
-    sign = mus[e]
-    ek = np.power(e, k, out=e)  # exact: e^k <= top <= 2^62
     ys = x if many else np.array([x], dtype=np.int64)
+    fn = as_factored(n)
+    d_top = iroot(top, k + 1)  # no block's D or v passes it
+    mertens = mu_range(iroot(top, k)).astype(np.int32)  # mu_n, then M_n: |M_n(z)| <= z <= 2^25
+    coprime = np.ones(d_top + 1, dtype=bool)
+    for p, _ in fn.factors:
+        mertens[p::p] = 0
+        coprime[p::p] = False
+    vs = np.flatnonzero(coprime)[1:]
+    e = np.flatnonzero(mertens[: d_top + 1])
+    sign = mertens[e].astype(np.int64)
+    ek = e**k
+    np.cumsum(mertens, out=mertens)
+    f = _coprime_counter(fn)
     by_y = np.argsort(ys)
-    counts = np.empty_like(ys)
-    counts[by_y] = _staircase(
-        ys[by_y], ek, sign, partial(_coprime_counts, divs=squarefree_divisors(n))
-    )
+    rows = ys[by_y]
+    rlist = rows.tolist()
+    sums = np.zeros(len(rows), dtype=np.int64)
+    b = len(rows)
+    while b and rlist[b - 1] > 0:
+        y = rlist[b - 1]
+        d = iroot(y, k + 1)
+        v_top = y // (d + 1) ** k
+        na, nb = bisect_right(e, d), bisect_right(vs, v_top)
+        a = max(b - max(1, _BLOCK // (na + nb)), bisect_left(rlist, y >> 3 * (k + 1), 0, b))
+        r = rows[a:b, None]
+        for c in range(0, na, _BLOCK):
+            j = slice(c, min(c + _BLOCK, na))
+            sums[a:b] += f(r // ek[j]) @ sign[j]
+        for c in range(0, nb, _BLOCK):
+            v = vs[c : min(c + _BLOCK, nb)]
+            roots = _iroots(r // v, k, y)
+            np.maximum(roots, d, out=roots)
+            sums[a:b] += mertens[roots].sum(axis=1) - len(v) * int(mertens[d])
+        b = a
+    counts = np.empty_like(sums)
+    counts[by_y] = sums
     return counts if many else int(counts[0])
 
 
@@ -351,15 +441,16 @@ def convolution_sums(
     x * sum |w(d)| / d.  For m = k that is x * prod_p (1 + 2p^-k + p^-(k+1)),
     below 2.48x for k = 2 and 1.47x for k >= 3; for m > k it is below 1.4x.
     Cost: one pair per (x, d), about c * x^(1/k) walk entries for m = k and
-    c * x^(1/m) for m > k, plus for m > k one count with about x^(1/k)
-    NumPy work and memory for its columns (and for the Moebius table, the
+    c * x^(1/m) for m > k, plus for m > k one count with about
+    (x // d)^(1/(k+1)) NumPy work a floor, and a pass and 4 bytes a cell
+    over its Mertens table of x^(1/k) cells (and the Moebius table, the
     first time it reaches that size).  So it beats the stream on sparse
     grids and loses on very dense ones (the README's engine table).  The
-    ``_BLOCK`` budget bounds the walk's and the staircases' temporaries;
-    the d set aside are at most the walk's, and their pairs are the floors
-    counted.  The checkpoints are ascending (duplicates allowed) integers,
-    the largest at most :func:`_conv_limit`: 2^62, and (2^25 + 1)^2 - 1
-    for k = 2.
+    ``_BLOCK`` budget bounds the temporaries of the walk, the staircases
+    and the count; the d set aside are at most the walk's, and their pairs
+    are the floors counted.  The checkpoints are ascending (duplicates
+    allowed) integers, the largest at most :func:`_conv_limit`: 2^62, and
+    (2^25 + 1)^2 - 1 for k = 2.
     """
     o = as_order(order)
     if coprime_to < 1:
@@ -370,7 +461,7 @@ def convolution_sums(
     xs = np.array(cps, dtype=np.int64)
     if o.m == o.k:
         terms, top, ws, ds = _h_terms(o.k), x, [], []
-        f = partial(_coprime_counts, divs=squarefree_divisors(n))
+        f = _coprime_counter(n)
     else:
         terms, top = _g_terms(x, o.k, o.m), min(x, _TABLE_TOP)
         # Q_k from the small table; the floors above top clip to an appended 0.

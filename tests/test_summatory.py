@@ -61,6 +61,18 @@ class TestCoprimeCount:
                 expected = sum(1 for t in range(1, z + 1) if gcd(t, n) == 1)
                 assert coprime_count(z, n) == expected, (z, n)
 
+    def test_array_counts_match_the_scalar_count(self):
+        # Read from one period of C_n (two primes or more, rad(n) <= 2^16) or
+        # by inclusion-exclusion (one prime, or rad(n) past the cap) alike.
+        rng = random.Random(11)
+        zs = list(range(200)) + [rng.randrange(2**62) for _ in range(200)] + [2**62 - 1, 2**62]
+        z = np.array(zs, dtype=np.int64)
+        for n in (1, 2, 7, 8, 6, 12, 30, 2310, 30030, 65523, 131042, 510510):
+            count = summatory._coprime_counter(n)
+            assert count(z).tolist() == [coprime_count(v, n) for v in zs], n
+        assert summatory._coprime_counter(65523).func is summatory._periodic_counts
+        assert summatory._coprime_counter(131042).func is summatory._coprime_counts
+
 
 class TestQkCount:
     @pytest.mark.parametrize("x,n,k,v", [(10, 1, 2, 7), (12, 1, 2, 8), (10, 2, 2, 4)])
@@ -80,6 +92,99 @@ class TestQkCount:
                         q_k(r, k) for r in range(1, x + 1) if gcd(r, n) == 1
                     )
                     assert qk_count(x, n, k) == expected, (x, n, k)
+
+    @pytest.mark.parametrize("block", [1, 5, _BLOCK], ids=["1", "5", "default"])
+    def test_entries_below_one_count_zero(self, monkeypatch, block):
+        # With the default block a cut below 8 once pulled negative rows into
+        # a block, where -3 // 1 = -1 made them count.
+        monkeypatch.setattr(summatory, "_BLOCK", block)
+        assert qk_count(np.array([-3, 10]), 1, 2).tolist() == [0, 7]
+        assert qk_count(np.array([-100, 3]), 1, 3).tolist() == [0, 3]
+        assert qk_count(np.array([-7, 5]), 6, 2).tolist() == [0, 2]
+        assert qk_count(np.array([0, -1, 0]), 30, 4).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("block", [5, _BLOCK], ids=["5", "default"])
+    def test_counts_match_the_sieve_at_the_split_edges(self, monkeypatch, block):
+        # Entries next to j^k (an e^k column, a root iroot(y // v, k)), to
+        # j^(k+1) (where the split D moves) and to t (D+1)^k (where the
+        # v <= y // (D+1)^k move), in one call per (n, k), against the
+        # sieve's counts at every y <= top.
+        monkeypatch.setattr(summatory, "_BLOCK", block)
+        top = 10**6
+        rng = random.Random(25)
+        for k in (2, 3, 4, 5):
+            free = sieve.sieve_qk(1, top, k).values.astype(np.int64)
+            edges = {top, top - 1, 1, 2}
+            for j in range(2, iroot(top, k) + 2):
+                edges.update({j**k - 1, j**k, j**k + 1})
+                if j ** (k + 1) <= top + 1:
+                    edges.update({j ** (k + 1) - 1, j ** (k + 1), j ** (k + 1) + 1})
+                    for t in (1, 2, 3):
+                        edges.update({t * j**k - 1, t * j**k + 1})
+            ys = sorted(y for y in edges if 1 <= y <= top)
+            if block < _BLOCK:
+                ys = rng.sample(ys, min(len(ys), 120)) + [top]
+            for n in (1, 6, 30, 2310):
+                vals = free.copy()
+                for p, _ in factorize(n).factors:
+                    vals[p - 1 :: p] = 0
+                ref = np.concatenate(([0], np.cumsum(vals)))
+                got = qk_count(np.array(ys, dtype=np.int64), n, k)
+                assert got.tolist() == ref[ys].tolist(), (k, n)
+
+    # (x, n, k, Q_k(x; n)), as the count that added every e <= x^(1/k) gave
+    # them; Q_2(10^15) is OEIS A071172.  At k = 31, (D+1)^k = 4^31 = 2^62.
+    PINNED = [
+        (10**15, 1, 2, 607927101854103),
+        (10**15, 30, 2, 253302959105874),
+        (1125899973951488, 1, 2, 684465108140306),
+        (2**62, 1, 3, 3836495598757112498),
+        (2**62, 30, 3, 1223979453697767038),
+        (2**62, 1, 4, 4260913814641627881),
+        (2**62, 1, 31, 4611686016279896790),
+        (2**62, 1, 62, 4611686018427387903),
+    ]
+
+    @pytest.mark.parametrize("block", [64, _BLOCK], ids=["64", "default"])
+    def test_pinned_counts(self, monkeypatch, block):
+        monkeypatch.setattr(summatory, "_BLOCK", block)
+        for x, n, k, q in self.PINNED:
+            assert qk_count(x, n, k) == q, (x, n, k)
+        xs = np.array([x for x, n, k, _ in self.PINNED if (n, k) == (1, 3)] * 2 + [2**40])
+        assert qk_count(xs, 1, 3)[:2].tolist() == [3836495598757112498] * 2
+
+    def test_iroots_exact_next_to_powers(self):
+        # The float roots floor to the integer root on both sides of every
+        # j^k, up to 2^62 (2^50 for k = 2) and 2^41 / k with the exact check
+        # for k >= 3, and up to just below 2^39 / k, where it is skipped.
+        for k in range(2, 63):
+            for top in (_conv_limit(k), (1 << 41) // k, (1 << 39) // k - 2):
+                zs = {0, 1, 2, top - 1, top}
+                r = iroot(top, k)
+                for j in {2, 3, 7, r - 1, r} | {iroot(2**b, k) for b in range(63)}:
+                    if j >= 2:
+                        zs.update(z for z in (j**k - 1, j**k, j**k + 1) if z <= top)
+                z = np.array(sorted(zs), dtype=np.int64)
+                roots = summatory._iroots(z, k, top)
+                assert roots.tolist() == [iroot(int(v), k) for v in z], (k, top)
+
+    def test_count_memory_independent_of_rows(self):
+        # Each block holds at most _BLOCK (row, column) pairs, two rows of
+        # ~3500 at 10^10; 2000 rows at once would take 56 MB in int64.  What
+        # grows with the rows is their own arrays, under 100 bytes a row.
+        top = 10**10
+        qk_count(top, 1, 2)  # the shared Moebius table, resident from here on
+        peaks = []
+        for rows in (100, 2000):
+            ys = np.full(rows, top, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                got = qk_count(ys, 1, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert got.tolist() == [6079270942] * rows  # OEIS A071172
+        assert peaks[1] <= peaks[0] + 100 * 1900, peaks
 
 
 class TestSums:
