@@ -1,14 +1,14 @@
 """Empirical error-term measurement across checkpoint grids.
 
-A scan computes S(x; n) at every checkpoint by one engine: one convolution
-walk shared by all checkpoints, or past the convolution route's limit one
-streaming sieve pass over the full range.  It assembles the main term M(x)
-from constants computed once per scan, and reports the raw error E = S - M
-together with two normalizations: E / x^(1/k) (unconditional scale) and
-E / x^(2/(2k+1)) (the conditional comparison column).  Error exponents are
-then estimated by ordinary least squares on (log x, log|E|); they are
-measured quantities, never asserted equalities, because the underlying
-bounds carry unknown constants and slowly varying factors.
+A scan computes S(x; n) at every checkpoint by one engine, the convolution
+route: one walk shared by all checkpoints, over the whole domain that the
+sieve accepts.  It assembles the main term M(x) from constants computed
+once per scan, and reports the raw error E = S - M together with two
+normalizations: E / x^(1/k) (unconditional scale) and E / x^(2/(2k+1))
+(the conditional comparison column).  Error exponents are then estimated
+by ordinary least squares on (log x, log|E|); they are measured
+quantities, never asserted equalities, because the underlying bounds
+carry unknown constants and slowly varying factors.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 from .constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
+# stream_sum is not called here: the benchmark's traced run
+# (perfbench/worker.py) wraps asymptotics.stream_sum by name.
 from .sieve import SieveConfig, stream_sum
-from .summatory import _conv_limit, _main_value, convolution_sums
+from .summatory import _main_value, convolution_sums
 
 _FIT_MIN_ABS_E = 1e-9
 
@@ -84,14 +86,14 @@ def scan(
     tol: float = DEFAULT_TOL,
     config: SieveConfig | None = None,
 ) -> list[ScanRow]:
-    """One ScanRow per checkpoint, all S from one engine.
+    """One ScanRow per checkpoint, every S from :func:`convolution_sums`.
 
-    The engine is :func:`convolution_sums` up to its limit
-    ``_conv_limit(k)`` and one :func:`stream_sum` pass over the range past
-    it, which ``config`` sets up.  Both are exact, so the rows do not depend
-    on the choice; the engine validates the checkpoints.  The constants
-    entering M are estimated once and shared by every row, so differences
-    of E across x are not polluted by re-estimated constants.
+    The engine validates the checkpoints: the largest may be any x that
+    the sieve accepts.  ``config`` is accepted and ignored, since no scan
+    streams; the benchmark's reference generator (``perfbench/gen_refs.py``)
+    still passes it.  The constants entering M are estimated once and
+    shared by every row, so differences of E across x are not polluted by
+    re-estimated constants.
     """
     o = as_order(order)
     if not checkpoints:
@@ -101,10 +103,7 @@ def scan(
     z = zeta(o.k, tol)
     psi_f = float(psi_k(n, o.k))
     an_f = float(alpha_n(o, n))
-    if checkpoints[-1] > _conv_limit(o.k):
-        sums = stream_sum(checkpoints[-1], o, n, checkpoints, config)
-    else:
-        sums = convolution_sums(checkpoints, o, n)
+    sums = convolution_sums(checkpoints, o, n)
     e_uncond = 1.0 / o.k
     e_rh = 2.0 / (2 * o.k + 1)
     rows = []

@@ -142,10 +142,11 @@ def segment_memory_estimate(config: SieveConfig) -> int:
 
 
 def _max_range(k: int) -> int:
-    """Largest hi the sieves accept for order k.
+    """Largest x every exact engine accepts for order k: the sieves, the stream and the convolution.
 
-    Sieving primes stop at the prime table cap, so hi must stay below
-    (cap + 1)**k; for k >= 3 that is beyond 2**62.
+    Sieving primes stop at the prime table cap, so x must stay below
+    (cap + 1)**k; for k >= 3 that is beyond 2**62.  The convolution route's
+    Moebius table has the same cap.  :func:`_validate_range` is the one check.
     """
     return min(MAX_RANGE, (_PRIME_TABLE_CAP + 1) ** k - 1)
 
@@ -155,7 +156,7 @@ def _validate_range(lo: int, hi: int, k: int) -> None:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     limit = _max_range(k)
     if hi > limit:
-        raise ValueError(f"hi={hi} exceeds the supported range {limit} for k={k}")
+        raise ValueError(f"x={hi} exceeds the supported range {limit} for k={k}")
 
 
 def _first_cells(lo: int, wheel: int, q):

@@ -28,7 +28,10 @@ a later query slices the table instead of sieving its own; a count sums
 it into the Mertens values it reads.  The small table of k-free counts
 (:func:`_small_table`) is the exception: it evaluates
 :func:`~moebius_km.functions.mu` pointwise for its few
-e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.
+e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.  The table's cap is the prime
+table's, 2^26, so the convolution route and the sieve have one domain,
+which :func:`~moebius_km.sieve._validate_range` checks for both; the
+float partial sums stop at ``_ARRAY_CAP``.
 
 Float-valued partial sums (L_n, the 1/psi_k sums) accumulate in ascending
 r via a cumulative sum, so results are reproducible bit-for-bit.
@@ -55,10 +58,10 @@ from .constants import (
     zeta,
 )
 from .functions import OrderPair, as_order, mu, psi_k
-from .primes import iroot, prime_list_up_to, primes_up_to
-from .sieve import MAX_RANGE, checked_checkpoints, checked_int, stream_sum
+from .primes import _PRIME_TABLE_CAP, iroot, prime_list_up_to, primes_up_to
+from .sieve import _validate_range, checked_checkpoints, checked_int, stream_sum
 
-_ARRAY_CAP = 1 << 25  # pointwise arrays are a desk-scale tool, not the hot path
+_ARRAY_CAP = 1 << 25  # float arrays of 8 bytes a cell are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
 _PERIOD_CAP = 1 << 16  # largest rad(n) whose C_n is read from one period
 _BLOCK = 1 << 13  # pairs per NumPy step: walk (node, prime), staircase and count (row, col)
@@ -100,24 +103,6 @@ def coprime_count(z, n: int) -> int:
     if t < 1:
         return 0
     return sum(s * (t // d) for d, s in squarefree_divisors(n))
-
-
-def _conv_limit(k: int) -> int:
-    """Largest x the convolution route accepts for order k, whatever m.
-
-    Its floors are int64, so x <= 2^62, and for m > k its k-free counts
-    read the Mertens values M_n(z) for z <= x^(1/k), summed from the shared
-    table of :func:`mu_range`, capped at ``_ARRAY_CAP``; for k = 2 that
-    ends x at (2^25 + 1)^2 - 1.  The m = k route reads no table but keeps
-    the same limit.
-    """
-    return min(MAX_RANGE, (_ARRAY_CAP + 1) ** k - 1)
-
-
-def _check_conv_domain(x: int, k: int) -> None:
-    limit = _conv_limit(k)
-    if x > limit:
-        raise ValueError(f"x={x} exceeds the convolution route's limit {limit} for k={k}")
 
 
 def _zero_non_coprime(values: np.ndarray, n: int) -> None:
@@ -214,15 +199,20 @@ def _small_table(top: int, n: int, k: int) -> np.ndarray:
 def _iroots(z: np.ndarray, k: int, top: int) -> np.ndarray:
     """floor(z^(1/k)) for each entry of the int64 array ``z``, all in [0, top], top <= 2^62.
 
-    For k = 2 the float square root is correctly rounded, so its floor is
-    exact below 2^52, past the whole k = 2 domain.  For k >= 3 the float
-    root (relative error below 2^-47) raised by 2^-40 floors to the root
-    or to one above it.  One above needs z >= (root + 1)^k (1 - k 2^-39),
-    so z + 1 >= 2^39 / k, and then (root + 1)^k stays below 2^63: one exact
-    comparison, made only when top is that large, settles it.
+    For k = 2, top <= (2^26 + 1)^2 - 1, so z < 2^53 is exact as a float
+    and its square root correctly rounded: the floor is exact below 2^52,
+    and past it (r + 1)^2 - 1 may round up to r + 1, which one exact
+    comparison, made only when top is that large, steps back.  For k >= 3
+    the float root (relative error below 2^-47) raised by 2^-40 floors to
+    the root or to one above it.  One above needs z >= (root + 1)^k
+    (1 - k 2^-39), so z + 1 >= 2^39 / k, and then (root + 1)^k stays below
+    2^63: one exact comparison, made only when top is that large, settles it.
     """
     if k == 2:
-        return np.sqrt(z).astype(np.int64)
+        r = np.sqrt(z).astype(np.int64)
+        if top >= 1 << 52:
+            r -= r * r > z
+        return r
     r = np.cbrt(z) if k == 3 else z ** (1 / k)
     r *= 1 + 2.0**-40
     r = r.astype(np.int64)
@@ -269,11 +259,11 @@ def qk_count(x, n: int, k: int):
     top = int(x.max(initial=0)) if many else x
     if top < 1:
         return np.zeros(len(x), dtype=np.int64) if many else 0
-    _check_conv_domain(top, k)
+    _validate_range(1, top, k)
     ys = x if many else np.array([x], dtype=np.int64)
     fn = as_factored(n)
     d_top = iroot(top, k + 1)  # no block's D or v passes it
-    mertens = mu_range(iroot(top, k)).astype(np.int32)  # mu_n, then M_n: |M_n(z)| <= z <= 2^25
+    mertens = mu_range(iroot(top, k)).astype(np.int32)  # mu_n, then M_n: |M_n(z)| <= z <= 2^26
     coprime = np.ones(d_top + 1, dtype=bool)
     for p, _ in fn.factors:
         mertens[p::p] = 0
@@ -449,15 +439,15 @@ def convolution_sums(
     ``_BLOCK`` budget bounds the temporaries of the walk, the staircases
     and the count; the d set aside are at most the walk's, and their pairs
     are the floors counted.  The checkpoints are ascending (duplicates
-    allowed) integers, the largest at most :func:`_conv_limit`: 2^62, and
-    (2^25 + 1)^2 - 1 for k = 2.
+    allowed) integers, the largest at most the stream's limit
+    :func:`~moebius_km.sieve._max_range`: 2^62, and (2^26 + 1)^2 - 1 for k = 2.
     """
     o = as_order(order)
     if coprime_to < 1:
         raise ValueError("coprime_to must be >= 1")
     cps = checked_checkpoints(checkpoints, math.inf)  # the domain check names the limit
     x, n = cps[-1], coprime_to
-    _check_conv_domain(x, o.k)
+    _validate_range(1, x, o.k)
     xs = np.array(cps, dtype=np.int64)
     if o.m == o.k:
         terms, top, ws, ds = _h_terms(o.k), x, [], []
@@ -524,14 +514,15 @@ def main_term(
 
 
 def _mu_sieve(top: int) -> np.ndarray:
-    """mu(0..top) as a new read-only int8 array (mu[0] = 0), for top <= 2^25.
+    """mu(0..top) as a new read-only int8 array (mu[0] = 0), for top <= 2^26.
 
     Besides the values it keeps one byte a cell: the sum of round(8 log2 p)
     over the primes p <= sqrt(t) dividing r, t = max(top, 16).  A squarefree
-    r in [2^j, 2^(j+1)) has at most 8 prime factors, so with none above
-    sqrt(t) that sum is at least 8j - 4, and with one, q > sqrt(t) >= 4, it
-    is below 8j - 4.5; those r take one more sign flip.  The sum is at most
-    8 * 25 + 4, so it fits a uint8.
+    r below 2^27 has at most 8 prime factors (2 * 3 * ... * 23 > 2^27), so
+    for r in [2^j, 2^(j+1)) with none above sqrt(t) that sum is at least
+    8j - 4, and with one, q > sqrt(t) >= 4, it is below 8j - 4.5; those r
+    take one more sign flip.  The sum is at most 8 * 26 + 4 = 212, so it
+    fits a uint8.
     """
     t = max(top, 16)
     values = np.ones(t + 1, dtype=np.int8)
@@ -561,21 +552,21 @@ def mu_range(x: int) -> np.ndarray:
 
     The result is a read-only view of one table shared by the whole
     process; copy it before writing.  A request past the table's top
-    sieves it again to min(max(x, 2 * top), ``_ARRAY_CAP``) under a lock,
-    so the table stays resident, at most 2^25 + 1 bytes, like the prime
-    table of :mod:`moebius_km.primes`.
+    sieves it again to min(max(x, 2 * top), 2^26) under a lock, so the
+    table stays resident, at most 2^26 + 1 bytes, like the prime table of
+    :mod:`moebius_km.primes`, whose cap it shares.
     """
     global _mu_state
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x > _ARRAY_CAP:
-        raise ValueError(f"x = {x} exceeds array cap {_ARRAY_CAP}")
+    if x > _PRIME_TABLE_CAP:
+        raise ValueError(f"x = {x} exceeds the Moebius table cap {_PRIME_TABLE_CAP}")
     state = _mu_state
     if x > state[0]:
         with _mu_lock:
             state = _mu_state
             if x > state[0]:
-                top = min(max(x, 2 * state[0]), _ARRAY_CAP)
+                top = min(max(x, 2 * state[0]), _PRIME_TABLE_CAP)
                 state = (top, _mu_sieve(top))
                 _mu_state = state
     return state[1][: x + 1]
@@ -599,14 +590,22 @@ def _ascending_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def L_n_sum(x: int, n: int = 1) -> float:
-    """Partial sum of mu(r)/r over r <= x with gcd(r, n) = 1."""
+def _float_terms(x: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_n(r), r) for r = 0..x as new float64 arrays (r = 1 at 0), x <= ``_ARRAY_CAP``."""
     if x < 1:
         raise ValueError("x must be >= 1")
+    if x > _ARRAY_CAP:
+        raise ValueError(f"x = {x} exceeds array cap {_ARRAY_CAP}")
     mus = mu_range(x).astype(np.float64)
     _zero_non_coprime(mus, n)
     r = np.arange(x + 1, dtype=np.float64)
     r[0] = 1.0
+    return mus, r
+
+
+def L_n_sum(x: int, n: int = 1) -> float:
+    """Partial sum of mu(r)/r over r <= x with gcd(r, n) = 1."""
+    mus, r = _float_terms(x, n)
     return _ascending_sum(mus / r)
 
 
@@ -625,20 +624,15 @@ def mu_over_psi_weighted_sum(
     ``above`` restricts to r > above, exposing the tail sums that appear in
     the convolution error decomposition.
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     if power is None:
         power = k - 1
     if not 0 <= above <= x:
         raise ValueError("need 0 <= above <= x")
-    mus = mu_range(x).astype(np.float64)
-    _zero_non_coprime(mus, n)
+    mus, r = _float_terms(x, n)
     if above:
         mus[: above + 1] = 0.0
-    r = np.arange(x + 1, dtype=np.float64)
-    r[0] = 1.0
     denom = psi_ratio_range(x, k) * r ** float(power + 1)
     return _ascending_sum(mus / denom)
 

@@ -12,8 +12,8 @@ from moebius_km.asymptotics import (
     reference_shape,
     scan,
 )
-from moebius_km.sieve import SieveConfig, stream_sum
-from moebius_km.summatory import SumQuery, _conv_limit, sum_convolution, sum_direct
+from moebius_km.sieve import SieveConfig, _max_range, stream_sum
+from moebius_km.summatory import SumQuery, sum_convolution, sum_direct
 from moebius_km.functions import OrderPair
 
 # (order, n, geometric grid): a sparse and a dense grid for each order of
@@ -110,33 +110,37 @@ class TestScan:
         ids=[f"{o[0]}{o[1]}-n{n}-{g[2]}ppd" for o, n, g in ENGINE_GRIDS],
     )
     def test_rows_equal_on_both_engines(self, monkeypatch, order, n, grid):
-        # The convolution below its limit; the stream once the limit is
-        # lowered under the grid's top.  Every row equals per-x sum_convolution.
+        # The scan's S column against the stream at the same checkpoints,
+        # and every row against per-x sum_convolution.
         used = _spy_engines(monkeypatch)
         cps = geometric_checkpoints(*grid)
         rows = scan(order, coprime_to=n, checkpoints=cps, prime_limit=10**4)
-        monkeypatch.setattr(asymptotics, "_conv_limit", lambda k: cps[-1] - 1)
-        assert scan(order, coprime_to=n, checkpoints=cps, prime_limit=10**4) == rows
-        assert [name for name, _ in used] == ["conv", "stream"]
+        assert [name for name, _ in used] == ["conv"]
+        assert [(r.x, r.S) for r in rows] == stream_sum(cps[-1], order, n, cps)
         for r in rows:
             assert r.S == sum_convolution(SumQuery(r.x, OrderPair(*order), n)), r.x
 
-    def test_router_streams_past_the_convolution_limit(self, monkeypatch):
-        # The decision alone: both engines are stubbed, so no sum is computed.
-        def zeros(cps):
-            return [(x, 0) for x in cps]
+    def test_scan_calls_only_convolution_sums(self, monkeypatch):
+        # Grids ending at (2^25 + 1)^2 - 1, one past it and at the top of
+        # the k = 2 domain: the convolution, stubbed, takes each, and a config
+        # changes nothing.  Past the top the real engine rejects x.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scan reached the stream")
 
         used = _spy_engines(
-            monkeypatch,
-            stream=lambda x, o, n, cps, config: zeros(cps),
-            conv=lambda cps, o, n: zeros(cps),
+            monkeypatch, stream=forbidden, conv=lambda cps, o, n: [(x, 0) for x in cps]
         )
+        edge, top = (2**25 + 1) ** 2 - 1, _max_range(2)
+        grids = ([10**3, edge], [10**3, edge + 1], [top])
         config = SieveConfig(segment_size=1 << 16)
-        top = _conv_limit(2)
-        for cps in ([10**3, top], [10**3, top + 1], [top + 1]):
-            scan((2, 3), coprime_to=30, checkpoints=cps, prime_limit=10**4, config=config)
-        assert [name for name, _ in used] == ["conv", "stream", "stream"]
-        assert used[1][1] == (top + 1, OrderPair(2, 3), 30, [10**3, top + 1], config)
+        for cps in grids:
+            rows = scan((2, 3), coprime_to=30, checkpoints=cps, prime_limit=10**4, config=config)
+            assert [(r.x, r.S) for r in rows] == [(x, 0) for x in cps]
+        assert used == [("conv", (cps, OrderPair(2, 3), 30)) for cps in grids]
+        monkeypatch.undo()
+        error = f"x={top + 1} exceeds the supported range {top} for k=2"
+        with pytest.raises(ValueError, match=error):
+            scan((2, 3), checkpoints=[10**3, top + 1], prime_limit=10**4)
 
     def test_ratio_consistency_identity(self):
         rows = scan((2, 3), checkpoints=[100, 1000, 10**4], prime_limit=10**4)

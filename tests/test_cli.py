@@ -8,7 +8,7 @@ import moebius_km.cli as cli
 import moebius_km.verify as verify_mod
 from moebius_km.asymptotics import FitResult, ScanRow
 from moebius_km.constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL
-from moebius_km.sieve import SieveConfig
+from moebius_km.sieve import SieveConfig, _max_range
 
 
 def run(capsys, *argv):
@@ -82,6 +82,28 @@ class TestSum:
         assert code == 2
         assert out.split() == ["7", "1000000000"]
         assert "!=" in err
+
+
+class TestDomain:
+    # Every engine has one domain and one error for x past it, naming x and the limit.
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sum", "--method", "direct", "--x"),
+            ("sum", "--method", "conv", "--x"),
+            ("sum", "--method", "both", "--x"),
+            ("scan", "--from", "10", "--prime-limit", "1e4", "--to"),
+        ],
+        ids=["direct", "conv", "both", "scan"],
+    )
+    @pytest.mark.parametrize("m_above_k", [0, 1], ids=["m=k", "m=k+1"])
+    def test_one_past_the_top_is_usage_error(self, capsys, k, argv, m_above_k):
+        top = _max_range(k)
+        order = ("--k", str(k), "--m", str(k + m_above_k))
+        code, out, err = run(capsys, *argv[:-1], *order, argv[-1], str(top + 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: x={top + 1} exceeds the supported range {top} for k={k}\n"
 
 
 class TestConstants:

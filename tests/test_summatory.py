@@ -16,13 +16,12 @@ from moebius_km import sieve, summatory
 from moebius_km.arith import factorize, gcd, squarefree_divisors
 from moebius_km.constants import alpha, alpha_n, apostol_A
 from moebius_km.functions import OrderPair, mu, psi_k
-from moebius_km.primes import iroot, primes_up_to
-from moebius_km.sieve import stream_sum
+from moebius_km.primes import _PRIME_TABLE_CAP, iroot, primes_up_to
+from moebius_km.sieve import _max_range, sieve_qk, stream_sum
 from moebius_km.summatory import (
     _ARRAY_CAP,
     _BLOCK,
     _TABLE_TOP,
-    _conv_limit,
     L_n_sum,
     SumQuery,
     convolution_sums,
@@ -32,6 +31,7 @@ from moebius_km.summatory import (
     mu_over_psi_sum,
     mu_over_psi_weighted_sum,
     mu_range,
+    psi_ratio_range,
     qk_count,
     sum_convolution,
     sum_direct,
@@ -39,13 +39,17 @@ from moebius_km.summatory import (
 
 ORDERS = (OrderPair(2, 2), OrderPair(2, 3), OrderPair(2, 4), OrderPair(3, 3), OrderPair(3, 5))
 
-# (x, k, m, n, S(x; n)), values of the previous pure-Python route.
+# (x, k, m, n, S(x; n)), values of the previous pure-Python route, and at
+# the k = 2 top (2^26 + 1)^2 - 1 the value of a second factorisation:
+# mu_{2,3} = 1 * h with h(p^2) = h(p^3) = -1 and h(p^4) = +1, summed as
+# h(d) * (x // d) over the 2-full d.
 TOP_VALUES = [
     (2**62, 4, 5, 1, 4176936043790195401),
     (2**62, 3, 4, 30, 1223393497237915710),
     (2**62, 4, 4, 6, 1531230462645077727),
     (2**62, 3, 3, 1, 3434301815679233033),
     (10**11, 2, 2, 1, 42824950550),
+    (4503599761588224, 2, 3, 1, 2413461790617244),
 ]
 
 
@@ -134,10 +138,12 @@ class TestQkCount:
 
     # (x, n, k, Q_k(x; n)), as the count that added every e <= x^(1/k) gave
     # them; Q_2(10^15) is OEIS A071172.  At k = 31, (D+1)^k = 4^31 = 2^62.
+    # 4503599761588224 is the k = 2 top, (2^26 + 1)^2 - 1.
     PINNED = [
         (10**15, 1, 2, 607927101854103),
         (10**15, 30, 2, 253302959105874),
         (1125899973951488, 1, 2, 684465108140306),
+        (4503599761588224, 1, 2, 2737860350974616),
         (2**62, 1, 3, 3836495598757112498),
         (2**62, 30, 3, 1223979453697767038),
         (2**62, 1, 4, 4260913814641627881),
@@ -155,10 +161,11 @@ class TestQkCount:
 
     def test_iroots_exact_next_to_powers(self):
         # The float roots floor to the integer root on both sides of every
-        # j^k, up to 2^62 (2^50 for k = 2) and 2^41 / k with the exact check
-        # for k >= 3, and up to just below 2^39 / k, where it is skipped.
+        # j^k, up to the top of the domain (2^62, and (2^26 + 1)^2 - 1 for
+        # k = 2, where the exact step is made) and 2^41 / k with the exact
+        # check for k >= 3, and up to just below 2^39 / k, where it is skipped.
         for k in range(2, 63):
-            for top in (_conv_limit(k), (1 << 41) // k, (1 << 39) // k - 2):
+            for top in (_max_range(k), (1 << 41) // k, (1 << 39) // k - 2):
                 zs = {0, 1, 2, top - 1, top}
                 r = iroot(top, k)
                 for j in {2, 3, 7, r - 1, r} | {iroot(2**b, k) for b in range(63)}:
@@ -167,6 +174,24 @@ class TestQkCount:
                 z = np.array(sorted(zs), dtype=np.int64)
                 roots = summatory._iroots(z, k, top)
                 assert roots.tolist() == [iroot(int(v), k) for v in z], (k, top)
+
+    def test_counts_straddling_2_52_equal_the_plain_sum(self):
+        # Q_2(y0) = sum of mu(e) * (y0 // e^2) over e <= y0^(1/2), at y0 = 2^52
+        # and at the top; the k-free sieve carries each to the y around it.
+        top = _max_range(2)
+        mus = mu_range(iroot(top, 2))
+        e = np.flatnonzero(mus)
+        e2, signs = e * e, mus[e].astype(np.int64)
+        for y0, lo, hi in ((1 << 52, (1 << 52) - 3, (1 << 52) + 3), (top, top - 6, top)):
+            plain = sum(
+                int((y0 // e2[c : c + (1 << 22)]) @ signs[c : c + (1 << 22)])
+                for c in range(0, len(e), 1 << 22)
+            )
+            ks = np.cumsum(sieve_qk(lo, hi, 2).values, dtype=np.int64)
+            want = plain - ks[y0 - lo] + ks
+            ys = np.arange(lo, hi + 1, dtype=np.int64)
+            assert qk_count(ys, 1, 2).tolist() == want.tolist(), y0
+        assert plain == 2737860350974616
 
     def test_count_memory_independent_of_rows(self):
         # Each block holds at most _BLOCK (row, column) pairs, two rows of
@@ -280,8 +305,10 @@ class TestSums:
         assert convolution_sums([np.int64(10), 20], (2, 3)) == [(10, 6), (20, 12)]
         with pytest.raises(ValueError, match="coprime_to"):
             convolution_sums([10], (2, 3), 0)
-        with pytest.raises(ValueError, match=f"limit {_conv_limit(2)} for k=2"):
-            convolution_sums([10, _conv_limit(2) + 1], (2, 3))
+        top = _max_range(2)
+        error = f"x={top + 1} exceeds the supported range {top} for k=2"
+        with pytest.raises(ValueError, match=error):
+            convolution_sums([10, top + 1], (2, 3))
 
     @pytest.mark.parametrize("block", [1, 3, _BLOCK], ids=["1", "3", "default"])
     def test_staircase_matches_double_loop(self, monkeypatch, block):
@@ -460,19 +487,46 @@ class TestSums:
             sum_direct(q)
 
     def test_convolution_domain_limit(self):
-        # k = 2 ends where x^(1/2) passes the Moebius table cap; k >= 3 at 2^62.
-        top = _conv_limit(2)
-        assert top == (2**25 + 1) ** 2 - 1
-        assert iroot(top, 2) == _ARRAY_CAP and iroot(top + 1, 2) == _ARRAY_CAP + 1
+        # One domain for every engine: k = 2 ends where x^(1/2) passes the
+        # cap 2^26 that the prime and Moebius tables share; k >= 3 at 2^62.
+        top = _max_range(2)
+        assert top == (2**26 + 1) ** 2 - 1
+        assert iroot(top, 2) == _PRIME_TABLE_CAP and iroot(top + 1, 2) == _PRIME_TABLE_CAP + 1
         for k in (3, 4, 7):
-            assert _conv_limit(k) == 2**62
+            assert _max_range(k) == 2**62
         for k, x in ((2, top + 1), (3, 2**62 + 1), (5, 2**63)):
-            with pytest.raises(ValueError, match=f"limit {_conv_limit(k)} for k={k}"):
-                sum_convolution(SumQuery(x, OrderPair(k, k + 1)))
-            with pytest.raises(ValueError, match=f"limit {_conv_limit(k)} for k={k}"):
+            error = f"x={x} exceeds the supported range {_max_range(k)} for k={k}"
+            for m in (k, k + 1):
+                with pytest.raises(ValueError, match=error):
+                    sum_convolution(SumQuery(x, OrderPair(k, m)))
+                with pytest.raises(ValueError, match=error):
+                    convolution_sums([10, x], (k, m), 30)
+                with pytest.raises(ValueError, match=error):
+                    stream_sum(x, (k, m))
+            with pytest.raises(ValueError, match=error):
                 qk_count(x, 1, k)
-        with pytest.raises(ValueError, match="array cap"):
-            mu_range(_ARRAY_CAP + 1)
+        with pytest.raises(ValueError, match=f"x={top + 1} exceeds"):
+            qk_count(np.array([10, top + 1], dtype=np.int64), 6, 2)
+        with pytest.raises(ValueError, match="Moebius table cap"):
+            mu_range(_PRIME_TABLE_CAP + 1)
+
+    def test_float_sums_keep_the_array_cap(self, monkeypatch):
+        # Their float arrays take 8 bytes a cell: x = 2^25 + 1 is rejected
+        # before any table is read or built.
+        def forbidden(x):
+            raise AssertionError("read the Moebius table")
+
+        monkeypatch.setattr(summatory, "mu_range", forbidden)
+        x = _ARRAY_CAP + 1
+        for call in (
+            lambda: L_n_sum(x),
+            lambda: mu_over_psi_sum(x, 1, 2),
+            lambda: mu_over_psi_weighted_sum(x, 6, 3),
+            lambda: mu_over_psi_power_series(x, 1, 2, 3),
+            lambda: psi_ratio_range(x, 2),
+        ):
+            with pytest.raises(ValueError, match=f"x = {x} exceeds array cap {_ARRAY_CAP}"):
+                call()
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -622,6 +676,18 @@ class TestMuSieve:
     def test_large_top(self):
         top = 1 << 22
         assert np.array_equal(summatory._mu_sieve(top), _spf_mu(top))
+
+    def test_table_at_its_cap(self):
+        # The shared table at 2^26: its top, and the cells around 2^25, where
+        # a doubling from 2^25 lands.  Zeros against the k-free sieve, every
+        # value against pointwise mu.
+        cap = _PRIME_TABLE_CAP
+        table = mu_range(cap)
+        assert len(table) == cap + 1
+        for lo, hi in ((cap - 4095, cap), ((cap >> 1) - 2048, (cap >> 1) + 2047)):
+            window = table[lo : hi + 1]
+            assert np.array_equal(window != 0, sieve_qk(lo, hi, 2).values != 0), lo
+            assert window.tolist() == [mu(r) for r in range(lo, hi + 1)], lo
 
     def test_memory_is_at_most_three_bytes_a_cell(self):
         top = 1 << 20
