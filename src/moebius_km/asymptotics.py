@@ -20,7 +20,7 @@ from .constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
 # stream_sum is not called here: the benchmark's traced run
 # (perfbench/worker.py) wraps asymptotics.stream_sum by name.
-from .sieve import SieveConfig, stream_sum
+from .sieve import SieveConfig, checked_int, stream_sum
 from .summatory import _main_value, convolution_sums
 
 _FIT_MIN_ABS_E = 1e-9
@@ -98,7 +98,7 @@ def scan(
     o = as_order(order)
     if not checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
-    n = coprime_to
+    n = checked_int(coprime_to, "coprime_to")
     a = alpha(o, prime_limit)
     z = zeta(o.k, tol)
     psi_f = float(psi_k(n, o.k))

@@ -47,7 +47,6 @@ Tail handling, documented here because the bound choice is load-bearing:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +54,7 @@ import numpy as np
 
 from .arith import FactoredInteger, as_factored, is_prime
 from .functions import OrderPair, as_order
-from .primes import primes_up_to
+from .primes import KeyedStore, primes_up_to
 
 DEFAULT_PRIME_LIMIT = 1_000_000
 DEFAULT_TOL = 1e-12
@@ -147,19 +146,9 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
     return ConstantEstimate(value, math.nextafter(bound, math.inf), _ZETA_CUTOFF)
 
 
-_cache: dict[tuple, object] = {}  # log tails and log-products, per prime limit
-_cache_lock = threading.RLock()  # reentrant: a build may fetch another entry
-
-
-def _cached(key: tuple, build, *args):
-    """_cache[key], built once by build(*args): threads racing on it share one object."""
-    value = _cache.get(key)
-    if value is None:
-        with _cache_lock:
-            value = _cache.get(key)
-            if value is None:
-                value = _cache[key] = build(*args)
-    return value
+# The log tails and log products, per prime limit.  A build may fetch another
+# entry: the store's lock is reentrant.
+_STORE = KeyedStore()
 
 
 def _prime_power_sums(prime_limit: int) -> np.ndarray:
@@ -218,7 +207,7 @@ def _log_tail_table(prime_limit: int) -> tuple[float, ...]:
 
 def _log_tails(prime_limit: int) -> tuple[float, ...]:
     """The log-tail table of prime_limit, built once per limit."""
-    return _cached(("log_tails", prime_limit), _log_tail_table, prime_limit)
+    return _STORE.get(("log_tails", prime_limit), _log_tail_table, prime_limit)
 
 
 def _log_tail(t: int, prime_limit: int) -> tuple[float, float]:
@@ -261,7 +250,7 @@ def _log_product(key: tuple, prime_limit: int, log_factors) -> float:
         with np.errstate(over="ignore"):  # p**e = inf only where the factor is 1.0
             return float(log_factors(pf).sum())
 
-    return _cached((*key, prime_limit), build)
+    return _STORE.get((*key, prime_limit), build)
 
 
 def _nsum_tail(s: int, prime_limit: int) -> float:

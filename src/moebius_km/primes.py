@@ -1,12 +1,24 @@
-"""Shared prime table and integer root helpers.
+"""Shared prime table, integer root helpers and the two process-wide caches.
 
-The prime table is grown lazily by an odd-only Eratosthenes sieve and cached
-at module level.  A request past its end sieves it again to the larger of
-the request and twice the old end, so a process holds the primes it has
-asked for, at most doubled, and no fixed first size.  Growth is guarded by
-a lock and swapped in as one atomic state tuple, so concurrent callers
-always observe a consistent table.  The table is marked read-only before
-it is published, so no caller can change what every other caller reads.
+Every table the package keeps for the whole process is one of two kinds,
+both defined here, in the module every other module imports:
+
+* :class:`GrownTable`, a read-only array grown on demand.  A request past
+  its top rebuilds it to the larger of the request and twice the old top,
+  at most ``_PRIME_TABLE_CAP``, so a process holds what it has asked for,
+  at most doubled, and no fixed first size.  The prime table, grown by an
+  odd-only Eratosthenes sieve, is one; the Moebius table of
+  :mod:`moebius_km.summatory` is the other.
+* :class:`KeyedStore`, objects built once per key, optionally keeping
+  only the newest few: the sieve's pre-sieved patterns and the constants'
+  log tables.
+
+Each instance has its own lock, so a build may read another table (a
+Moebius table or a pattern build reads the prime table) without
+deadlocking.  A table is marked read-only and published as one atomic
+state tuple, and a store entry is built once, so concurrent callers always
+observe one consistent object and no caller can change what every other
+caller reads.
 """
 
 from __future__ import annotations
@@ -18,9 +30,62 @@ import numpy as np
 
 _PRIME_TABLE_CAP = 1 << 26
 
-_lock = threading.Lock()
-# (sieved_to, primes_array) — replaced wholesale, never mutated.
-_state: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
+
+class GrownTable:
+    """One read-only array shared by the process, rebuilt larger on demand.
+
+    ``state`` is (top, build(top)), replaced wholesale and never mutated;
+    it starts as (0, ``empty``).
+    """
+
+    def __init__(self, build, empty: np.ndarray) -> None:
+        self.build = build
+        self.state = (0, empty)
+        self._lock = threading.Lock()
+
+    def grown_to(self, limit: int) -> tuple[int, np.ndarray]:
+        """The state once its top is at least ``limit`` (at most ``_PRIME_TABLE_CAP``).
+
+        A rebuild goes to min(max(limit, 2 * top), ``_PRIME_TABLE_CAP``)
+        under the lock, is marked read-only and is published as one tuple.
+        """
+        state = self.state
+        if limit > state[0]:
+            with self._lock:
+                state = self.state
+                if limit > state[0]:
+                    top = min(max(limit, 2 * state[0]), _PRIME_TABLE_CAP)
+                    table = self.build(top)
+                    table.flags.writeable = False
+                    self.state = state = (top, table)
+        return state
+
+
+class KeyedStore:
+    """Objects built once per key and shared by the process.
+
+    With a ``bound``, the oldest entry is dropped once the store holds that
+    many, so it keeps the newest ``bound``.  The lock is reentrant: a build
+    may fetch another entry of the same store.
+    """
+
+    def __init__(self, bound: int | None = None) -> None:
+        self.entries: dict = {}
+        self.bound = bound
+        self._lock = threading.RLock()
+
+    def get(self, key, build, *args):
+        """entries[key], built once by build(*args): threads racing on it share one object."""
+        value = self.entries.get(key)
+        if value is None:
+            with self._lock:
+                value = self.entries.get(key)
+                if value is None:
+                    value = build(*args)
+                    while self.bound is not None and len(self.entries) >= self.bound:
+                        del self.entries[next(iter(self.entries))]
+                    self.entries[key] = value
+        return value
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -45,19 +110,7 @@ def _sieve(limit: int) -> np.ndarray:
     return primes
 
 
-def _grown_to(limit: int) -> tuple[int, np.ndarray]:
-    global _state
-    state = _state
-    if limit > state[0]:
-        with _lock:
-            state = _state
-            if limit > state[0]:
-                target = min(max(limit, 2 * state[0]), _PRIME_TABLE_CAP)
-                table = _sieve(target)
-                table.flags.writeable = False
-                state = (target, table)
-                _state = state
-    return state
+_PRIMES = GrownTable(_sieve, np.empty(0, dtype=np.int64))
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -68,7 +121,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     """
     if limit > _PRIME_TABLE_CAP:
         raise ValueError(f"prime table limit {limit} exceeds cap {_PRIME_TABLE_CAP}")
-    sieved_to, arr = _grown_to(limit)
+    sieved_to, arr = _PRIMES.grown_to(limit)
     if limit >= sieved_to:
         return arr
     cut = np.searchsorted(arr, limit, side="right")

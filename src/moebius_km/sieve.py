@@ -22,9 +22,10 @@ on the valuation of its prime, which the unit W does not change, so a
 column reads the pattern contiguously from lo W^-1 mod P.  Pre-sieving the
 smallest primes is the usual partner of the bucket sieve below (Oliveira e
 Silva, Herzog and Pardi, Math. Comp. 83, 2014).  Each pattern is built
-once per (k, m, primes of the filter) and kept in a small, lock-guarded,
-bounded store.  The k-free indicator is mu_{k,m} with m = max(k, 63): no
-exponent reaches 63 below 2**63, so it shares this one path.
+once per (k, m, primes of the filter) and kept in a
+:class:`~moebius_km.primes.KeyedStore` that keeps the newest 8.  The
+k-free indicator is mu_{k,m} with m = max(k, 63): no exponent reaches 63
+below 2**63, so it shares this one path.
 
 One NumPy kernel then applies every prime past the pattern, and no step
 of it divides per cell.  The dense primes, whose k-th power is at most
@@ -39,22 +40,22 @@ block is summed by folding it into 64 rows, added exactly in int8.
 A stream runs on the caller's thread: one loop over the segments in
 ascending order, reusing one block and one fold for the whole call.  All
 arithmetic is exact integer arithmetic, so results do not depend on the
-segment size.  The pattern store and the prime table are lock-guarded for
-callers that stream from threads of their own.
+segment size.  The pattern store and the prime table are shared caches of
+:mod:`moebius_km.primes`, each with its own lock, so callers may stream
+from threads of their own.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import as_factored
 from .functions import OrderPair, as_order
-from .primes import _PRIME_TABLE_CAP, iroot, primes_up_to
+from .primes import _PRIME_TABLE_CAP, KeyedStore, iroot, primes_up_to
 
 MAX_RANGE = 1 << 62
 DEFAULT_SEGMENT_SIZE = 1 << 20
@@ -92,6 +93,7 @@ _FOLD_ROWS = 64
 # oldest, so it never holds more than _PATTERN_STORE * _PATTERN_CELLS bytes.
 _PATTERN_CELLS = DEFAULT_SEGMENT_SIZE
 _PATTERN_STORE = 8
+_PATTERNS = KeyedStore(_PATTERN_STORE)
 
 
 @dataclass(frozen=True)
@@ -203,10 +205,6 @@ class _Pattern:
     wheel: int
 
 
-_pattern_lock = threading.Lock()
-_patterns: dict[tuple, _Pattern] = {}
-
-
 def _build_pattern(k: int, m: int, coprime_primes: tuple[int, ...]) -> _Pattern:
     # Every candidate outside the wheel, in ascending order, whose step
     # still fits the period.  The candidates stop at 19 and the primes of
@@ -234,23 +232,8 @@ def _build_pattern(k: int, m: int, coprime_primes: tuple[int, ...]) -> _Pattern:
 
 
 def _pattern(k: int, m: int, coprime_primes: tuple[int, ...] = ()) -> _Pattern:
-    """The pattern of mu_{k,m} masked to the primes.
-
-    Built once per key under a lock, so concurrent callers share one object;
-    the store drops its oldest pattern beyond ``_PATTERN_STORE``.
-    """
-    key = (k, m, coprime_primes)
-    pattern = _patterns.get(key)
-    if pattern is not None:
-        return pattern
-    with _pattern_lock:
-        pattern = _patterns.get(key)
-        if pattern is None:
-            pattern = _build_pattern(k, m, coprime_primes)
-            while len(_patterns) >= _PATTERN_STORE:
-                del _patterns[next(iter(_patterns))]
-            _patterns[key] = pattern
-    return pattern
+    """The pattern of mu_{k,m} masked to the primes, built once per key in ``_PATTERNS``."""
+    return _PATTERNS.get((k, m, coprime_primes), _build_pattern, k, m, coprime_primes)
 
 
 def _kernel_primes(limit: int, k: int, pattern: _Pattern):
@@ -457,6 +440,7 @@ def stream_sum(
     o = as_order(order)
     cfg = config or SieveConfig()
     _validate_range(1, x, o.k)
+    coprime_to = checked_int(coprime_to, "coprime_to")
     if coprime_to < 1:
         raise ValueError("coprime_to must be >= 1")
     cps = checked_checkpoints([x] if checkpoints is None else checkpoints, x)

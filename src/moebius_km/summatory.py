@@ -22,13 +22,13 @@ the hyperbola method, about y^(1/(k+1)) terms a floor y.  One walk
 local factor; it divides once per prime, not once per d.
 
 The Moebius values of the k-free counts and of the float partial sums come
-from one process-wide table, grown on demand like the prime table and
-never mutated: :func:`mu_range` returns a read-only prefix view of it, so
-a later query slices the table instead of sieving its own; a count sums
-it into the Mertens values it reads.  The small table of k-free counts
-(:func:`_small_table`) is the exception: it evaluates
-:func:`~moebius_km.functions.mu` pointwise for its few
-e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.  The table's cap is the prime
+from one process-wide :class:`~moebius_km.primes.GrownTable`, the kind the
+prime table is: grown on demand, read-only and never mutated.
+:func:`mu_range` returns a prefix view of it, so a later query slices the
+table instead of sieving its own; a count sums it into the Mertens values
+it reads.  The small table of k-free counts (:func:`_small_table`) is the
+exception: it evaluates :func:`~moebius_km.functions.mu` pointwise for its
+few e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.  The table's cap is the prime
 table's, 2^26, so the convolution route and the sieve have one domain,
 which :func:`~moebius_km.sieve._validate_range` checks for both; the
 float partial sums stop at ``_ARRAY_CAP``.
@@ -40,7 +40,6 @@ r via a cumulative sum, so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,17 +57,13 @@ from .constants import (
     zeta,
 )
 from .functions import OrderPair, as_order, mu, psi_k
-from .primes import _PRIME_TABLE_CAP, iroot, prime_list_up_to, primes_up_to
+from .primes import _PRIME_TABLE_CAP, GrownTable, iroot, prime_list_up_to, primes_up_to
 from .sieve import _validate_range, checked_checkpoints, checked_int, stream_sum
 
 _ARRAY_CAP = 1 << 25  # float arrays of 8 bytes a cell are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
 _PERIOD_CAP = 1 << 16  # largest rad(n) whose C_n is read from one period
 _BLOCK = 1 << 13  # pairs per NumPy step: walk (node, prime), staircase and count (row, col)
-
-_mu_lock = threading.Lock()
-# (top, mu(0..top) as read-only int8) — replaced wholesale, never mutated.
-_mu_state: tuple[int, np.ndarray] = (0, np.zeros(1, dtype=np.int8))
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ def _iroots(z: np.ndarray, k: int, top: int) -> np.ndarray:
 
 
 def qk_count(x, n: int, k: int):
-    """Exact count of k-free r <= x with gcd(r, n) = 1, for an int x or each entry of an int64 array.
+    """Exact count of k-free r <= x with gcd(r, n) = 1, for an int x or each entry of an integer array.
 
     Q_k(y, n) sums mu_n(e) over the pairs (e, v) with e^k v <= y, mu_n(e)
     = mu(e) on the e coprime to n and 0 elsewhere, v coprime to n.  The
@@ -247,20 +242,23 @@ def qk_count(x, n: int, k: int):
     block stops at an entry below y / 8^(k+1), whose own columns would be
     under an eighth of the block's.  No block reaches below 0 and 0 adds
     0, so an entry below 1 counts 0.  The entries come in any order and
-    may repeat; an array gives an int64 array in its order.  The table's
-    prefix stays as it is: mu_n and then M_n are one new int32 array.  x is
-    limited as in :func:`convolution_sums`.
+    may repeat; a 1-D array of any integer dtype gives an int64 array in its
+    order.  The table's prefix stays as it is: mu_n and then M_n are one
+    new int32 array.  x is limited as in :func:`convolution_sums`.
     """
+    k, n = checked_int(k, "k"), checked_int(n, "n")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < 1:
         raise ValueError("n must be >= 1")
     many = isinstance(x, np.ndarray)
-    top = int(x.max(initial=0)) if many else x
+    if many and (x.ndim != 1 or x.dtype.kind not in "iu"):
+        raise ValueError(f"x must be a 1-D integer array, got shape {x.shape} and dtype {x.dtype}")
+    top = int(x.max(initial=0)) if many else checked_int(x, "x")
     if top < 1:
         return np.zeros(len(x), dtype=np.int64) if many else 0
     _validate_range(1, top, k)
-    ys = x if many else np.array([x], dtype=np.int64)
+    ys = x.astype(np.int64, copy=False) if many else np.array([top], dtype=np.int64)
     fn = as_factored(n)
     d_top = iroot(top, k + 1)  # no block's D or v passes it
     mertens = mu_range(iroot(top, k)).astype(np.int32)  # mu_n, then M_n: |M_n(z)| <= z <= 2^26
@@ -443,6 +441,7 @@ def convolution_sums(
     :func:`~moebius_km.sieve._max_range`: 2^62, and (2^26 + 1)^2 - 1 for k = 2.
     """
     o = as_order(order)
+    coprime_to = checked_int(coprime_to, "coprime_to")
     if coprime_to < 1:
         raise ValueError("coprime_to must be >= 1")
     cps = checked_checkpoints(checkpoints, math.inf)  # the domain check names the limit
@@ -514,7 +513,7 @@ def main_term(
 
 
 def _mu_sieve(top: int) -> np.ndarray:
-    """mu(0..top) as a new read-only int8 array (mu[0] = 0), for top <= 2^26.
+    """mu(0..top) as a new int8 array (mu[0] = 0), for top <= 2^26.
 
     Besides the values it keeps one byte a cell: the sum of round(8 log2 p)
     over the primes p <= sqrt(t) dividing r, t = max(top, 16).  A squarefree
@@ -542,34 +541,28 @@ def _mu_sieve(top: int) -> np.ndarray:
         sign *= -2
         sign += 1
         values[lo:hi] *= sign
-    values = values[: top + 1]
-    values.flags.writeable = False
-    return values
+    return values[: top + 1]
+
+
+# mu(0..top): the table that mu_range slices.
+_MU_TABLE = GrownTable(_mu_sieve, np.zeros(1, dtype=np.int8))
 
 
 def mu_range(x: int) -> np.ndarray:
     """Classical Moebius values mu(0..x) as int8 (mu[0] = 0).
 
     The result is a read-only view of one table shared by the whole
-    process; copy it before writing.  A request past the table's top
-    sieves it again to min(max(x, 2 * top), 2^26) under a lock, so the
-    table stays resident, at most 2^26 + 1 bytes, like the prime table of
-    :mod:`moebius_km.primes`, whose cap it shares.
+    process; copy it before writing.  The table is a
+    :class:`~moebius_km.primes.GrownTable`, like the prime table, whose cap
+    it shares: a request past its top sieves it again to
+    min(max(x, 2 * top), 2^26), and it stays resident, at most 2^26 + 1
+    bytes.
     """
-    global _mu_state
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > _PRIME_TABLE_CAP:
         raise ValueError(f"x = {x} exceeds the Moebius table cap {_PRIME_TABLE_CAP}")
-    state = _mu_state
-    if x > state[0]:
-        with _mu_lock:
-            state = _mu_state
-            if x > state[0]:
-                top = min(max(x, 2 * state[0]), _PRIME_TABLE_CAP)
-                state = (top, _mu_sieve(top))
-                _mu_state = state
-    return state[1][: x + 1]
+    return _MU_TABLE.grown_to(x)[1][: x + 1]
 
 
 def psi_ratio_range(x: int, k: int) -> np.ndarray:

@@ -1,13 +1,52 @@
-"""Shared brute-force oracles.
+"""Shared brute-force oracles and a thread-race helper.
 
-These deliberately avoid the package's own factorization and sieves:
+The oracles deliberately avoid the package's own factorization and sieves:
 sympy.factorint supplies factorizations, and the value tables are spelled
 out inline, so every comparison is a genuine two-route check.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import sympy
+
+
+def race(calls, timeout=60):
+    """Run each call on a thread of its own, all released by one barrier.
+
+    A 1 us switch interval, restored afterwards, makes the threads
+    interleave often even with more of them than cores.  Returns the
+    results in the order of ``calls``; a thread still alive after
+    ``timeout`` fails the test, and the first exception a call raised is
+    raised again here.
+    """
+    barrier = threading.Barrier(len(calls))
+    results = [None] * len(calls)
+    errors = []
+
+    def work(i):
+        try:
+            barrier.wait(timeout=timeout)
+            results[i] = calls[i]()
+        except Exception as exc:  # raised again on the caller's thread
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results
 
 
 def oracle_mu_km(n: int, k: int, m: int) -> int:

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import race
 from moebius_km import constants
 from moebius_km.constants import (
     DEFAULT_PRIME_LIMIT,
@@ -189,7 +190,7 @@ class TestProducts:
         # is exactly 1.  The products are cached under the capped limit.
         capped = min(limit, PRODUCT_PRIME_CAP)
         for key in ("alpha", 70, 70, capped), ("apostol_A", 70, capped):
-            constants._cache.pop(key, None)
+            constants._STORE.entries.pop(key, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a, ak = alpha((70, 70), limit), apostol_A(70, limit)
@@ -205,9 +206,9 @@ class TestProducts:
 _COLD_CAPPED = """
 from moebius_km import primes
 from moebius_km.constants import alpha, apostol_A
-assert primes._state[0] == 0
+assert primes._PRIMES.state[0] == 0
 a, b = apostol_A(2, 10**6), alpha((2, 3), 10**6)
-assert primes._state[0] == 1 << 16, primes._state[0]
+assert primes._PRIMES.state[0] == 1 << 16, primes._PRIMES.state[0]
 assert a.prime_limit == b.prime_limit == 1 << 16
 """
 
@@ -233,7 +234,7 @@ class TestPrimeCap:
     def test_caches_hold_no_limit_past_the_cap(self):
         alpha((2, 3), 10**9)
         apostol_A(2, 10**7)
-        limits = [key[-1] for key in constants._cache]
+        limits = [key[-1] for key in constants._STORE.entries]
         assert limits and max(limits) <= PRODUCT_PRIME_CAP
 
     def test_cold_constants_sieve_only_the_first_table(self):
@@ -383,30 +384,10 @@ class TestPowerSumTable:
         # must see the one cached log-tail table and the same estimate.
         limit = 54_321
         for key in ("log_tails", limit), ("alpha", 2, 3, limit):
-            constants._cache.pop(key, None)
-        n_threads = 4
-        barrier = threading.Barrier(n_threads)
-        tables = [None] * n_threads
-        results = [None] * n_threads
-
-        def work(i):
-            barrier.wait()
-            tables[i] = constants._log_tails(limit)
-            barrier.wait()
-            results[i] = alpha((2, 3), limit)
-
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(t is constants._cache[("log_tails", limit)] for t in tables)
+            constants._STORE.entries.pop(key, None)
+        tables = race([lambda: constants._log_tails(limit)] * 4)
+        results = race([lambda: alpha((2, 3), limit)] * 4)
+        assert all(t is constants._STORE.entries[("log_tails", limit)] for t in tables)
         assert results[0] is not None
         assert all(r == results[0] for r in results)
 
@@ -417,30 +398,31 @@ class TestPowerSumTable:
         got = []
 
         def work():
-            got.append(constants._cached(outer, lambda: ("built", constants._cached(inner, str, 7))))
+            store = constants._STORE
+            got.append(store.get(outer, lambda: ("built", store.get(inner, str, 7))))
 
         try:
             thread = threading.Thread(target=work, daemon=True)
             thread.start()
             thread.join(timeout=10)
-            assert not thread.is_alive(), "a nested _cached build blocked"
+            assert not thread.is_alive(), "a nested store build blocked"
             assert got == [("built", "7")]
-            assert constants._cache[inner] == "7"
+            assert constants._STORE.entries[inner] == "7"
         finally:
-            constants._cache.pop(inner, None)
-            constants._cache.pop(outer, None)
+            constants._STORE.entries.pop(inner, None)
+            constants._STORE.entries.pop(outer, None)
 
     def test_log_product_cached_bit_identical(self, monkeypatch):
         limit = 12_345
         for key in ("alpha", 2, 3, limit), ("apostol_A", 3, limit):
-            constants._cache.pop(key, None)
+            constants._STORE.entries.pop(key, None)
         a, a3 = alpha((2, 3), limit), apostol_A(3, limit)
         pf = primes_up_to(limit).astype(np.float64)
         denom = np.zeros_like(pf) + pf**2.0 + pf**3.0
-        assert constants._cache[("alpha", 2, 3, limit)] == float(
+        assert constants._STORE.entries[("alpha", 2, 3, limit)] == float(
             np.log1p(-1.0 / denom).sum()
         )
-        assert constants._cache[("apostol_A", 3, limit)] == float(
+        assert constants._STORE.entries[("apostol_A", 3, limit)] == float(
             np.log1p(-(2.0 * pf - 1.0) / pf**4.0).sum()
         )
 

@@ -56,7 +56,7 @@ def test_products_leave_the_prime_table_intact():
     # The products are cached under the limit they multiply out, 2**16.
     capped = constants.PRODUCT_PRIME_CAP
     for key in ("alpha", 2, 3, capped), ("apostol_A", 2, capped), ("log_tails", capped):
-        constants._cache.pop(key, None)
+        constants._STORE.entries.pop(key, None)
     alpha((2, 3), limit)
     apostol_A(2, limit)
     assert primes_up_to(limit).tobytes() == before

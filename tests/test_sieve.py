@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -12,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_mu_km, oracle_qk
+from conftest import oracle_mu_km, oracle_qk, race
 from moebius_km import sieve
 from moebius_km.arith import as_factored, factorize, gcd
 from moebius_km.functions import mu_km, q_k
-from moebius_km.primes import _PRIME_TABLE_CAP, iroot, primes_up_to
+from moebius_km.primes import _PRIME_TABLE_CAP, KeyedStore, iroot, primes_up_to
 from moebius_km.sieve import (
     MAX_RANGE,
     SieveConfig,
@@ -469,45 +468,27 @@ def test_pattern_is_invariant_under_the_wheel():
 
 
 def test_pattern_store_stays_bounded(monkeypatch):
-    monkeypatch.setattr(sieve, "_patterns", {})
+    monkeypatch.setattr(sieve, "_PATTERNS", KeyedStore(sieve._PATTERN_STORE))
     for k in (2, 3):
         for m in range(k, k + 4):
             for n in (1, 2, 6, 10, 30):
                 primes = tuple(p for p, _ in as_factored(n).factors)
                 sieve._pattern(k, m, primes)
-                assert len(sieve._patterns) <= sieve._PATTERN_STORE
-    assert len(sieve._patterns) == sieve._PATTERN_STORE
+                assert len(sieve._PATTERNS.entries) <= sieve._PATTERN_STORE
+    assert len(sieve._PATTERNS.entries) == sieve._PATTERN_STORE
     # The newest patterns are the ones kept, and a dropped one is rebuilt.
-    assert (3, 6, (2, 3, 5)) in sieve._patterns
-    assert (2, 2, ()) not in sieve._patterns
+    assert (3, 6, (2, 3, 5)) in sieve._PATTERNS.entries
+    assert (2, 2, ()) not in sieve._PATTERNS.entries
     assert stream_sum(12, (2, 2), 1, [12]) == [(12, 5)]
-    assert all(p.values.nbytes <= sieve._PATTERN_CELLS for p in sieve._patterns.values())
+    assert all(p.values.nbytes <= sieve._PATTERN_CELLS for p in sieve._PATTERNS.entries.values())
 
 
 def test_cold_pattern_from_many_threads(monkeypatch):
     # More threads than cores and a short switch interval: every thread must
     # get the one pattern object the store keeps.
-    monkeypatch.setattr(sieve, "_patterns", {})
-    n_threads = 4
-    barrier = threading.Barrier(n_threads)
-    got = [None] * n_threads
-
-    def work(i):
-        barrier.wait()
-        got[i] = sieve._pattern(2, 3, (3, 7))
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(p is sieve._patterns[(2, 3, (3, 7))] for p in got)
+    monkeypatch.setattr(sieve, "_PATTERNS", KeyedStore(sieve._PATTERN_STORE))
+    got = race([lambda: sieve._pattern(2, 3, (3, 7))] * 4)
+    assert all(p is sieve._PATTERNS.entries[(2, 3, (3, 7))] for p in got)
     assert not got[0].values.flags.writeable
 
 

@@ -3,20 +3,20 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import oracle_mu
+from conftest import oracle_mu, race
 from moebius_km import sieve, summatory
 from moebius_km.arith import factorize, gcd, squarefree_divisors
+from moebius_km.asymptotics import scan
 from moebius_km.constants import alpha, alpha_n, apostol_A
 from moebius_km.functions import OrderPair, mu, psi_k
-from moebius_km.primes import _PRIME_TABLE_CAP, iroot, primes_up_to
+from moebius_km.primes import _PRIME_TABLE_CAP, GrownTable, iroot, primes_up_to
 from moebius_km.sieve import _max_range, sieve_qk, stream_sum
 from moebius_km.summatory import (
     _ARRAY_CAP,
@@ -85,6 +85,31 @@ class TestQkCount:
 
     def test_zero_range(self):
         assert qk_count(0, 5, 2) == 0
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda: qk_count(10.5, 1, 2), "x"),
+            (lambda: qk_count(np.array([10.5]), 1, 2), "x"),
+            (lambda: qk_count(np.array([[10]]), 1, 2), "x"),
+            (lambda: qk_count(100, 1, 2.0), "k"),
+            (lambda: qk_count(100, 6.0, 2), "n"),
+            (lambda: stream_sum(100, (2, 3), 2.0), "coprime_to"),
+            (lambda: convolution_sums([100], (2, 3), 2.0), "coprime_to"),
+            (lambda: scan((2, 3), 2.0, [100]), "coprime_to"),
+        ],
+        ids=["x-float", "x-float-array", "x-2d-array", "k-float", "n-float",
+             "stream-coprime-float", "conv-coprime-float", "scan-coprime-float"],
+    )
+    def test_non_integer_argument_is_value_error(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()
+
+    def test_unsigned_array_counts_as_int64(self):
+        ys = [100, 10**6, 1]
+        got = qk_count(np.array(ys, dtype=np.uint64), 30, 2)
+        assert got.dtype == np.int64
+        assert got.tolist() == [qk_count(y, 30, 2) for y in ys]
 
     def test_brute_force_small(self):
         from moebius_km.functions import q_k
@@ -539,18 +564,21 @@ class TestSums:
             SumQuery(10, OrderPair(2, 3), 6.0)
 
 
-@pytest.fixture
-def mu_sieves(monkeypatch):
-    """Start from an empty shared Moebius table; the list records each sieve's top."""
-    monkeypatch.setattr(summatory, "_mu_state", (0, np.zeros(1, dtype=np.int8)))
-    tops = []
-    build = summatory._mu_sieve
+def _fresh_mu_table(monkeypatch, tops):
+    """Swap in an empty shared Moebius table whose build appends each top to ``tops``."""
 
     def counted(top):
         tops.append(top)
-        return build(top)
+        return summatory._mu_sieve(top)
 
-    monkeypatch.setattr(summatory, "_mu_sieve", counted)
+    monkeypatch.setattr(summatory, "_MU_TABLE", GrownTable(counted, np.zeros(1, dtype=np.int8)))
+
+
+@pytest.fixture
+def mu_sieves(monkeypatch):
+    """Start from an empty shared Moebius table; the list records each sieve's top."""
+    tops = []
+    _fresh_mu_table(monkeypatch, tops)
     return tops
 
 
@@ -565,7 +593,7 @@ class TestSharedMuTable:
         for x, top in ((50, 50), (3000, 3000), (700, 3000), (3001, 6000), (6000, 6000),
                        (12001, 12001)):
             assert mu_range(x).tolist() == ref[: x + 1], x
-            assert summatory._mu_state[0] == top, x
+            assert summatory._MU_TABLE.state[0] == top, x
         assert mu_sieves == [50, 3000, 6000, 12001]
 
     def test_view_is_read_only(self, mu_sieves):
@@ -580,7 +608,7 @@ class TestSharedMuTable:
         before = mu_range(4000).tobytes()
         ys = [top, 10**6, 1, top // 7]
         got = qk_count(np.array(ys, dtype=np.int64), 30, 2)
-        assert summatory._mu_state[1].tobytes() == before
+        assert summatory._MU_TABLE.state[1].tobytes() == before
         ref = dict(stream_sum(top, (2, 24), 30, sorted(ys)))
         assert got.tolist() == [ref[y] for y in ys]
 
@@ -601,24 +629,11 @@ class TestSharedMuTable:
     def test_concurrent_growth_from_empty(self, monkeypatch, mu_sieves):
         sizes = (3000, 5000)
         ref = _pointwise_mu(max(sizes))
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                monkeypatch.setattr(summatory, "_mu_state", (0, np.zeros(1, dtype=np.int8)))
-                start = threading.Barrier(len(sizes))
-
-                def grow(x):
-                    start.wait(timeout=30)
-                    return mu_range(x)
-
-                with ThreadPoolExecutor(2) as pool:
-                    futures = [pool.submit(grow, x) for x in sizes]
-                    got = [f.result(timeout=60) for f in futures]
-                for x, values in zip(sizes, got):
-                    assert values.tolist() == ref[: x + 1], x
-        finally:
-            sys.setswitchinterval(switch)
+        for _ in range(5):
+            _fresh_mu_table(monkeypatch, mu_sieves)
+            got = race([partial(mu_range, x) for x in sizes])
+            for x, values in zip(sizes, got):
+                assert values.tolist() == ref[: x + 1], x
 
     def test_convolution_cold_equals_warm(self, monkeypatch, mu_sieves):
         rng = random.Random(14)
@@ -629,10 +644,10 @@ class TestSharedMuTable:
         ]
         cold = []
         for q in queries:
-            monkeypatch.setattr(summatory, "_mu_state", (0, np.zeros(1, dtype=np.int8)))
+            _fresh_mu_table(monkeypatch, mu_sieves)
             cold.append(sum_convolution(q))
         sum_convolution(SumQuery(10**11, OrderPair(2, 3)))
-        assert summatory._mu_state[0] > iroot(10**7, 2)
+        assert summatory._MU_TABLE.state[0] > iroot(10**7, 2)
         assert [sum_convolution(q) for q in queries] == cold == [sum_direct(q) for q in queries]
 
     def test_conv_sum_orders_build_once(self, mu_sieves):
@@ -670,7 +685,7 @@ class TestMuSieve:
         ref = _spf_mu(4096).tolist()
         for top in range(1, 4097):
             got = summatory._mu_sieve(top)
-            assert got.dtype == np.int8 and not got.flags.writeable, top
+            assert got.dtype == np.int8 and not mu_range(top).flags.writeable, top
             assert got.tolist() == ref[: top + 1], top
 
     def test_large_top(self):
@@ -718,10 +733,10 @@ if sys.argv[1] == "conv first":
     trial = arith._trial_primes
     arith._trial_primes = lambda bits: tiers.append(bits) or trial(bits)
     s = conv()
-    assert primes._state[0] < 1 << 16, primes._state[0]
+    assert primes._PRIMES.state[0] < 1 << 16, primes._PRIMES.state[0]
     assert tiers and max(tiers) < 16, max(tiers)
     a = constants()
-    assert primes._state[0] == 1 << 16, primes._state[0]
+    assert primes._PRIMES.state[0] == 1 << 16, primes._PRIMES.state[0]
 else:
     a = constants()
     s = conv()
