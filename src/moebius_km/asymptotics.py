@@ -99,6 +99,8 @@ def scan(
     if not checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
     n = checked_int(coprime_to, "coprime_to")
+    if n < 1:
+        raise ValueError("coprime_to must be >= 1")
     a = alpha(o, prime_limit)
     z = zeta(o.k, tol)
     psi_f = float(psi_k(n, o.k))

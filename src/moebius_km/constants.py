@@ -19,29 +19,32 @@ Tail handling, documented here because the bound choice is load-bearing:
   fixed-point floors plus half an ulp of the returned float: about 2e-16
   for every k, so every tol down to 1e-13 costs the same few microseconds.
 * products: alpha_{k,m} and A_k multiply out the primes p <= P =
-  min(prime_limit, PRODUCT_PRIME_CAP = 2**16), so they never grow the
-  prime table past 2**16, and share one tail routine that covers every
-  prime above P, for every P >= 2.  The
-  cached log of the product over p <= P is corrected by the leading terms of
-  sum_{p>P} log(factor_p), expanded exactly into prime-power tails
-  sum_{p>P} p^-s (A_k first adds sum_{p>P} log(1 - p^-k) = -L(k)).
-  Both come from the log tails L(t) = sum_{p>P} -log(1 - p^-t), computed
-  once per P for t = 2..T only: T is the last t whose elementary bound
-  2 P^(1-t)/(t-1) exceeds 1e-22: 5 at P = 2**16, 8 at P = 1000, 68 at P = 2.
-  Each is log zeta(t) minus sum_{a>=1} S(at)/a, with the partial sums
-  S(s) = sum_{p<=P} p^-s from one pass over the primes, and the
-  prime-power tails are their Moebius inversion sum_j mu(j)/j L(js) (the
-  prime-zeta method of H. Cohen, 1991, only as deep as a float can see).
-  Every tail past T enters the bound as its elementary bound instead.
-  The bound collects the series truncations, the second-order remainder
-  (<= 0.6 * sum_{p>P} p^-2m) and the float slacks, then is floored at
-  _TAIL_FLOOR so it never understates accumulated rounding; the floor and
-  each slack are named once below.  More primes buy no accuracy: at
-  2**16 each of the 20 values tested lies within 1 ulp of its 50-digit
-  reference.  Far fewer would cost some, as the expansion keeps only the
-  first order of log(1 - x_p): at 10**4, A_2 is 134 ulps off, the dropped
-  0.6 * sum_{p>P} p^-2m.  At tiny limits the bound is large but still
-  holds: at P = 2 the worst value tested is 3.2e-3 off, within its bound.
+  min(prime_limit, PRODUCT_PRIME_CAP = 2**9), so they never grow the
+  prime table past 2**9, and share one tail routine that covers every
+  prime above P, for every P >= 2: the prime-zeta method of H. Cohen
+  ("High precision computation of Hardy-Littlewood constants", 1991).
+  As a function of u = 1/p the local factor F(u) is 1 - 2u^k + u^(k+1)
+  for A_k and (1 - u^k - u^m + u^(m+1)) / (1 - u^k) for alpha_{k,m}.  Its
+  log is sum_s c_s u^s, the integers s c_s coming from F'/F by long
+  division, so log prod_{p>P} F(1/p) = sum_{s>=2} c_s P_P(s) with the
+  prime-power tails P_P(s) = sum_{p>P} p^-s.  The cached log of the
+  product over p <= P is corrected by the terms s = 2..T of this series.
+  The tails P_P(s) are the Moebius inversion sum_j mu(j)/j L(js) of the
+  log tails L(t) = sum_{p>P} -log(1 - p^-t), computed once per P for
+  t = 2..T only: T is the last t whose elementary bound 2 P^(1-t)/(t-1)
+  exceeds 1e-22: 8 at P = 2**9 and at P = 1000, 68 at P = 2.  Each is
+  log zeta(t) + sum_{p<=P} log1p(-p^-t) in one fsum.  Every log tail past
+  T enters the bound as its elementary bound instead.
+  The bound has two parts.  The series truncation past T is bounded
+  through |c_s| <= 2^s + 1, a nonnegative majorant of the coefficients.
+  Each log tail carries a float slack that scales with it: a fixed share
+  of log zeta(t), the size of its largest term, plus the fixed-point
+  error of zeta(t); the term s weights the slacks of P_P(s) by |c_s|.
+  With the float slack of the log sum over p <= P, the bound is floored
+  at _TAIL_FLOOR so it never understates accumulated rounding; the floor
+  and each slack are named once below.  More primes buy no accuracy:
+  from P = 2 up, each of the 20 values tested lies within 1 ulp of its
+  50-digit reference, and from P = 2**9 up each is the float nearest it.
 """
 
 from __future__ import annotations
@@ -55,18 +58,16 @@ import numpy as np
 from .arith import FactoredInteger, as_factored, is_prime
 from .functions import OrderPair, as_order
 from .primes import KeyedStore, primes_up_to
+from .sieve import checked_int
 
 DEFAULT_PRIME_LIMIT = 1_000_000
 DEFAULT_TOL = 1e-12
-PRODUCT_PRIME_CAP = 1 << 16  # the products multiply out the primes up to this
+PRODUCT_PRIME_CAP = 1 << 9  # the products multiply out the primes up to this
 
 _MIN_TOL = 1e-13
-_SMAX = 54  # power sums with exponent above this fall below 2**-54 termwise
 _TAIL_FLOOR = 1e-10  # floor of every product's bound
 _LOG_SUM_SLACK = 1e-12  # float slack of the log-sum over p <= P
-_LOG_TAIL_SLACK = 1e-12  # float slack of one log tail L(t), whose error is under 5e-15
-_NEGLIGIBLE = 1e-30  # p**-s below this leaves the power-sum pass
-_FEW_PRIMES_BELOW = 100  # the primes below this stay in the pass for every s
+_LOG_TAIL_REL = 1e-14  # float slack of a log tail L(t), as a share of log zeta(t)
 _NEGLIGIBLE_TAIL = 1e-22  # a log tail bounded below this is left to its bound
 
 _ZETA_CUTOFF = 10  # Euler-Maclaurin cutoff N: the terms n < N are summed one by one
@@ -98,7 +99,7 @@ class ConstantEstimate:
     Euler-Maclaurin cutoff N (the terms n < N are summed one by one, the
     rest is the integral tail and its corrections), for the products the
     limit P of the primes p <= P actually multiplied out, min(requested
-    limit, 2**16); the tail expansion covers the primes above it.
+    limit, 2**9); the tail series covers the primes above it.
     """
 
     value: float
@@ -132,7 +133,7 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
     Euler-Maclaurin at N = 10 (see the module docstring); the bound, about
     2e-16, meets every tol the float result can certify.
     """
-    if k < 2:
+    if checked_int(k, "k") < 2:
         raise ValueError(f"zeta requires k >= 2, got {k}")
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tol must be positive, got {tol}")
@@ -151,61 +152,35 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
 _STORE = KeyedStore()
 
 
-def _prime_power_sums(prime_limit: int) -> np.ndarray:
-    """sums[s] = sum_{p <= prime_limit} p**-s for s = 2.._SMAX+1.
-
-    p**s is p times itself s - 1 times, exact below 2**53, so a term is one
-    division, one rounding (past 2**53 its chained roundings are below
-    1e-30); with pairwise summation each sum is off by under 1e-15.  The
-    primes below _FEW_PRIMES_BELOW take every s in one 2-d pass, the rest
-    only while their term is at least _NEGLIGIBLE (s <= 15): the dropped
-    terms add less than pi(P) * 1e-30 < 1e-23 up to the prime table cap.
-    """
-    pf = primes_up_to(prime_limit).astype(np.float64)
-    few = int(np.searchsorted(pf, _FEW_PRIMES_BELOW))
-    # Row r of the 2-d pass holds p**(r + 1) for the first ``few`` primes.
-    powers = np.multiply.accumulate(np.broadcast_to(pf[:few], (_SMAX + 1, few)), axis=0)
-    sums = np.full(_SMAX + 2, np.nan)
-    sums[2:] = np.reciprocal(powers[1:], out=powers[1:]).sum(axis=1)
-    rest = pf[few:]
-    power, term = rest * rest, np.empty_like(rest)
-    s = 2
-    while len(power):
-        power = power[: np.searchsorted(power, 1.0 / _NEGLIGIBLE, side="right")]
-        sums[s] += np.divide(1.0, power, out=term[: len(power)]).sum()
-        power *= rest[: len(power)]
-        s += 1
-    return sums
-
-
-def _log_tail_table(prime_limit: int) -> tuple[float, ...]:
-    """table[t] = L(t) = sum_{p > prime_limit} -log(1 - p**-t) for t = 2..T.
+def _log_tail_table(prime_limit: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(values, slacks): L(t) = sum_{p > prime_limit} -log(1 - p**-t), t = 2..T.
 
     T is the last t whose elementary bound 2 * P**(1-t)/(t-1) exceeds
-    _NEGLIGIBLE_TAIL: 5 at P = 2**16, 8 at P = 1000, 68 at P = 2.  L(t) is
-    log zeta(t) minus sum_{a>=1} sum_{p <= P} p**-(at) / a up to at =
-    _SMAX + 1 (the rest is below 2**-55), in one fsum, with log zeta(t) the
-    log of the nearest float plus the remainder of the fixed-point sum over
-    it.  The error, the log's rounding plus the power sums' weighted 1/a,
-    is under 5e-15.
+    _NEGLIGIBLE_TAIL: 8 at P = 2**9 and at P = 1000, 68 at P = 2.  L(t) is
+    log zeta(t) + sum_{p <= P} log1p(-p**-t) in one fsum, with log zeta(t)
+    the log of the nearest float plus the remainder of the fixed-point sum
+    over it.  Every term is at most log zeta(t) in size and off by a few
+    ulps, so the slack is _LOG_TAIL_REL * log zeta(t) plus the fixed-point
+    sum's own error bound.
     """
     top = 2
     while 2.0 * _nsum_tail(top + 1, prime_limit) > _NEGLIGIBLE_TAIL:
         top += 1
-    sums = _prime_power_sums(prime_limit).tolist()
+    pf = primes_up_to(prime_limit).astype(np.float64)
+    rows = np.log1p(-(pf ** -np.arange(2.0, top + 1)[:, None])).tolist()
     one = 1 << _FIXED_BITS
-    table = [math.nan] * 2
-    for t in range(2, top + 1):
-        acc, _ = _zeta_fixed(t)
+    values, slacks = [math.nan] * 2, [math.nan] * 2
+    for t, row in enumerate(rows, 2):
+        acc, err = _zeta_fixed(t)
         value = acc / one
         rest = (acc - int(math.ldexp(value, _FIXED_BITS))) / one
-        terms = [math.log(value), rest / value]
-        terms += [-sums[a * t] / a for a in range(1, (_SMAX + 1) // t + 1)]
-        table.append(math.fsum(terms))
-    return tuple(table)
+        log_zeta = [math.log(value), rest / value]
+        values.append(math.fsum(log_zeta + row))
+        slacks.append(_LOG_TAIL_REL * sum(log_zeta) + err / one)
+    return tuple(values), tuple(slacks)
 
 
-def _log_tails(prime_limit: int) -> tuple[float, ...]:
+def _log_tails(prime_limit: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The log-tail table of prime_limit, built once per limit."""
     return _STORE.get(("log_tails", prime_limit), _log_tail_table, prime_limit)
 
@@ -215,27 +190,27 @@ def _log_tail(t: int, prime_limit: int) -> tuple[float, float]:
 
     Past the table, L(t) lies in [0, 2 * sum_{n>P} n**-t].
     """
-    table = _log_tails(prime_limit)
-    if t < len(table):
-        return table[t], _LOG_TAIL_SLACK
+    values, slacks = _log_tails(prime_limit)
+    if t < len(values):
+        return values[t], slacks[t]
     return 0.0, 2.0 * _nsum_tail(t, prime_limit)
 
 
 def _power_tail(s: int, prime_limit: int) -> tuple[float, float]:
-    """(value, error bound) for sum_{p > prime_limit} p**-s.
+    """(value, error bound) for P_P(s) = sum_{p > prime_limit} p**-s.
 
     The Moebius inversion sum_{j>=1} mu(j)/j * L(js) over the js in the
-    log-tail table.  The terms from the first js past the table on (all of
+    log-tail table, in one fsum; the slacks of L(js) / j cover its
+    roundings too.  The terms from the first js past the table on (all of
     them if s is past it) add up to at most 2 * sum_{n>P} n**-js.
     """
-    table = _log_tails(prime_limit)
-    value = err = 0.0
-    j = 1
-    while j * s < len(table):
-        value += _MU_WEIGHTS[j] / j * table[j * s]
-        err += _LOG_TAIL_SLACK / j
-        j += 1
-    return value, err + 2.0 * _nsum_tail(j * s, prime_limit)
+    last = (len(_log_tails(prime_limit)[0]) - 1) // s
+    terms, err = [], 0.0
+    for j in range(1, last + 1):
+        value, slack = _log_tail(j * s, prime_limit)
+        terms.append(_MU_WEIGHTS[j] / j * value)
+        err += slack / j
+    return math.fsum(terms), err + 2.0 * _nsum_tail((last + 1) * s, prime_limit)
 
 
 def _log_product(key: tuple, prime_limit: int, log_factors) -> float:
@@ -259,6 +234,26 @@ def _nsum_tail(s: int, prime_limit: int) -> float:
     return float(prime_limit) ** (1 - s) / (s - 1)
 
 
+def _log_series(numer: dict[int, int], denom: dict[int, int], top: int) -> list[float]:
+    """c_s for s = 0..top, where log(numer(u) / denom(u)) = sum_s c_s u**s.
+
+    Each polynomial maps exponents to integer coefficients and has constant
+    term 1, left implicit.  For such a Q, u Q'/Q = sum_s r_s u**s with the
+    integers r_s = s Q_s - sum_{0<e<s} Q_e r_(s-e), the long division of
+    u Q' by Q; then s c_s is r_s of numer minus r_s of denom.
+    """
+
+    def log_derivative(poly: dict[int, int]) -> list[int]:
+        terms = [(e, c) for e, c in poly.items() if e <= top]
+        r = [0] * (top + 1)
+        for s in range(1, top + 1):
+            r[s] = s * poly.get(s, 0) - sum(c * r[s - e] for e, c in terms if e < s)
+        return r
+
+    rn, rd = log_derivative(numer), log_derivative(denom)
+    return [0.0] + [(rn[s] - rd[s]) / s for s in range(1, top + 1)]
+
+
 def euler_factor(p: int, order: OrderPair | tuple[int, int]) -> Fraction:
     """Exact local factor 1 - 1/(p^(m-k+1) + ... + p^m) of alpha_{k,m}."""
     o = as_order(order)
@@ -279,36 +274,37 @@ def alpha_n(order: OrderPair | tuple[int, int], n: int | FactoredInteger) -> Fra
 
 
 def _product_estimate(
-    base: float, prime_limit: int, m: int, k: int, head: tuple[float, float] = (0.0, 0.0)
+    base: float, prime_limit: int, numer: dict[int, int], denom: dict[int, int]
 ) -> ConstantEstimate:
-    """The estimate of prod_p (1 - x_p), x_p = 1/(p^(m-k+1) + ... + p^m).
+    """The estimate of prod_p F(1/p), F(u) = numer(u) / denom(u).
 
-    ``base`` is the log of the product over p <= P = prime_limit, and
-    ``head`` the (correction, error) of further log factors over p > P,
-    summed first.  Each p > P adds log(1 - x_p) = -x_p - r_p, with x_p =
-    sum_{i>=0} [p^-(m+ik) - p^-(m+1+ik)] exactly and r_p = sum_{j>=2} x_p^j / j.
-    As P >= 2, every such p is at least 3, so x_p <= p^-m <= 1/9 and
-    r_p <= x_p^2 / (2 (1 - x_p)) <= (9/16) x_p^2 <= 0.6 p^-2m.
+    ``base`` is the log of the product over p <= P = prime_limit.  The
+    primes p > P add sum_{s>=2} c_s P_P(s) (Cohen's series, see the module
+    docstring), taken for s = 2..T, T the top of the log-tail table.  Every
+    |c_s| is at most 2**s + 1: numer = 1 - g with g's absolute coefficients
+    G(u) summing to at most 5/8 at u = 1/2, so -log(1 - G) majorises
+    log(numer) and has coefficients at most 2**s, and -log(denom) =
+    -log(1 - u**k) has coefficients 1/j.  As every p > P is at least P + 1
+    >= 3, the terms past T add at most sum_{n>P} 2 (2/n)**(T+1) / (1 - 2/n)
+    <= 4 (2/(P+1))**T (1 + (P+1)/T) / (P-1).
     """
-    corr, err = head
-    top = len(_log_tails(prime_limit)) - 1
-    i = 0
-    while m + i * k <= top:
-        t1, e1 = _power_tail(m + i * k, prime_limit)
-        t2, e2 = _power_tail(m + 1 + i * k, prime_limit)
-        corr -= t1 - t2
-        err += e1 + e2
-        i += 1
-    err += 2.0 * _nsum_tail(m + i * k, prime_limit)  # dropped expansion terms
-    t, e = _power_tail(2 * m, prime_limit)
-    err += 0.6 * (abs(t) + e) + _LOG_SUM_SLACK
-    value = math.exp(base + corr)
+    top = len(_log_tails(prime_limit)[0]) - 1
+    terms, err = [base], _LOG_SUM_SLACK
+    for s, c in enumerate(_log_series(numer, denom, top)):
+        if c:
+            tail, e = _power_tail(s, prime_limit)
+            terms.append(c * tail)
+            err += abs(c) * e
+    p1 = prime_limit + 1.0
+    err += 4.0 * (2.0 / p1) ** top * (1.0 + p1 / top) / (prime_limit - 1.0)
+    value = math.exp(math.fsum(terms))
     bound = max(value * math.expm1(err), _TAIL_FLOOR)
     return ConstantEstimate(value, bound, prime_limit)
 
 
 def _multiplied_out(prime_limit: int) -> int:
-    """The limit of the primes a product multiplies out: at most 2**16."""
+    """The limit of the primes a product multiplies out: at most 2**9."""
+    prime_limit = checked_int(prime_limit, "prime_limit")
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
     return min(prime_limit, PRODUCT_PRIME_CAP)
@@ -317,9 +313,9 @@ def _multiplied_out(prime_limit: int) -> int:
 def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstimate:
     """Density constant alpha_{k,m} with a certified truncation bound.
 
-    The primes p <= min(prime_limit, 2**16) are multiplied out and the
-    tail expansion covers the rest, so every larger limit gives the 2**16
-    estimate and never grows the prime table past 2**16.
+    The primes p <= min(prime_limit, 2**9) are multiplied out and the
+    tail series covers the rest, so every larger limit gives the 2**9
+    estimate and never grows the prime table past 2**9.
     """
     o = as_order(order)
     k, m = o.k, o.m
@@ -335,15 +331,18 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
         return np.log1p(denom, out=denom)
 
     base = _log_product(("alpha", k, m), prime_limit, log_factors)
-    return _product_estimate(base, prime_limit, m, k)
+    numer = {k: -1}
+    numer[m] = numer.get(m, 0) - 1
+    numer[m + 1] = 1
+    return _product_estimate(base, prime_limit, numer, {k: -1})
 
 
 def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
     """Order-k density constant A_k = prod_p (1 - 2/p^k + 1/p^(k+1)).
 
-    Multiplies out p <= min(prime_limit, 2**16), like :func:`alpha`.
+    Multiplies out p <= min(prime_limit, 2**9), like :func:`alpha`.
     """
-    if k < 2:
+    if checked_int(k, "k") < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     prime_limit = _multiplied_out(prime_limit)
 
@@ -357,11 +356,7 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
         return np.log1p(work, out=work)
 
     base = _log_product(("apostol_A", k), prime_limit, log_factors)
-
-    # factor = (1 - u) * (1 - w), u = p^-k, w = (u - u/p)/(1 - u): w is x_p of
-    # alpha_{k,k}, and the sum of log(1 - u) over p > P is -L(k).
-    tail, err = _log_tail(k, prime_limit)
-    return _product_estimate(base, prime_limit, k, k, (-tail, err))
+    return _product_estimate(base, prime_limit, {k: -2, k + 1: 1}, {})
 
 
 def identity_gap(

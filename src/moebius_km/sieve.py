@@ -350,6 +350,7 @@ def sieve_mu_km(
     :func:`stream_sum` for longer ranges.
     """
     o = as_order(order)
+    lo, hi = checked_int(lo, "lo"), checked_int(hi, "hi")
     _validate_range(lo, hi, o.k)
     n_cells = hi - lo + 1
     segment_size = (config or SieveConfig()).segment_size
@@ -373,6 +374,7 @@ def sieve_qk(
     This is mu_{k,m} with m = max(k, 63): 2**m > MAX_RANGE, so no exponent
     can equal m.
     """
+    k = checked_int(k, "k")
     return sieve_mu_km(lo, hi, (k, max(k, 63)), config)
 
 
@@ -439,6 +441,7 @@ def stream_sum(
     """
     o = as_order(order)
     cfg = config or SieveConfig()
+    x = checked_int(x, "x")
     _validate_range(1, x, o.k)
     coprime_to = checked_int(coprime_to, "coprime_to")
     if coprime_to < 1:

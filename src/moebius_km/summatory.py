@@ -558,6 +558,7 @@ def mu_range(x: int) -> np.ndarray:
     min(max(x, 2 * top), 2^26), and it stays resident, at most 2^26 + 1
     bytes.
     """
+    x = checked_int(x, "x")
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > _PRIME_TABLE_CAP:

@@ -74,6 +74,21 @@ class TestGrid:
 
 
 class TestScan:
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: scan((2, 3), 0, [100]), "coprime_to must be >= 1"),
+            (lambda: scan((2, 3), -6, [100]), "coprime_to must be >= 1"),
+            (lambda: conjecture_scan(2, 0, [100]), "coprime_to must be >= 1"),
+            (lambda: scan((2, 3), 2.5, [100]), "coprime_to must be an integer"),
+            (lambda: scan((2, 3), 1, [100], prime_limit=1000.5), "prime_limit must be an integer"),
+        ],
+        ids=["zero", "negative", "conjecture-zero", "float", "prime-limit-float"],
+    )
+    def test_bad_argument_is_named_value_error(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
+
     def test_single_checkpoint_matches_summatory_example(self):
         rows = scan((2, 3), checkpoints=[12], prime_limit=10**4)
         assert len(rows) == 1

@@ -53,7 +53,7 @@ def test_shared_table_is_read_only():
 def test_products_leave_the_prime_table_intact():
     limit = 10**6
     before = primes_up_to(limit).tobytes()
-    # The products are cached under the limit they multiply out, 2**16.
+    # The products are cached under the limit they multiply out, 2**9.
     capped = constants.PRODUCT_PRIME_CAP
     for key in ("alpha", 2, 3, capped), ("apostol_A", 2, capped), ("log_tails", capped):
         constants._STORE.entries.pop(key, None)

@@ -89,6 +89,22 @@ def test_range_validation():
         sieve_qk(1, 10, 1)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: sieve_mu_km(1.5, 10, (2, 3)), "lo"),
+        (lambda: sieve_mu_km(1, 10.0, (2, 3)), "hi"),
+        (lambda: sieve_qk(1, 10.0, 2), "hi"),
+        (lambda: sieve_qk(1, 10, 2.0), "k"),
+        (lambda: stream_sum(10.5, (2, 3)), "x"),
+    ],
+    ids=["block-lo-float", "block-hi-float", "qk-hi-float", "qk-k-float", "stream-x-float"],
+)
+def test_non_integer_argument_is_value_error(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SieveConfig(segment_size=32)

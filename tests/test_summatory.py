@@ -681,6 +681,13 @@ def _spf_mu(top: int) -> np.ndarray:
 
 
 class TestMuSieve:
+    @pytest.mark.parametrize("x", [10.5, 10.0, np.float64(10.0)], ids=["fraction", "float", "np-float"])
+    def test_non_integer_top_is_value_error(self, x):
+        state = summatory._MU_TABLE.state
+        with pytest.raises(ValueError, match="^x must be an integer"):
+            mu_range(x)
+        assert summatory._MU_TABLE.state is state
+
     def test_every_small_top(self):
         ref = _spf_mu(4096).tolist()
         for top in range(1, 4097):
@@ -733,10 +740,11 @@ if sys.argv[1] == "conv first":
     trial = arith._trial_primes
     arith._trial_primes = lambda bits: tiers.append(bits) or trial(bits)
     s = conv()
-    assert primes._PRIMES.state[0] < 1 << 16, primes._PRIMES.state[0]
+    top = primes._PRIMES.state[0]
+    assert top < 1 << 16, top
     assert tiers and max(tiers) < 16, max(tiers)
     a = constants()
-    assert primes._PRIMES.state[0] == 1 << 16, primes._PRIMES.state[0]
+    assert primes._PRIMES.state[0] == max(top, 1 << 9), primes._PRIMES.state[0]
 else:
     a = constants()
     s = conv()
