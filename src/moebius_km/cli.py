@@ -11,12 +11,12 @@ the bytes.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from dataclasses import fields
 from decimal import Decimal, InvalidOperation
 from operator import attrgetter
+from types import SimpleNamespace
 
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
 from .constants import (
@@ -39,13 +39,7 @@ _TOL_HELP = (
 
 
 class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # Usage problems must map to exit code 1, not argparse's default 2.
-    def error(self, message):
-        raise _UsageError(message)
+    """A bad command line: printed as one ``usage error:`` line, exit code 1."""
 
 
 def _int_flag(text: str) -> int:
@@ -53,10 +47,10 @@ def _int_flag(text: str) -> int:
     try:
         d = Decimal(text)
     except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        raise _UsageError(f"not a number: {text!r}")
     # is_finite first: Infinity would overflow int(), and sNaN raises on compare.
     if not d.is_finite() or d != d.to_integral_value():
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise _UsageError(f"not an integer: {text!r}")
     return int(d)
 
 
@@ -198,96 +192,248 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _order_flags(p) -> None:
-    p.add_argument("--k", type=_int_flag, required=True)
-    p.add_argument("--m", type=_int_flag, default=None, help="defaults to k")
+class _Flag:
+    """One flag of a command as data: its name, converter, default and help.
+
+    ``convert`` turns the flag's text into its value (``_int_flag``,
+    ``float`` or ``str``); with ``convert=None`` the flag takes no value
+    and sets True, its default False.  The value is stored as ``dest``,
+    by default the name without its dashes, "-" read as "_".
+    """
+
+    __slots__ = ("name", "dest", "convert", "default", "required", "choices", "help")
+
+    def __init__(self, name, convert=str, default=None, *, required=False, choices=None,
+                 help=None, dest=None):
+        self.name = name
+        self.dest = dest or name[2:].replace("-", "_")
+        self.convert = convert
+        self.default = False if convert is None else default
+        self.required = required
+        self.choices = choices
+        self.help = help
+
+    def invocation(self) -> str:
+        """The flag as the help shows it, e.g. ``--method {direct,conv,both}``."""
+        if self.convert is None:
+            return self.name
+        if self.choices is not None:
+            return f"{self.name} {{{','.join(self.choices)}}}"
+        return f"{self.name} {self.dest.upper()}"
 
 
-def _bound_flags(p) -> None:
-    p.add_argument("--prime-limit", type=_int_flag, default=DEFAULT_PRIME_LIMIT)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
+_ORDER = (_Flag("--k", _int_flag, required=True), _Flag("--m", _int_flag, help="defaults to k"))
+_BOUNDS = (
+    _Flag("--prime-limit", _int_flag, DEFAULT_PRIME_LIMIT),
+    _Flag("--tol", float, DEFAULT_TOL, help=_TOL_HELP),
+)
+_COPRIME = _Flag("--coprime-to", _int_flag, 1)
 
-
-def _eval_flags(p) -> None:
-    p.add_argument("--n", type=_int_flag, required=True)
-
-
-def _sum_flags(p) -> None:
-    p.add_argument("--x", type=_int_flag, required=True)
-    p.add_argument("--coprime-to", type=_int_flag, default=1)
-    p.add_argument("--method", choices=("direct", "conv", "both"), default="direct")
-
-
-def _scan_flags(p) -> None:
-    p.add_argument("--coprime-to", type=_int_flag, default=1)
-    p.add_argument("--from", dest="from_x", type=_int_flag, required=True)
-    p.add_argument("--to", dest="to_x", type=_int_flag, required=True)
-    p.add_argument("--points-per-decade", type=_int_flag, default=4)
-    p.add_argument("--fit", action="store_true")
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _verify_flags(p) -> None:
-    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--limit", type=_int_flag, default=None, help="input size, >= 1")
-
-
-def _bench_flags(p) -> None:
-    p.add_argument("--x", type=_int_flag, required=True)
-    p.add_argument("--segment", type=_int_flag, default=DEFAULT_SEGMENT_SIZE)
-
-
-# name: (summary, handler, the functions that add its flags, in order)
+# name: (summary, handler, its flags in order)
 _COMMANDS = {
-    "eval": ("evaluate mu_{k,m}(n) at one point", _cmd_eval, (_order_flags, _eval_flags)),
-    "sum": ("summatory value over r <= x, gcd(r, n) = 1", _cmd_sum, (_order_flags, _sum_flags)),
-    "constants": (
-        "zeta(k), A_k and alpha_{k,m} with bounds", _cmd_constants, (_order_flags, _bound_flags),
+    "eval": (
+        "evaluate mu_{k,m}(n) at one point", _cmd_eval,
+        (*_ORDER, _Flag("--n", _int_flag, required=True)),
     ),
+    "sum": (
+        "summatory value over r <= x, gcd(r, n) = 1", _cmd_sum,
+        (
+            *_ORDER, _Flag("--x", _int_flag, required=True), _COPRIME,
+            _Flag("--method", str, "direct", choices=("direct", "conv", "both")),
+        ),
+    ),
+    "constants": ("zeta(k), A_k and alpha_{k,m} with bounds", _cmd_constants, (*_ORDER, *_BOUNDS)),
     "scan": (
         "error-term scan over a checkpoint grid", _cmd_scan,
-        (_order_flags, _bound_flags, _scan_flags),
+        (
+            *_ORDER, *_BOUNDS, _COPRIME,
+            _Flag("--from", _int_flag, required=True, dest="from_x"),
+            _Flag("--to", _int_flag, required=True, dest="to_x"),
+            _Flag("--points-per-decade", _int_flag, 4),
+            _Flag("--fit", None),
+            _Flag("--out", str, "-"),
+            _Flag("--format", str, "csv", choices=("csv", "json")),
+        ),
     ),
-    "verify": ("run cross-check suites", _cmd_verify, (_verify_flags,)),
-    "bench": ("streaming throughput report", _cmd_bench, (_bench_flags,)),
+    "verify": (
+        "run cross-check suites", _cmd_verify,
+        (
+            _Flag("--suite", str, "all", choices=(*SUITES, "all")),
+            _Flag("--limit", _int_flag, help="input size, >= 1"),
+        ),
+    ),
+    "bench": (
+        "streaming throughput report", _cmd_bench,
+        (_Flag("--x", _int_flag, required=True), _Flag("--segment", _int_flag, DEFAULT_SEGMENT_SIZE)),
+    ),
 }
 
-
-def build_parser() -> _Parser:
-    """The ``moebius`` parser with every subcommand."""
-    parser = _Parser(prog="moebius", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, _, _) in _COMMANDS.items():
-        sub.add_parser(name, help=summary, parents=[_command_parser(name)], add_help=False)
-    return parser
+_HELP = ("-h", "--help")
+_HELP_LINE = ("-h, --help", "show this help message and exit")
 
 
-def _command_parser(name: str) -> _Parser:
-    """The parser of the subcommand ``name`` alone, from its one entry in ``_COMMANDS``."""
-    _, handler, add_flags = _COMMANDS[name]
-    parser = _Parser(prog=f"moebius {name}")
-    parser.set_defaults(handler=handler)
-    for add in add_flags:
-        add(parser)
-    return parser
+def _is_value(token: str) -> bool:
+    """Whether ``token`` can be a flag's value rather than a flag.
+
+    A token is a flag when it starts with "-", except "-" itself, a
+    negative number ("-5", "-.5", "-2.5": not "-1e4") and a token with a
+    space: argparse's rule, as no flag here looks like a negative number.
+    """
+    if not token.startswith("-") or token == "-" or " " in token:
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    return whole.isdecimal() if not dot else (not whole or whole.isdecimal()) and frac.isdecimal()
+
+
+def _match(token: str, names) -> tuple[str, str | None] | None:
+    """(the flag of ``names`` that ``token`` names, its "=" value or None), or None.
+
+    A long flag may be given by any prefix that names it alone, with
+    ``=value`` or without; a prefix of several is an error.  ``-h`` may carry
+    its value glued on ("-hX", "-h=X"), which the help flag then rejects.
+    """
+    if token.startswith("--"):
+        head, eq, value = token.partition("=")
+        hits = [head] if head in names else [name for name in names if name.startswith(head)]
+        if len(hits) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
+        return (hits[0], value if eq else None) if hits else None
+    if token.startswith("-h"):
+        return "-h", (token[3:] if token[2:3] == "=" else token[2:]) or None
+    return None
+
+
+def _explicit_error(name: str, value: str) -> _UsageError:
+    return _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+
+
+def _help_requested(explicit: str | None, text: str) -> None:
+    """Print ``text`` and exit 0; a value given to the help flag is an error."""
+    if explicit is not None:
+        raise _explicit_error("-h/--help", explicit)
+    sys.stdout.write(text)
+    raise SystemExit(EXIT_OK)
+
+
+def _convert(flag: _Flag, text: str):
+    try:
+        value = flag.convert(text)
+    except _UsageError as exc:
+        raise _UsageError(f"argument {flag.name}: {exc}")
+    except (TypeError, ValueError):
+        raise _UsageError(f"argument {flag.name}: invalid {flag.convert.__name__} value: {text!r}")
+    if flag.choices is not None and value not in flag.choices:
+        choices = ", ".join(map(repr, flag.choices))
+        raise _UsageError(f"argument {flag.name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse_command(name: str, tokens: list[str], extras: list[str]):
+    """(handler, namespace) of the command ``name`` and the tokens after it.
+
+    Tokens are read left to right and a repeated flag keeps its last value.
+    A prefix of several flags fails before any value is read.  Tokens that
+    name no flag, and every token from a lone "--" on, join ``extras``,
+    which are rejected after the required flags are checked.
+    """
+    _, handler, flags = _COMMANDS[name]
+    by_name = {flag.name: flag for flag in flags}
+    names = (*_HELP, *by_name)
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    hits = [_match(token, names) for token in tokens[:end]]
+    values = {flag.dest: flag.default for flag in flags}
+    given = set()
+    i = 0
+    while i < end:
+        hit = hits[i]
+        i += 1
+        if hit is None:
+            extras.append(tokens[i - 1])
+            continue
+        flag_name, explicit = hit
+        if flag_name in _HELP:
+            _help_requested(explicit, _command_help(name))
+        flag = by_name[flag_name]
+        if flag.convert is None:
+            if explicit is not None:
+                raise _explicit_error(flag.name, explicit)
+            values[flag.dest] = True
+        else:
+            if explicit is None:
+                if i == end or hits[i] is not None or not _is_value(tokens[i]):
+                    raise _UsageError(f"argument {flag.name}: expected one argument")
+                explicit = tokens[i]
+                i += 1
+            values[flag.dest] = _convert(flag, explicit)
+        given.add(flag.name)
+    extras += tokens[end:]
+    missing = [flag.name for flag in flags if flag.required and flag.name not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**values)
+
+
+def parse(argv: list[str]):
+    """(handler, namespace) of the command line ``argv``, from ``_COMMANDS``.
+
+    The first token that is not a flag names the command; the help flag
+    before it prints the top-level help.  Every bad command line raises
+    ``_UsageError`` with argparse's message, and ``-h``/``--help`` print
+    help and raise ``SystemExit(0)``.
+    """
+    extras = []
+    for i, token in enumerate(argv):
+        hit = None if token == "--" else _match(token, _HELP)
+        if hit is not None:
+            _help_requested(hit[1], _top_help())
+        # As in argparse, a lone "--" with tokens after it is read as the command.
+        elif token == "--" and i + 1 == len(argv):
+            break
+        elif token == "--" or _is_value(token):
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise _UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            return _parse_command(token, argv[i + 1:], extras)
+        else:
+            extras.append(token)
+    raise _UsageError("the following arguments are required: command")
+
+
+def _rows(pairs) -> list[str]:
+    """Two columns: each name padded to the widest, then its text."""
+    width = max(len(name) for name, _ in pairs)
+    return [f"  {name:<{width}}  {text}".rstrip() for name, text in pairs]
+
+
+def _top_help() -> str:
+    names = ",".join(_COMMANDS)
+    commands = [(name, summary) for name, (summary, _, _) in _COMMANDS.items()]
+    return "\n".join([
+        f"usage: moebius [-h] {{{names}}} ...", "", __doc__.strip(), "", "commands:",
+        *_rows(commands), "", "options:", *_rows([_HELP_LINE]),
+    ]) + "\n"
+
+
+def _command_help(name: str) -> str:
+    summary, _, flags = _COMMANDS[name]
+    usage = " ".join(
+        flag.invocation() if flag.required else f"[{flag.invocation()}]" for flag in flags
+    )
+    options = [_HELP_LINE] + [(flag.invocation(), flag.help or "") for flag in flags]
+    return "\n".join([
+        f"usage: moebius {name} [-h] {usage}", "", summary, "", "options:", *_rows(options),
+    ]) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the command ``argv`` (default: ``sys.argv[1:]``) and return its exit code.
-
-    A named command builds only its own parser and parses the rest of
-    ``argv``.  With no command, an unknown one or a top-level option such as
-    ``--help``, the full parser is built, so its usage and errors list every
-    command.
-    """
+    """Run the command ``argv`` (default: ``sys.argv[1:]``) and return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    named = bool(argv) and argv[0] in _COMMANDS
-    parser = _command_parser(argv[0]) if named else build_parser()
     try:
-        args = parser.parse_args(argv[1:] if named else argv)
-        return args.handler(args)
+        handler, args = parse(argv)
+        return handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

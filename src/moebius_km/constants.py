@@ -147,8 +147,9 @@ def zeta(k: int, tol: float) -> ConstantEstimate:
     return ConstantEstimate(value, math.nextafter(bound, math.inf), _ZETA_CUTOFF)
 
 
-# The log tails and log products, per prime limit.  A build may fetch another
-# entry: the store's lock is reentrant.
+# The log tails per prime limit, and each product's estimate per (name,
+# order, prime limit).  A build may fetch another entry: the store's lock is
+# reentrant.
 _STORE = KeyedStore()
 
 
@@ -213,19 +214,12 @@ def _power_tail(s: int, prime_limit: int) -> tuple[float, float]:
     return math.fsum(terms), err + 2.0 * _nsum_tail((last + 1) * s, prime_limit)
 
 
-def _log_product(key: tuple, prime_limit: int, log_factors) -> float:
-    """sum_{p <= prime_limit} log(factor_p), cached per (key, prime limit).
-
-    ``log_factors`` maps the primes as float64 to their log factors; the
-    key names the product and its order, so only one float per pair is kept.
-    """
-
-    def build() -> float:
-        pf = primes_up_to(prime_limit).astype(np.float64)
-        with np.errstate(over="ignore"):  # p**e = inf only where the factor is 1.0
-            return float(log_factors(pf).sum())
-
-    return _STORE.get((*key, prime_limit), build)
+def _log_product(prime_limit: int, log_factors) -> float:
+    """sum_{p <= prime_limit} log(factor_p), with ``log_factors`` mapping the
+    primes as float64 to their log factors."""
+    pf = primes_up_to(prime_limit).astype(np.float64)
+    with np.errstate(over="ignore"):  # p**e = inf only where the factor is 1.0
+        return float(log_factors(pf).sum())
 
 
 def _nsum_tail(s: int, prime_limit: int) -> float:
@@ -274,20 +268,21 @@ def alpha_n(order: OrderPair | tuple[int, int], n: int | FactoredInteger) -> Fra
 
 
 def _product_estimate(
-    base: float, prime_limit: int, numer: dict[int, int], denom: dict[int, int]
+    prime_limit: int, log_factors, numer: dict[int, int], denom: dict[int, int]
 ) -> ConstantEstimate:
     """The estimate of prod_p F(1/p), F(u) = numer(u) / denom(u).
 
-    ``base`` is the log of the product over p <= P = prime_limit.  The
-    primes p > P add sum_{s>=2} c_s P_P(s) (Cohen's series, see the module
-    docstring), taken for s = 2..T, T the top of the log-tail table.  Every
-    |c_s| is at most 2**s + 1: numer = 1 - g with g's absolute coefficients
-    G(u) summing to at most 5/8 at u = 1/2, so -log(1 - G) majorises
-    log(numer) and has coefficients at most 2**s, and -log(denom) =
+    ``log_factors`` maps the primes p <= P = prime_limit as float64 to their
+    log factors.  The primes p > P add sum_{s>=2} c_s P_P(s) (Cohen's series,
+    see the module docstring), taken for s = 2..T, T the top of the log-tail
+    table.  Every |c_s| is at most 2**s + 1: numer = 1 - g with g's absolute
+    coefficients G(u) summing to at most 5/8 at u = 1/2, so -log(1 - G)
+    majorises log(numer) and has coefficients at most 2**s, and -log(denom) =
     -log(1 - u**k) has coefficients 1/j.  As every p > P is at least P + 1
     >= 3, the terms past T add at most sum_{n>P} 2 (2/n)**(T+1) / (1 - 2/n)
     <= 4 (2/(P+1))**T (1 + (P+1)/T) / (P-1).
     """
+    base = _log_product(prime_limit, log_factors)
     top = len(_log_tails(prime_limit)[0]) - 1
     terms, err = [base], _LOG_SUM_SLACK
     for s, c in enumerate(_log_series(numer, denom, top)):
@@ -330,11 +325,11 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
         np.divide(-1.0, denom, out=denom)
         return np.log1p(denom, out=denom)
 
-    base = _log_product(("alpha", k, m), prime_limit, log_factors)
     numer = {k: -1}
     numer[m] = numer.get(m, 0) - 1
     numer[m + 1] = 1
-    return _product_estimate(base, prime_limit, numer, {k: -1})
+    key = ("alpha", k, m, prime_limit)
+    return _STORE.get(key, _product_estimate, prime_limit, log_factors, numer, {k: -1})
 
 
 def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
@@ -355,8 +350,8 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
         work /= pf ** float(k + 1)
         return np.log1p(work, out=work)
 
-    base = _log_product(("apostol_A", k), prime_limit, log_factors)
-    return _product_estimate(base, prime_limit, {k: -2, k + 1: 1}, {})
+    key = ("apostol_A", k, prime_limit)
+    return _STORE.get(key, _product_estimate, prime_limit, log_factors, {k: -2, k + 1: 1}, {})
 
 
 def identity_gap(

@@ -1,5 +1,7 @@
 import argparse
+import io
 import json
+from contextlib import redirect_stdout
 from dataclasses import fields
 
 import pytest
@@ -333,53 +335,41 @@ class TestContracts:
             assert list(row) == [f.name for f in fields(ScanRow)] + ["conjecture_mode"]
         assert list(fit) == [f.name for f in fields(FitResult)]
 
-    def test_suite_choices_are_the_suite_table(self):
-        parser = cli.build_parser()
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
-        assert tuple(suite.choices) == (*verify_mod.SUITES, "all")
+    def test_suite_choices_are_the_suite_table(self, capsys):
+        suites = (*verify_mod.SUITES, "all")
+        assert next(f for f in cli._COMMANDS["verify"][2] if f.name == "--suite").choices == suites
+        assert [cli.parse(["verify", "--suite", s])[1].suite for s in suites] == list(suites)
+        code, out, err = run(capsys, "verify", "--suite", "bogus")
+        assert (code, out) == (1, "")
+        assert err.endswith("(choose from " + ", ".join(map(repr, suites)) + ")\n")
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        assert "--suite {" + ",".join(suites) + "}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
         [("constants", "--k", "2"), ("scan", "--k", "2", "--from", "10", "--to", "100")],
     )
     def test_constant_flags_default_to_library_defaults(self, argv):
-        args = cli.build_parser().parse_args(argv)
+        _, args = cli.parse(list(argv))
         assert (args.tol, args.prime_limit) == (DEFAULT_TOL, DEFAULT_PRIME_LIMIT)
         assert args.m is None
 
     def test_bench_segment_defaults_to_sieve_config(self):
-        args = cli.build_parser().parse_args(["bench", "--x", "1e6"])
+        _, args = cli.parse(["bench", "--x", "1e6"])
         assert args.segment == SieveConfig().segment_size
 
     @pytest.mark.parametrize("name", COMMANDS)
-    def test_single_command_parser_matches_full_parser(self, name):
-        parser = cli.build_parser()
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert cli._command_parser(name).format_help() == commands.choices[name].format_help()
-
-    def test_main_builds_only_the_named_command(self, capsys, monkeypatch):
-        # A named command builds one parser, its own; any other argv the full one.
-        built = []
-        command, parser_class = cli._command_parser, cli._Parser
-
-        def spy(name):
-            built.append(name)
-            return command(name)
-
-        class Counted(parser_class):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs["prog"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "_command_parser", spy)
-        monkeypatch.setattr(cli, "_Parser", Counted)
-        assert run(capsys, "eval", "--k", "2", "--m", "3", "--n", "8")[:2] == (0, "-1\n")
-        assert built == ["eval", "moebius eval"]
-        for argv in (["nonsense"], []):
-            built.clear()
-            run(capsys, *argv)
-            assert built[0] == "moebius" and set(COMMANDS) <= set(built)
+    def test_command_help_lists_every_flag(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: moebius {name} [-h] ")
+        for flag in cli._COMMANDS[name][2]:
+            assert flag.name in out and (flag.help or "") in out
+        required = [f"{f.name} " for f in cli._COMMANDS[name][2] if f.required]
+        assert all(f"[{r}" not in out for r in required)
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -409,3 +399,159 @@ class TestContracts:
                 for r in rows
             ]
             assert cli.rows_to_lines(rows, mode, "csv") == want
+
+
+class _ReferenceError(Exception):
+    pass
+
+
+class _Reference(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ReferenceError(message)
+
+
+def _reference_parser() -> _Reference:
+    """argparse's parser for the flag table ``cli._COMMANDS``: the reference for ``cli.parse``."""
+
+    def reference_type(convert):
+        # argparse reports an ArgumentTypeError by its own message, as cli does a _UsageError.
+        def call(text):
+            try:
+                return convert(text)
+            except cli._UsageError as exc:
+                raise argparse.ArgumentTypeError(str(exc))
+
+        call.__name__ = convert.__name__
+        return call
+
+    parser = _Reference(prog="moebius")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, handler, flags) in cli._COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(handler=handler)
+        for flag in flags:
+            if flag.convert is None:
+                sub.add_argument(flag.name, dest=flag.dest, action="store_true")
+            else:
+                sub.add_argument(
+                    flag.name, dest=flag.dest, type=reference_type(flag.convert),
+                    default=flag.default, required=flag.required, choices=flag.choices,
+                    help=flag.help,
+                )
+    return parser
+
+
+def _outcome(call):
+    """("ok", result), ("usage error", message) or ("exit", code) of call()."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            return "ok", call()
+    except (cli._UsageError, _ReferenceError) as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+SCAN_ORDER = ("scan", "--k", "2", "--from", "10", "--to", "100")
+
+VALID_ARGV = [
+    ("eval", "--k", "2", "--m", "3", "--n", "8"),
+    ("eval", "--k=2", "--m=3", "--n=8"),
+    ("eval", "--n", "4", "--k", "2", "--k", "3"),
+    ("eval", "--k", "2", "--n", "-4"),
+    ("sum", "--k", "2", "--x", "1e4", "--method", "conv"),
+    ("sum", "--k", "2", "--x", "12", "--cop", "30", "--meth=both"),
+    ("sum", "--x", "12", "--k", "3", "--m", "3", "--x", "13", "--method", "direct"),
+    ("constants", "--k", "2", "--prime-limit", "1e9", "--tol", "1e-10"),
+    ("constants", "--k", "3", "--pr=512", "--t", "1e-12"),
+    ("constants", "--k", "2", "--tol", "nan"),
+    ("constants", "--k", "2", "--tol", "-1", "--tol", "-.5"),
+    ("scan", "--k", "2", "--m", "3", "--coprime-to", "6", "--from", "1000", "--to", "100000000",
+     "--points-per-decade", "20", "--fit", "--out", "-"),
+    ("scan", "--k", "2", "--fr", "10", "--to", "100", "--tol=1e-12", "--fi", "--fo", "json"),
+    ("scan", "--k=2", "--from=1e3", "--to=1e6", "--points", "4", "--fit", "--fit"),
+    (*SCAN_ORDER, "--out", "-", "--out", "rows.csv", "--form=csv"),
+    (*SCAN_ORDER, "--out", "a b", "--to", "1e3", "--tol", "1e-9"),
+    ("verify",),
+    ("verify", "--suite", "qk", "--limit", "50"),
+    ("verify", "--su=all", "--lim", "1e3", "--suite", "table"),
+    ("bench", "--x", "1e6"),
+    ("bench", "--x", "1e6", "--seg", "65536", "--x=2e6"),
+]
+
+INVALID_ARGV = [
+    (),
+    ("nonsense",),
+    ("--k", "2", "scan"),
+    ("--",),
+    ("--", "scan"),
+    ("eval", "--n", "4"),
+    ("eval", "--k", "2.5", "--n", "4"),
+    ("eval", "--k", "2", "--n", "4", "--"),
+    ("eval", "--k", "2", "--n", "4", "extra", "-x"),
+    ("eval", "-hx"),
+    ("eval", "--help=1"),
+    ("eval", "--k", "x", "--help"),
+    ("sum", "--k", "2", "--x", "inf"),
+    ("sum", "--k", "2", "--x", "1e4", "--threads", "2"),
+    ("sum", "--k", "2", "--x", "1e4", "--method", "fast"),
+    ("sum", "--k", "2", "--x"),
+    ("sum", "--k", "--x", "5"),
+    ("sum", "--k", "2", "--x", "-1e4"),
+    ("scan", "--k", "2", "--f", "10", "--to", "100"),
+    ("scan", "--k", "x", "--p", "4", "--from", "1", "--to", "2"),
+    (*SCAN_ORDER, "--fit=1"),
+    (*SCAN_ORDER, "--out"),
+    (*SCAN_ORDER, "--out", "--fit"),
+    ("constants", "--k", "2", "--tol", "x"),
+    ("constants", "--k", "2", "--tol", "-1e-3"),
+    ("verify", "--suite", "bogus"),
+    ("verify", "--limit", "1.5"),
+    ("bench", "--x", "1e6", "--threads", "2"),
+]
+
+HELP_ARGV = [
+    ("--help",), ("-h",), ("--he",), ("--threads", "--help"), ("scan", "-h"),
+    ("scan", "--k", "2", "--help"), ("eval", "--k", "2", "--n", "4", "--h"), ("verify", "--k", "-h"),
+]
+
+
+class TestArgparseReference:
+    """``cli.parse`` reads every command line as argparse does from the same table."""
+
+    @staticmethod
+    def outcomes(argv):
+        argv = list(argv)
+        ref = _outcome(lambda: vars(_reference_parser().parse_args(argv)))
+        new = _outcome(lambda: cli.parse(argv))
+        if ref[0] == "ok":
+            del ref[1]["command"]
+        if new[0] == "ok":
+            handler, args = new[1]
+            new = ("ok", {**vars(args), "handler": handler})
+        return ref, new
+
+    @pytest.mark.parametrize("argv", VALID_ARGV)
+    def test_valid_argv_gives_the_same_namespace(self, argv):
+        ref, new = self.outcomes(argv)
+        assert ref[0] == "ok"
+        assert repr(new) == repr(ref)  # repr: the tol "nan" is not equal to itself
+
+    @pytest.mark.parametrize("argv", INVALID_ARGV)
+    def test_invalid_argv_gives_the_same_usage_error(self, capsys, argv):
+        ref, new = self.outcomes(argv)
+        assert ref[0] == "usage error"
+        assert new == ref
+        assert run(capsys, *argv) == (1, "", f"usage error: {ref[1]}\n")
+
+    @pytest.mark.parametrize("argv", HELP_ARGV)
+    def test_help_anywhere_exits_zero(self, capsys, argv):
+        assert self.outcomes(argv) == (("exit", 0), ("exit", 0))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: moebius")
+
+    def test_equals_value_is_taken_verbatim(self):
+        # argparse turns "--out=--" into an empty list; the table parser keeps the text.
+        for value in ("--", "-", "a=b", ""):
+            assert cli.parse([*SCAN_ORDER, f"--out={value}"])[1].out == value

@@ -25,7 +25,7 @@ from moebius_km.constants import (
     zeta,
 )
 from moebius_km.functions import mu, psi_k
-from moebius_km.primes import prime_list_up_to, primes_up_to
+from moebius_km.primes import KeyedStore, prime_list_up_to, primes_up_to
 
 # Values of the previous implementation (per-call p**-s powers over the
 # primes), as (value, tail_bound), keyed by prime limit.
@@ -149,9 +149,21 @@ class TestProducts:
         a_big = apostol_A(2, 400)
         assert abs(a_big.value - a_small.value) <= a_small.tail_bound
 
-    def test_bound_nonincreasing_in_prime_limit(self):
-        bounds = [alpha((2, 3), p).tail_bound for p in (10**3, 10**4, 10**5)]
-        assert bounds[0] >= bounds[1] >= bounds[2]
+    def test_bound_nonincreasing_in_prime_limit(self, monkeypatch):
+        # Every bound here is the 1e-10 floor, so the claim is checked on the
+        # bounds below it, in a store of their own.  Past the 2**9 cap every
+        # limit gives exactly the 2**9 estimate.
+        limits = (2, 10, 100, PRODUCT_PRIME_CAP)
+        for km in ((2, 3), (2, 2), (3, 5)):
+            capped = alpha(km, PRODUCT_PRIME_CAP)
+            assert all(alpha(km, p) == capped for p in (10**3, 10**4, 10**5)), km
+        monkeypatch.setattr(constants, "_TAIL_FLOOR", 0.0)
+        monkeypatch.setattr(constants, "_STORE", KeyedStore())
+        for km in ((2, 3), (2, 2), (3, 5)):
+            bounds = [alpha(km, p).tail_bound for p in limits]
+            assert bounds == sorted(bounds, reverse=True) and bounds[-1] > 0, km
+        bounds = [apostol_A(2, p).tail_bound for p in limits]
+        assert bounds == sorted(bounds, reverse=True) and bounds[-1] > 0
 
     def test_huge_orders_at_small_limits_keep_the_floor(self):
         # Every factor past p = 100 rounds to 1.0; the bound still covers rounding.
@@ -439,24 +451,30 @@ class TestPowerSumTable:
             constants._STORE.entries.pop(outer, None)
 
     def test_log_product_cached_bit_identical(self, monkeypatch):
+        # The in-place log-factor passes sum exactly what the plain expressions
+        # do, and each estimate is one cache entry, built once.
         limit = 345
         for key in ("alpha", 2, 3, limit), ("apostol_A", 3, limit):
             constants._STORE.entries.pop(key, None)
+        sums, log_product = [], constants._log_product
+        monkeypatch.setattr(
+            constants, "_log_product", lambda *args: sums.append(log_product(*args)) or sums[-1]
+        )
         a, a3 = alpha((2, 3), limit), apostol_A(3, limit)
         pf = primes_up_to(limit).astype(np.float64)
         denom = np.zeros_like(pf) + pf**2.0 + pf**3.0
-        assert constants._STORE.entries[("alpha", 2, 3, limit)] == float(
-            np.log1p(-1.0 / denom).sum()
-        )
-        assert constants._STORE.entries[("apostol_A", 3, limit)] == float(
-            np.log1p(-(2.0 * pf - 1.0) / pf**4.0).sum()
-        )
+        assert sums == [
+            float(np.log1p(-1.0 / denom).sum()), float(np.log1p(-(2.0 * pf - 1.0) / pf**4.0).sum())
+        ]
+        assert constants._STORE.entries[("alpha", 2, 3, limit)] is a
+        assert constants._STORE.entries[("apostol_A", 3, limit)] is a3
 
         def forbidden(limit):
             raise AssertionError("a cached product rebuilt its prime table")
 
         monkeypatch.setattr(constants, "primes_up_to", forbidden)
-        assert alpha((2, 3), limit) == a and apostol_A(3, limit) == a3
+        assert alpha((2, 3), limit) is a and apostol_A(3, limit) is a3
+        assert len(sums) == 2
 
     @pytest.mark.parametrize("limit,top", [(10**3, 8), (10**4, 6), (PRODUCT_PRIME_CAP, 8)])
     def test_log_tails_against_mpmath(self, limit, top):

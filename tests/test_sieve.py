@@ -668,3 +668,25 @@ def test_import_and_stream_never_import_concurrent_futures():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_CLI_CALLS = """
+import sys
+from moebius_km import cli
+assert cli.main(["scan", "--k", "2", "--m", "3", "--coprime-to", "6", "--from", "1e3",
+                 "--to", "1e6", "--points-per-decade", "4", "--fit", "--prime-limit", "1e4"]) == 0
+assert cli.main(["sum", "--k", "2", "--m", "3", "--x", "1e4", "--method", "conv"]) == 0
+assert cli.main(["sum", "--k", "2", "--x", "1e4", "--threads", "2"]) == 1
+loaded = sorted(name for name in ("argparse", "gettext", "locale") if name in sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_cli_calls_never_import_argparse_gettext_or_locale():
+    # A fresh interpreter, as for a command-line user; pytest imports all three.
+    src = os.path.dirname(os.path.dirname(sieve.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_CALLS], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
