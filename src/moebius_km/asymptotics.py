@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL, alpha, alpha_n, zeta
+from .constants import DEFAULT_TOL, PRODUCT_PRIME_CAP, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
 # stream_sum is not called here: the benchmark's traced run
 # (perfbench/worker.py) wraps asymptotics.stream_sum by name.
@@ -82,7 +82,7 @@ def scan(
     order: OrderPair | tuple[int, int],
     coprime_to: int = 1,
     checkpoints: list[int] | None = None,
-    prime_limit: int = DEFAULT_PRIME_LIMIT,
+    prime_limit: int = PRODUCT_PRIME_CAP,
     tol: float = DEFAULT_TOL,
     config: SieveConfig | None = None,
 ) -> list[ScanRow]:
@@ -121,7 +121,7 @@ def conjecture_scan(
     k: int,
     coprime_to: int = 1,
     checkpoints: list[int] | None = None,
-    prime_limit: int = DEFAULT_PRIME_LIMIT,
+    prime_limit: int = PRODUCT_PRIME_CAP,
     tol: float = DEFAULT_TOL,
 ) -> list[ScanRow]:
     """Scan with m = k: the density is the conjectured one for mu_k."""

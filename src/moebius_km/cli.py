@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
 from .constants import (
-    DEFAULT_PRIME_LIMIT, DEFAULT_TOL, PrecisionError, alpha, apostol_A, identity_gap, zeta,
+    DEFAULT_TOL, PRODUCT_PRIME_CAP, PrecisionError, alpha, apostol_A, identity_gap, zeta,
 )
 from .functions import OrderPair, mu_km
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, segment_memory_estimate, stream_sum
@@ -224,7 +224,7 @@ class _Flag:
 
 _ORDER = (_Flag("--k", _int_flag, required=True), _Flag("--m", _int_flag, help="defaults to k"))
 _BOUNDS = (
-    _Flag("--prime-limit", _int_flag, DEFAULT_PRIME_LIMIT),
+    _Flag("--prime-limit", _int_flag, PRODUCT_PRIME_CAP),
     _Flag("--tol", float, DEFAULT_TOL, help=_TOL_HELP),
 )
 _COPRIME = _Flag("--coprime-to", _int_flag, 1)

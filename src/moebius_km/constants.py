@@ -27,7 +27,7 @@ Tail handling, documented here because the bound choice is load-bearing:
   for A_k and (1 - u^k - u^m + u^(m+1)) / (1 - u^k) for alpha_{k,m}.  Its
   log is sum_s c_s u^s, the integers s c_s coming from F'/F by long
   division, so log prod_{p>P} F(1/p) = sum_{s>=2} c_s P_P(s) with the
-  prime-power tails P_P(s) = sum_{p>P} p^-s.  The cached log of the
+  prime-power tails P_P(s) = sum_{p>P} p^-s.  The log of the
   product over p <= P is corrected by the terms s = 2..T of this series.
   The tails P_P(s) are the Moebius inversion sum_j mu(j)/j L(js) of the
   log tails L(t) = sum_{p>P} -log(1 - p^-t), computed once per P for
@@ -60,7 +60,6 @@ from .functions import OrderPair, as_order
 from .primes import KeyedStore, primes_up_to
 from .sieve import checked_int
 
-DEFAULT_PRIME_LIMIT = 1_000_000
 DEFAULT_TOL = 1e-12
 PRODUCT_PRIME_CAP = 1 << 9  # the products multiply out the primes up to this
 
@@ -214,14 +213,6 @@ def _power_tail(s: int, prime_limit: int) -> tuple[float, float]:
     return math.fsum(terms), err + 2.0 * _nsum_tail((last + 1) * s, prime_limit)
 
 
-def _log_product(prime_limit: int, log_factors) -> float:
-    """sum_{p <= prime_limit} log(factor_p), with ``log_factors`` mapping the
-    primes as float64 to their log factors."""
-    pf = primes_up_to(prime_limit).astype(np.float64)
-    with np.errstate(over="ignore"):  # p**e = inf only where the factor is 1.0
-        return float(log_factors(pf).sum())
-
-
 def _nsum_tail(s: int, prime_limit: int) -> float:
     # Elementary bound sum_{n > P} n**-s <= P**(1-s)/(s-1); underflows to 0.0
     # harmlessly for large s.
@@ -282,7 +273,9 @@ def _product_estimate(
     >= 3, the terms past T add at most sum_{n>P} 2 (2/n)**(T+1) / (1 - 2/n)
     <= 4 (2/(P+1))**T (1 + (P+1)/T) / (P-1).
     """
-    base = _log_product(prime_limit, log_factors)
+    pf = primes_up_to(prime_limit).astype(np.float64)
+    with np.errstate(over="ignore"):  # p**e = inf only where the factor is 1.0
+        base = float(log_factors(pf).sum())
     top = len(_log_tails(prime_limit)[0]) - 1
     terms, err = [base], _LOG_SUM_SLACK
     for s, c in enumerate(_log_series(numer, denom, top)):
@@ -317,13 +310,7 @@ def alpha(order: OrderPair | tuple[int, int], prime_limit: int) -> ConstantEstim
     prime_limit = _multiplied_out(prime_limit)
 
     def log_factors(pf: np.ndarray) -> np.ndarray:
-        # log1p(-1 / sum_e p**e) in place in ``denom``, each further power in
-        # ``term``; the sum starts at its first power (0 + p**e is p**e exactly).
-        denom, term = np.power(pf, float(m - k + 1)), np.empty_like(pf)
-        for e in range(m - k + 2, m + 1):
-            denom += np.power(pf, float(e), out=term)
-        np.divide(-1.0, denom, out=denom)
-        return np.log1p(denom, out=denom)
+        return np.log1p(-1.0 / sum(pf ** float(e) for e in range(m - k + 1, m + 1)))
 
     numer = {k: -1}
     numer[m] = numer.get(m, 0) - 1
@@ -342,13 +329,7 @@ def apostol_A(k: int, prime_limit: int) -> ConstantEstimate:
     prime_limit = _multiplied_out(prime_limit)
 
     def log_factors(pf: np.ndarray) -> np.ndarray:
-        # log1p(-(2 p - 1) / p**(k + 1)) in place in ``work``; only the power is
-        # a temporary.
-        work = np.multiply(2.0, pf)
-        work -= 1.0
-        np.negative(work, out=work)
-        work /= pf ** float(k + 1)
-        return np.log1p(work, out=work)
+        return np.log1p(-(2.0 * pf - 1.0) / pf ** float(k + 1))
 
     key = ("apostol_A", k, prime_limit)
     return _STORE.get(key, _product_estimate, prime_limit, log_factors, {k: -2, k + 1: 1}, {})

@@ -49,8 +49,8 @@ import numpy as np
 
 from .arith import FactoredInteger, as_factored, squarefree_divisors
 from .constants import (
-    DEFAULT_PRIME_LIMIT,
     DEFAULT_TOL,
+    PRODUCT_PRIME_CAP,
     ConstantEstimate,
     alpha,
     alpha_n,
@@ -491,7 +491,7 @@ def _main_value(
 
 
 def main_term(
-    q: SumQuery, prime_limit: int = DEFAULT_PRIME_LIMIT, tol: float = DEFAULT_TOL
+    q: SumQuery, prime_limit: int = PRODUCT_PRIME_CAP, tol: float = DEFAULT_TOL
 ) -> MainTermParts:
     """Asymptotic main term x n^2 alpha_{k,m} / (zeta(k) psi_k(n) alpha_{k,m}(n)).
 

@@ -15,7 +15,7 @@ from math import gcd
 import numpy as np
 
 from .arith import FactoredInteger, factorizations, factorize, squarefree_divisors
-from .constants import DEFAULT_TOL, alpha, apostol_A, identity_gap, zeta
+from .constants import DEFAULT_TOL, PRODUCT_PRIME_CAP, alpha, apostol_A, identity_gap, zeta
 from .functions import OrderPair, as_order, mu, mu_apostol, mu_km, psi_k
 from .primes import iroot
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, _max_range, sieve_mu_km, sieve_qk, stream_sum
@@ -229,7 +229,7 @@ def check_sum_agreement(
 
 
 def check_constants_identity(
-    ks=(2, 3), prime_limit: int = 100_000, tol: float = DEFAULT_TOL
+    ks=(2, 3), prime_limit: int = PRODUCT_PRIME_CAP, tol: float = DEFAULT_TOL
 ) -> SuiteResult:
     """alpha_{k,k} agrees with zeta(k) * A_k within the combined reported bounds."""
     checked = 0
@@ -262,7 +262,7 @@ SUITES = {
     "apostol": (check_apostol_agreement, 10_000),
     "qk": (check_qk_count, 1_000),
     "sums": (_check_sums_up_to, 10**5),
-    "constants": (lambda limit: check_constants_identity(prime_limit=limit), 100_000),
+    "constants": (lambda limit: check_constants_identity(prime_limit=limit), PRODUCT_PRIME_CAP),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 import moebius_km.cli as cli
 import moebius_km.verify as verify_mod
 from moebius_km.asymptotics import FitResult, ScanRow
-from moebius_km.constants import DEFAULT_PRIME_LIMIT, DEFAULT_TOL
+from moebius_km.constants import DEFAULT_TOL, PRODUCT_PRIME_CAP
 from moebius_km.sieve import SieveConfig, _max_range
 
 
@@ -352,7 +352,7 @@ class TestContracts:
     )
     def test_constant_flags_default_to_library_defaults(self, argv):
         _, args = cli.parse(list(argv))
-        assert (args.tol, args.prime_limit) == (DEFAULT_TOL, DEFAULT_PRIME_LIMIT)
+        assert (args.tol, args.prime_limit) == (DEFAULT_TOL, PRODUCT_PRIME_CAP)
         assert args.m is None
 
     def test_bench_segment_defaults_to_sieve_config(self):

@@ -13,7 +13,6 @@ import pytest
 from conftest import race
 from moebius_km import constants
 from moebius_km.constants import (
-    DEFAULT_PRIME_LIMIT,
     PRODUCT_PRIME_CAP,
     ConstantEstimate,
     PrecisionError,
@@ -403,7 +402,7 @@ class TestReferenceValues:
         # pinned to its present distance, at most 1, and may come no further.
         for case, ref in references.items():
             nearest = float(ref)
-            steps = (_estimate(case, DEFAULT_PRIME_LIMIT).value - nearest) / math.ulp(nearest)
+            steps = (_estimate(case, 10**6).value - nearest) / math.ulp(nearest)
             assert abs(steps) <= abs(_STEPS_AT_1E6[case]) <= 5, (case, steps)
 
 
@@ -451,30 +450,30 @@ class TestPowerSumTable:
             constants._STORE.entries.pop(outer, None)
 
     def test_log_product_cached_bit_identical(self, monkeypatch):
-        # The in-place log-factor passes sum exactly what the plain expressions
-        # do, and each estimate is one cache entry, built once.
-        limit = 345
-        for key in ("alpha", 2, 3, limit), ("apostol_A", 3, limit):
-            constants._STORE.entries.pop(key, None)
-        sums, log_product = [], constants._log_product
-        monkeypatch.setattr(
-            constants, "_log_product", lambda *args: sums.append(log_product(*args)) or sums[-1]
-        )
-        a, a3 = alpha((2, 3), limit), apostol_A(3, limit)
-        pf = primes_up_to(limit).astype(np.float64)
-        denom = np.zeros_like(pf) + pf**2.0 + pf**3.0
-        assert sums == [
-            float(np.log1p(-1.0 / denom).sum()), float(np.log1p(-(2.0 * pf - 1.0) / pf**4.0).sum())
-        ]
-        assert constants._STORE.entries[("alpha", 2, 3, limit)] is a
-        assert constants._STORE.entries[("apostol_A", 3, limit)] is a3
+        # Values and bounds from a cold store, pinned bit for bit; each
+        # estimate is one cache entry, built once.
+        pinned = {
+            ("alpha", 2, 3, 345): ("0x1.c355c8312e96cp-1", "0x1.b7cdfd9d7bdbbp-34"),
+            ("apostol_A", 3, 345): ("0x1.7d48ba71f8516p-1", "0x1.b7cdfd9d7bdbbp-34"),
+            ("alpha", 3, 4, 512): ("0x1.e8a0fd5d4e2fcp-1", "0x1.b7cdfd9d7bdbbp-34"),
+            ("apostol_A", 2, 512): ("0x1.b68709d5a5287p-2", "0x1.b7cdfd9d7bdbbp-34"),
+            # The only pin here that moves if A_k multiplies by p**-(k+1) instead.
+            ("apostol_A", 4, 512): ("0x1.c4adee484634fp-1", "0x1.b7cdfd9d7bdbbp-34"),
+        }
+
+        def estimate(name, *args):
+            return alpha(args[:2], args[2]) if name == "alpha" else apostol_A(*args)
+
+        monkeypatch.setattr(constants, "_STORE", KeyedStore())
+        got = {key: estimate(*key) for key in pinned}
+        assert {key: (e.value.hex(), e.tail_bound.hex()) for key, e in got.items()} == pinned
+        assert all(constants._STORE.entries[key] is e for key, e in got.items())
 
         def forbidden(limit):
             raise AssertionError("a cached product rebuilt its prime table")
 
         monkeypatch.setattr(constants, "primes_up_to", forbidden)
-        assert alpha((2, 3), limit) is a and apostol_A(3, limit) is a3
-        assert len(sums) == 2
+        assert all(estimate(*key) is e for key, e in got.items())
 
     @pytest.mark.parametrize("limit,top", [(10**3, 8), (10**4, 6), (PRODUCT_PRIME_CAP, 8)])
     def test_log_tails_against_mpmath(self, limit, top):
