@@ -6,7 +6,6 @@ scans.
 
 from .arith import (
     FactoredInteger,
-    eval_multiplicative,
     factorize,
     gcd,
     is_prime,
@@ -15,11 +14,8 @@ from .arith import (
 from .asymptotics import (
     FitResult,
     ScanRow,
-    ShapeParams,
-    conjecture_scan,
     fit_exponent,
     geometric_checkpoints,
-    reference_shape,
     scan,
 )
 from .constants import (
@@ -38,7 +34,6 @@ from .functions import (
     mu_km,
     psi_k,
     q_k,
-    sigma_star,
     theta,
 )
 from .sieve import (
@@ -50,14 +45,10 @@ from .sieve import (
     stream_sum,
 )
 from .summatory import (
-    L_n_sum,
     MainTermParts,
     SumQuery,
     convolution_sums,
-    coprime_count,
     main_term,
-    mu_over_psi_sum,
-    mu_over_psi_weighted_sum,
     qk_count,
     sum_convolution,
     sum_direct,
@@ -67,18 +58,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FactoredInteger",
-    "eval_multiplicative",
     "factorize",
     "gcd",
     "is_prime",
     "squarefree_divisors",
     "FitResult",
     "ScanRow",
-    "ShapeParams",
-    "conjecture_scan",
     "fit_exponent",
     "geometric_checkpoints",
-    "reference_shape",
     "scan",
     "ConstantEstimate",
     "PrecisionError",
@@ -93,7 +80,6 @@ __all__ = [
     "mu_km",
     "psi_k",
     "q_k",
-    "sigma_star",
     "theta",
     "SieveBlock",
     "SieveConfig",
@@ -101,14 +87,10 @@ __all__ = [
     "sieve_mu_km",
     "sieve_qk",
     "stream_sum",
-    "L_n_sum",
     "MainTermParts",
     "SumQuery",
     "convolution_sums",
-    "coprime_count",
     "main_term",
-    "mu_over_psi_sum",
-    "mu_over_psi_weighted_sum",
     "qk_count",
     "sum_convolution",
     "sum_direct",

@@ -1,4 +1,4 @@
-"""Integer factorization and generic evaluation of multiplicative functions.
+"""Integer factorization and squarefree-divisor enumeration.
 
 Everything downstream (point evaluation, sieves, exact identities) is built
 on canonical factorizations produced here.  Factorization is deterministic:
@@ -211,20 +211,6 @@ def as_factored(n: int | FactoredInteger) -> FactoredInteger:
     if isinstance(n, FactoredInteger):
         return n
     return factorize(n)
-
-
-def eval_multiplicative(rule, n: int | FactoredInteger):
-    """Evaluate a multiplicative function from its prime-power rule.
-
-    ``rule(p, e)`` must return the value at p**e and satisfy rule(p, 0) = 1;
-    the result is the product of rule over the factorization of n (1 for
-    n = 1).
-    """
-    fn = as_factored(n)
-    result = 1
-    for p, e in fn.factors:
-        result = result * rule(p, e)
-    return result
 
 
 def squarefree_divisors(n: int | FactoredInteger) -> list[tuple[int, int]]:

@@ -48,18 +48,6 @@ class FitResult:
     residual_rms: float
 
 
-@dataclass(frozen=True)
-class ShapeParams:
-    """User-supplied constants for the slowly varying reference envelopes."""
-
-    A: float = 1.0
-    B: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.A <= 0 or self.B <= 0:
-            raise ValueError("shape constants must be strictly positive")
-
-
 def geometric_checkpoints(lo: int, hi: int, points_per_decade: int = 4) -> list[int]:
     """Geometric integer grid from lo to hi, inclusive endpoints."""
     if not 1 <= lo <= hi:
@@ -117,17 +105,6 @@ def scan(
     return rows
 
 
-def conjecture_scan(
-    k: int,
-    coprime_to: int = 1,
-    checkpoints: list[int] | None = None,
-    prime_limit: int = PRODUCT_PRIME_CAP,
-    tol: float = DEFAULT_TOL,
-) -> list[ScanRow]:
-    """Scan with m = k: the density is the conjectured one for mu_k."""
-    return scan(OrderPair(k, k), coprime_to, checkpoints, prime_limit, tol)
-
-
 def fit_exponent(rows: list[ScanRow]) -> FitResult:
     """OLS slope of log|E| vs log x over rows with |E| >= 1e-9."""
     pts = [(math.log(r.x), math.log(abs(r.E))) for r in rows if abs(r.E) >= _FIT_MIN_ABS_E]
@@ -143,26 +120,3 @@ def fit_exponent(rows: list[ScanRow]) -> FitResult:
     rss = sum((v - (intercept + slope * u)) ** 2 for u, v in pts)
     return FitResult(slope, intercept, n, math.sqrt(rss / n))
 
-
-def reference_shape(x, k: int, params: ShapeParams, which: str) -> float:
-    """Slowly varying envelope shapes with user-supplied constants.
-
-    which selects among:
-      delta    exp(-A (log x)^(3/5) (log log x)^(-1/5))
-      delta_k  exp(-A k^(-8/5) (log x)^(3/5) (log log x)^(-1/5))
-      omega    exp(A log x / log log x)
-      omega_k  exp(B log x / log log x)
-    """
-    if x < 3:
-        raise ValueError("x must be >= 3")
-    log_x = math.log(x)
-    loglog_x = math.log(log_x)
-    if which == "delta":
-        return math.exp(-params.A * log_x ** 0.6 * loglog_x ** -0.2)
-    if which == "delta_k":
-        return math.exp(-params.A * k ** -1.6 * log_x ** 0.6 * loglog_x ** -0.2)
-    if which == "omega":
-        return math.exp(params.A * log_x / loglog_x)
-    if which == "omega_k":
-        return math.exp(params.B * log_x / loglog_x)
-    raise ValueError(f"unknown shape {which!r}")

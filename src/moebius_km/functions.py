@@ -119,20 +119,3 @@ def psi_k(n: int | FactoredInteger, k: int) -> Fraction:
         result *= Fraction(p**k - 1, p ** (k - 1) * (p - 1))
     return result
 
-
-def sigma_star(n: int | FactoredInteger, alpha) -> Fraction | float:
-    """Sum of the alpha-th powers of the squarefree divisors of n.
-
-    Multiplicative with value 1 + p**alpha at each prime.  Exact Fraction
-    for integer alpha <= 0, float otherwise.
-    """
-    fn = as_factored(n)
-    if isinstance(alpha, int) and alpha <= 0:
-        result = Fraction(1)
-        for p, _ in fn.factors:
-            result *= 1 + Fraction(1, p ** (-alpha))
-        return result
-    result_f = 1.0
-    for p, _ in fn.factors:
-        result_f *= 1.0 + float(p) ** alpha
-    return result_f

@@ -21,20 +21,16 @@ the hyperbola method, about y^(1/(k+1)) terms a floor y.  One walk
 (:func:`_walk`) enumerates the d of either, from the nonzero terms of its
 local factor; it divides once per prime, not once per d.
 
-The Moebius values of the k-free counts and of the float partial sums come
-from one process-wide :class:`~moebius_km.primes.GrownTable`, the kind the
-prime table is: grown on demand, read-only and never mutated.
-:func:`mu_range` returns a prefix view of it, so a later query slices the
-table instead of sieving its own; a count sums it into the Mertens values
-it reads.  The small table of k-free counts (:func:`_small_table`) is the
-exception: it evaluates :func:`~moebius_km.functions.mu` pointwise for its
-few e <= ``_TABLE_TOP``^(1/k), 45 for k = 2.  The table's cap is the prime
-table's, 2^26, so the convolution route and the sieve have one domain,
-which :func:`~moebius_km.sieve._validate_range` checks for both; the
-float partial sums stop at ``_ARRAY_CAP``.
-
-Float-valued partial sums (L_n, the 1/psi_k sums) accumulate in ascending
-r via a cumulative sum, so results are reproducible bit-for-bit.
+The Moebius values of the k-free counts come from one process-wide
+:class:`~moebius_km.primes.GrownTable`, the kind the prime table is: grown
+on demand, read-only and never mutated.  :func:`mu_range` returns a prefix
+view of it, so a later query slices the table instead of sieving its own;
+a count sums it into the Mertens values it reads.  The small table of
+k-free counts (:func:`_small_table`) is the exception: it evaluates
+:func:`~moebius_km.functions.mu` pointwise for its few e <=
+``_TABLE_TOP``^(1/k), 45 for k = 2.  The table's cap is the prime table's,
+2^26, so the convolution route and the sieve have one domain, which
+:func:`~moebius_km.sieve._validate_range` checks for both.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ from .functions import OrderPair, as_order, mu, psi_k
 from .primes import _PRIME_TABLE_CAP, GrownTable, iroot, prime_list_up_to, primes_up_to
 from .sieve import _validate_range, checked_checkpoints, checked_int, stream_sum
 
-_ARRAY_CAP = 1 << 25  # float arrays of 8 bytes a cell are a desk-scale tool, not the hot path
 _TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
 _PERIOD_CAP = 1 << 16  # largest rad(n) whose C_n is read from one period
 _BLOCK = 1 << 13  # pairs per NumPy step: walk (node, prime), staircase and count (row, col)
@@ -90,14 +85,6 @@ class MainTermParts:
     zeta_est: ConstantEstimate
     psi_n: Fraction
     alpha_n: Fraction
-
-
-def coprime_count(z, n: int) -> int:
-    """#{t <= floor(z) : gcd(t, n) = 1} by inclusion-exclusion over d | rad(n)."""
-    t = math.floor(z)
-    if t < 1:
-        return 0
-    return sum(s * (t // d) for d, s in squarefree_divisors(n))
 
 
 def _zero_non_coprime(values: np.ndarray, n: int) -> None:
@@ -435,9 +422,12 @@ def convolution_sums(
     first time it reaches that size).  So it beats the stream on sparse
     grids and loses on very dense ones (the README's engine table).  The
     ``_BLOCK`` budget bounds the temporaries of the walk, the staircases
-    and the count; the d set aside are at most the walk's, and their pairs
-    are the floors counted.  The checkpoints are ascending (duplicates
-    allowed) integers, the largest at most the stream's limit
+    and the count, but not the set-aside pairs: each set-aside d is paired
+    with every checkpoint whose floor passes the table, and all those
+    pairs are made at once, about 100 bytes a pair.  So they grow with the
+    checkpoints times the set-aside d: 498 MiB for (3,4) at 100 points per
+    decade to 2^62 (ROADMAP item 12).  The checkpoints are ascending
+    (duplicates allowed) integers, the largest at most the stream's limit
     :func:`~moebius_km.sieve._max_range`: 2^62, and (2^26 + 1)^2 - 1 for k = 2.
     """
     o = as_order(order)
@@ -509,7 +499,7 @@ def main_term(
 
 
 # ---------------------------------------------------------------------------
-# Pointwise arrays for the float-valued partial sums.
+# The shared Moebius table.
 
 
 def _mu_sieve(top: int) -> np.ndarray:
@@ -564,77 +554,3 @@ def mu_range(x: int) -> np.ndarray:
     if x > _PRIME_TABLE_CAP:
         raise ValueError(f"x = {x} exceeds the Moebius table cap {_PRIME_TABLE_CAP}")
     return _MU_TABLE.grown_to(x)[1][: x + 1]
-
-
-def psi_ratio_range(x: int, k: int) -> np.ndarray:
-    """psi_k(r)/r for r = 0..x as float64 (entry 0 is 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if x > _ARRAY_CAP:
-        raise ValueError(f"x = {x} exceeds array cap {_ARRAY_CAP}")
-    ratio = np.ones(x + 1, dtype=np.float64)
-    for p in prime_list_up_to(x):
-        factor = float(Fraction(p**k - 1, p ** (k - 1) * (p - 1)))
-        ratio[p::p] *= factor
-    return ratio
-
-
-def _ascending_sum(terms: np.ndarray) -> float:
-    # cumsum is a strict left-to-right recurrence: documented ascending order.
-    return float(np.cumsum(terms)[-1])
-
-
-def _float_terms(x: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mu_n(r), r) for r = 0..x as new float64 arrays (r = 1 at 0), x <= ``_ARRAY_CAP``."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x > _ARRAY_CAP:
-        raise ValueError(f"x = {x} exceeds array cap {_ARRAY_CAP}")
-    mus = mu_range(x).astype(np.float64)
-    _zero_non_coprime(mus, n)
-    r = np.arange(x + 1, dtype=np.float64)
-    r[0] = 1.0
-    return mus, r
-
-
-def L_n_sum(x: int, n: int = 1) -> float:
-    """Partial sum of mu(r)/r over r <= x with gcd(r, n) = 1."""
-    mus, r = _float_terms(x, n)
-    return _ascending_sum(mus / r)
-
-
-def mu_over_psi_sum(x: int, n: int, k: int) -> float:
-    """Partial sum of mu(r)/psi_k(r) over r <= x with gcd(r, n) = 1."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return mu_over_psi_weighted_sum(x, n, k, power=0)
-
-
-def mu_over_psi_weighted_sum(
-    x: int, n: int, k: int, power: int | None = None, above: int = 0
-) -> float:
-    """Partial sum of mu(r) / (psi_k(r) * r^power), defaulting power = k - 1.
-
-    ``above`` restricts to r > above, exposing the tail sums that appear in
-    the convolution error decomposition.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if power is None:
-        power = k - 1
-    if not 0 <= above <= x:
-        raise ValueError("need 0 <= above <= x")
-    mus, r = _float_terms(x, n)
-    if above:
-        mus[: above + 1] = 0.0
-    denom = psi_ratio_range(x, k) * r ** float(power + 1)
-    return _ascending_sum(mus / denom)
-
-
-def mu_over_psi_power_series(x: int, n: int, k: int, m: int) -> float:
-    """Partial sum of mu(d)/(d^(m-1) psi_k(d)) over d <= x, gcd(d, n) = 1.
-
-    Converges to n * alpha_{k,m} / alpha_{k,m}(n); the constants module is
-    checked against this independently computed series.
-    """
-    return mu_over_psi_weighted_sum(x, n, k, power=m - 1)

@@ -1,8 +1,9 @@
-"""Shared brute-force oracles and a thread-race helper.
+"""Shared brute-force oracles, a float series reference and a thread-race helper.
 
 The oracles deliberately avoid the package's own factorization and sieves:
-sympy.factorint supplies factorizations, and the value tables are spelled
-out inline, so every comparison is a genuine two-route check.
+sympy.factorint supplies factorizations, sympy's sieve the primes, and the
+value tables are spelled out inline, so every comparison is a genuine
+two-route check.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import sys
 import threading
 
+import numpy as np
 import sympy
 
 
@@ -70,3 +72,17 @@ def oracle_mu(n: int) -> int:
     if any(e > 1 for e in fs.values()):
         return 0
     return -1 if len(fs) % 2 else 1
+
+
+def mu_over_psi_series(x: int, n: int, k: int, j: int) -> float:
+    """Sum of mu(d) / (d^j psi_k(d)) over the d <= x coprime to n, in float.
+
+    The term is multiplicative in d: each prime p multiplies its multiples
+    by the term at p, -1 / (p^j psi_k(p)) = -p^(k-1) (p - 1) / (p^(j+1) (p^k - 1)),
+    or by 0 when p divides n, and zeroes the multiples of p^2.
+    """
+    terms = np.ones(x + 1)
+    for p in map(int, sympy.sieve.primerange(x + 1)):
+        terms[p::p] *= 0.0 if n % p == 0 else -(p ** (k - 1) * (p - 1)) / (p ** (j + 1) * (p**k - 1))
+        terms[p * p :: p * p] = 0.0
+    return float(terms[1:].sum())

@@ -9,16 +9,12 @@ import tracemalloc
 
 import pytest
 
+from conftest import mu_over_psi_series
 from moebius_km.asymptotics import fit_exponent, geometric_checkpoints, scan
 from moebius_km.constants import alpha, apostol_A, zeta
 from moebius_km.functions import OrderPair
 from moebius_km.sieve import SieveConfig, segment_memory_estimate, stream_sum
-from moebius_km.summatory import (
-    SumQuery,
-    main_term,
-    mu_over_psi_weighted_sum,
-    sum_direct,
-)
+from moebius_km.summatory import SumQuery, main_term, sum_direct
 from moebius_km.verify import (
     check_apostol_agreement,
     check_constants_identity,
@@ -184,8 +180,9 @@ def test_criterion_11_performance_and_determinism():
 
 
 def test_criterion_12_weighted_sum_decay():
-    head = mu_over_psi_weighted_sum(10**3, 1, 2)
-    full = mu_over_psi_weighted_sum(10**6, 1, 2)
+    # sum of mu(r) / (r psi_2(r)) over r <= 1e3 and over r <= 1e6
+    head = mu_over_psi_series(10**3, 1, 2, 1)
+    full = mu_over_psi_series(10**6, 1, 2, 1)
     # tail beyond 1e3 is at most sum_{r>1e3} 1/(psi_2(r) r) <= sum r^-2 <= 1e-3
     assert abs(full - head) <= 1e-3
     _report(12, "weighted sum decay", f"|S(1e6)-S(1e3)|={abs(full - head):.2e}")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from moebius_km.arith import (
     FactoredInteger,
-    eval_multiplicative,
     factorize,
     gcd,
     is_prime,
@@ -132,33 +131,6 @@ def test_squarefree_divisors_omega_guard():
     fake = FactoredInteger(0, tuple((p, 1) for p in primes))
     with pytest.raises(ValueError):
         squarefree_divisors(fake)
-
-
-def _mu23_rule(p, e):
-    if e < 2:
-        return 1
-    if e == 3:
-        return -1
-    return 0
-
-
-def test_eval_multiplicative_examples():
-    assert eval_multiplicative(_mu23_rule, 1) == 1
-    assert eval_multiplicative(_mu23_rule, 8) == -1
-    assert eval_multiplicative(_mu23_rule, 72) == 0
-
-
-@given(
-    st.integers(min_value=1, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
-)
-@settings(max_examples=200, deadline=None)
-def test_eval_multiplicative_is_multiplicative_on_coprime_args(a, b):
-    if gcd(a, b) != 1:
-        b = 1
-    va = eval_multiplicative(_mu23_rule, a)
-    vb = eval_multiplicative(_mu23_rule, b)
-    assert eval_multiplicative(_mu23_rule, a * b) == va * vb
 
 
 def test_factored_integer_helpers():

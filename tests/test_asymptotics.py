@@ -5,11 +5,8 @@ import pytest
 from moebius_km import asymptotics
 from moebius_km.asymptotics import (
     ScanRow,
-    ShapeParams,
-    conjecture_scan,
     fit_exponent,
     geometric_checkpoints,
-    reference_shape,
     scan,
 )
 from moebius_km.sieve import SieveConfig, _max_range, stream_sum
@@ -79,7 +76,7 @@ class TestScan:
         [
             (lambda: scan((2, 3), 0, [100]), "coprime_to must be >= 1"),
             (lambda: scan((2, 3), -6, [100]), "coprime_to must be >= 1"),
-            (lambda: conjecture_scan(2, 0, [100]), "coprime_to must be >= 1"),
+            (lambda: scan((2, 2), 0, [100]), "coprime_to must be >= 1"),
             (lambda: scan((2, 3), 2.5, [100]), "coprime_to must be an integer"),
             (lambda: scan((2, 3), 1, [100], prime_limit=1000.5), "prime_limit must be an integer"),
         ],
@@ -168,11 +165,8 @@ class TestScan:
                 )
 
     def test_conjecture_scan_matches_m_equals_k(self):
-        cps = [12, 100]
-        a = conjecture_scan(2, checkpoints=cps, prime_limit=10**4)
-        b = scan((2, 2), checkpoints=cps, prime_limit=10**4)
-        assert [(r.x, r.S) for r in a] == [(r.x, r.S) for r in b]
-        assert a[0].S == 5  # order-2 values summed to 12
+        rows = scan((2, 2), checkpoints=[12, 100], prime_limit=10**4)
+        assert rows[0].S == 5  # order-2 values summed to 12
 
     def test_density_approaches_constant(self):
         # |S(x)/x - alpha/zeta| shrinking over decades, one inversion allowed
@@ -231,37 +225,3 @@ class TestFit:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             fit_exponent(_synthetic_rows(exponent=0.5, xs=[10, 100]))
-
-
-class TestReferenceShape:
-    def test_closed_form_substitution(self):
-        x = math.exp(math.e)  # log x = e, log log x = 1
-        got = reference_shape(x, 2, ShapeParams(A=1.0), "delta")
-        assert got == pytest.approx(math.exp(-math.e**0.6), rel=1e-12)
-
-    def test_vanishing_constant_limit(self):
-        assert reference_shape(10**6, 3, ShapeParams(A=1e-300), "delta_k") == 1.0
-
-    def test_monotone_decreasing_delta(self):
-        p = ShapeParams(A=0.1)
-        assert reference_shape(10**9, 2, p, "delta") < reference_shape(10**6, 2, p, "delta")
-
-    def test_omega_forms(self):
-        p = ShapeParams(A=0.25, B=0.5)
-        x = 10**6
-        lx, llx = math.log(x), math.log(math.log(x))
-        assert reference_shape(x, 2, p, "omega") == pytest.approx(math.exp(0.25 * lx / llx))
-        assert reference_shape(x, 2, p, "omega_k") == pytest.approx(math.exp(0.5 * lx / llx))
-
-    def test_k_dependence_of_delta_k(self):
-        p = ShapeParams(A=1.0)
-        # larger k damps the exponent, so the shape is closer to 1
-        assert reference_shape(10**6, 4, p, "delta_k") > reference_shape(10**6, 2, p, "delta_k")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            reference_shape(2.9, 2, ShapeParams(), "delta")
-        with pytest.raises(ValueError):
-            reference_shape(100, 2, ShapeParams(), "sigma")
-        with pytest.raises(ValueError):
-            ShapeParams(A=0.0)

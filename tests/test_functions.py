@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from moebius_km.functions import (
     mu_km,
     psi_k,
     q_k,
-    sigma_star,
     theta,
 )
 
@@ -114,27 +112,6 @@ class TestPsiK:
         assert psi_k(3, 3) == Fraction(13, 3)
 
 
-class TestSigmaStar:
-    def test_matches_theta_at_zero(self):
-        for n in (1, 12, 30, 360):
-            assert sigma_star(n, 0) == theta(n)
-
-    def test_exact_negative_one(self):
-        assert sigma_star(12, -1) == 2
-        assert sigma_star(1, -1) == 1
-
-    def test_float_path(self):
-        got = sigma_star(12, -0.9)
-        expected = (1 + 2.0**-0.9) * (1 + 3.0**-0.9)
-        assert math.isclose(got, expected, rel_tol=1e-15)
-        assert isinstance(got, float)
-
-    def test_bounded_by_theta_for_negative_alpha(self):
-        for n in range(1, 1000):
-            for a in (-1, -0.5, -0.1):
-                assert float(sigma_star(n, a)) <= theta(n) + 1e-12
-
-
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.integers(min_value=1, max_value=10**6),
@@ -150,7 +127,6 @@ def test_multiplicativity_on_coprime_pairs(a, b):
     assert q_k(ab, 2) == q_k(a, 2) * q_k(b, 2)
     assert theta(ab) == theta(a) * theta(b)
     assert psi_k(ab, 3) == psi_k(a, 3) * psi_k(b, 3)
-    assert sigma_star(ab, -1) == sigma_star(a, -1) * sigma_star(b, -1)
 
 
 def test_convolution_identity_small():

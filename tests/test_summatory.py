@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import oracle_mu, race
+from conftest import mu_over_psi_series, oracle_mu, race
 from moebius_km import sieve, summatory
 from moebius_km.arith import factorize, gcd, squarefree_divisors
 from moebius_km.asymptotics import scan
@@ -19,19 +19,12 @@ from moebius_km.functions import OrderPair, mu, psi_k
 from moebius_km.primes import _PRIME_TABLE_CAP, GrownTable, iroot, primes_up_to
 from moebius_km.sieve import _max_range, sieve_qk, stream_sum
 from moebius_km.summatory import (
-    _ARRAY_CAP,
     _BLOCK,
     _TABLE_TOP,
-    L_n_sum,
     SumQuery,
     convolution_sums,
-    coprime_count,
     main_term,
-    mu_over_psi_power_series,
-    mu_over_psi_sum,
-    mu_over_psi_weighted_sum,
     mu_range,
-    psi_ratio_range,
     qk_count,
     sum_convolution,
     sum_direct,
@@ -53,27 +46,62 @@ TOP_VALUES = [
 ]
 
 
+# (x, k, m, n, S(x; n)) for m > k, each also reached by _h_identity_sum.
+H_IDENTITY_VALUES = [
+    (2**62, 3, 4, 30, 1223393497237915710),
+    (2**62, 4, 5, 1, 4176936043790195401),
+    (2**62, 3, 5, 1, 3756054497482766311),
+    (10**18, 3, 4, 1, 793933508027978286),
+    (10**11, 2, 3, 1, 53589615474),
+    (10**12, 2, 3, 1, 535896154098),
+    (10**12, 2, 4, 30, 253179895124),
+]
+
+
+def _h_identity_sum(x: int, k: int, m: int, n: int) -> int:
+    """S(x; n) by mu_{k,m} = 1 * H, for k < m <= 2k: no k-free count, table or Mertens sum.
+
+    Multiplying the local factor of mu_{k,m} by 1 - p^-s gives
+    1 - p^-ks - p^-ms + p^-(m+1)s, so H(p^k) = H(p^m) = -1, H(p^(m+1)) = +1,
+    and S sums H(d) C_n(x // d) over the k-full d coprime to n.  The walk
+    needs each exponent gap, m - k and 1, at most the first exponent k.
+    A step's int64 dot product stays below x prod_p (1 + p^-k + p^-m +
+    p^-(m+1)): 1.31x for k >= 3, 1.86x for k = 2.
+    """
+    assert k < m <= 2 * k
+    count = summatory._coprime_counter(n)
+    total = int(count(np.array([x]))[0])
+    terms = ((k, -1), (m, -1), (m + 1, 1))
+    for w, d in summatory._walk(x, terms, summatory._walk_primes(x, k, n)):
+        total += int(count(x // d) @ w)
+    return total
+
+
 class TestCoprimeCount:
+    # C_n(z) = #{t <= z : gcd(t, n) = 1}, the map summatory._coprime_counter(n) returns.
     def test_examples(self):
-        assert coprime_count(10, 6) == 3
-        assert coprime_count(57.9, 1) == 57
-        assert coprime_count(0.5, 7) == 0
+        z = np.array([0, 1, 10, 57], dtype=np.int64)
+        assert summatory._coprime_counter(6)(z).tolist() == [0, 1, 3, 19]
+        assert summatory._coprime_counter(1)(z).tolist() == [0, 1, 10, 57]
+        assert summatory._coprime_counter(7)(z).tolist() == [0, 1, 9, 49]
 
     def test_brute_force(self):
+        z = np.arange(500)
         for n in (1, 2, 6, 30, 77, 210):
-            for z in (1, 7, 50, 499):
-                expected = sum(1 for t in range(1, z + 1) if gcd(t, n) == 1)
-                assert coprime_count(z, n) == expected, (z, n)
+            expected = np.cumsum([t > 0 and gcd(t, n) == 1 for t in range(500)])
+            assert summatory._coprime_counter(n)(z).tolist() == expected.tolist(), n
 
     def test_array_counts_match_the_scalar_count(self):
         # Read from one period of C_n (two primes or more, rad(n) <= 2^16) or
-        # by inclusion-exclusion (one prime, or rad(n) past the cap) alike.
+        # by inclusion-exclusion (one prime, or rad(n) past the cap) alike,
+        # against inclusion-exclusion over the squarefree d | n in Python ints.
         rng = random.Random(11)
         zs = list(range(200)) + [rng.randrange(2**62) for _ in range(200)] + [2**62 - 1, 2**62]
         z = np.array(zs, dtype=np.int64)
         for n in (1, 2, 7, 8, 6, 12, 30, 2310, 30030, 65523, 131042, 510510):
             count = summatory._coprime_counter(n)
-            assert count(z).tolist() == [coprime_count(v, n) for v in zs], n
+            divs = squarefree_divisors(n)
+            assert count(z).tolist() == [sum(s * (v // d) for d, s in divs) for v in zs], n
         assert summatory._coprime_counter(65523).func is summatory._periodic_counts
         assert summatory._coprime_counter(131042).func is summatory._coprime_counts
 
@@ -291,6 +319,25 @@ class TestSums:
     )
     def test_convolution_at_top_of_domain(self, x, k, m, n, expected):
         assert sum_convolution(SumQuery(x, OrderPair(k, m), n)) == expected
+
+    @pytest.mark.parametrize(
+        "x,k,m,n,expected",
+        H_IDENTITY_VALUES,
+        ids=["-".join(map(str, v[:4])) for v in H_IDENTITY_VALUES],
+    )
+    def test_m_above_k_matches_the_h_identity(self, x, k, m, n, expected):
+        # The m > k engine (q_k * g) against the k-full walk of mu_{k,m} = 1 * H.
+        assert _h_identity_sum(x, k, m, n) == expected
+        assert sum_convolution(SumQuery(x, OrderPair(k, m), n)) == expected
+
+    def test_m_above_k_matches_the_h_identity_on_a_seeded_grid(self):
+        rng = random.Random(31)
+        for k, m in ((2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (4, 5), (4, 8), (5, 9), (6, 7)):
+            n = rng.choice((1, 6, 30, 77, 210, 2310))
+            top = 10**12 if k == 2 else 2**62
+            xs = sorted(round(top ** rng.random()) for _ in range(8)) + [top]
+            want = [(x, _h_identity_sum(x, k, m, n)) for x in xs]
+            assert convolution_sums(xs, (k, m), n) == want, (k, m, n)
 
     @pytest.mark.parametrize("block", [1, 5, _BLOCK], ids=["1", "5", "default"])
     def test_convolution_sums_match_stream(self, monkeypatch, block):
@@ -534,24 +581,6 @@ class TestSums:
             qk_count(np.array([10, top + 1], dtype=np.int64), 6, 2)
         with pytest.raises(ValueError, match="Moebius table cap"):
             mu_range(_PRIME_TABLE_CAP + 1)
-
-    def test_float_sums_keep_the_array_cap(self, monkeypatch):
-        # Their float arrays take 8 bytes a cell: x = 2^25 + 1 is rejected
-        # before any table is read or built.
-        def forbidden(x):
-            raise AssertionError("read the Moebius table")
-
-        monkeypatch.setattr(summatory, "mu_range", forbidden)
-        x = _ARRAY_CAP + 1
-        for call in (
-            lambda: L_n_sum(x),
-            lambda: mu_over_psi_sum(x, 1, 2),
-            lambda: mu_over_psi_weighted_sum(x, 6, 3),
-            lambda: mu_over_psi_power_series(x, 1, 2, 3),
-            lambda: psi_ratio_range(x, 2),
-        ):
-            with pytest.raises(ValueError, match=f"x = {x} exceeds array cap {_ARRAY_CAP}"):
-                call()
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -815,58 +844,10 @@ class TestFloatPartialSums:
         for n in (1, 2, 3000):
             assert int(arr[n]) == oracle_mu(n)
 
-    def test_L_n_examples(self):
-        assert L_n_sum(1, 1) == 1.0
-        assert L_n_sum(3, 1) == pytest.approx(1 - 1 / 2 - 1 / 3, abs=1e-15)
-        assert L_n_sum(10, 2) == pytest.approx(34 / 105, abs=1e-14)
-
-    def test_L_n_brute_force(self):
-        for x, n in ((50, 1), (100, 6), (257, 30)):
-            expected = sum(mu(r) / r for r in range(1, x + 1) if gcd(r, n) == 1)
-            assert L_n_sum(x, n) == pytest.approx(expected, abs=1e-12)
-
-    def test_L_1_classical_unit_bound(self):
-        for x in (10, 100, 1000, 10**4, 10**5):
-            assert abs(L_n_sum(x, 1)) <= 1.0
-
-    def test_mu_over_psi_examples(self):
-        assert mu_over_psi_sum(1, 1, 2) == 1.0
-        assert mu_over_psi_sum(2, 1, 2) == pytest.approx(1 - 1 / 3, abs=1e-15)
-        assert mu_over_psi_sum(3, 1, 2) == pytest.approx(1 - 1 / 3 - 1 / 4, abs=1e-15)
-
-    def test_weighted_examples(self):
-        assert mu_over_psi_weighted_sum(1, 1, 2) == 1.0
-        assert mu_over_psi_weighted_sum(2, 1, 2) == pytest.approx(1 - 1 / 6, abs=1e-15)
-        expected = 1 - 1 / 14 - 1 / 39  # psi_3(2)*4 = 14, psi_3(3)*9 = 39
-        assert mu_over_psi_weighted_sum(4, 1, 3) == pytest.approx(expected, abs=1e-15)
-
-    def test_weighted_brute_force(self):
-        for x, n, k in ((60, 1, 2), (90, 6, 3)):
-            expected = sum(
-                mu(r) / (float(psi_k(r, k)) * r ** (k - 1))
-                for r in range(1, x + 1)
-                if gcd(r, n) == 1
-            )
-            assert mu_over_psi_weighted_sum(x, n, k) == pytest.approx(expected, abs=1e-12)
-
-    def test_weighted_tail_parameter(self):
-        full = mu_over_psi_weighted_sum(500, 1, 2)
-        head = mu_over_psi_weighted_sum(100, 1, 2)
-        tail = mu_over_psi_weighted_sum(500, 1, 2, above=100)
-        assert full - head == pytest.approx(tail, abs=1e-14)
-
     def test_euler_series_partial_sum_matches_constants(self):
         # sum_{d <= D, gcd(d,n)=1} mu(d)/(d^(m-1) psi_k(d)) -> n alpha / alpha(n)
         est = alpha((2, 3), 10**6)
         for n in (1, 6):
-            series = mu_over_psi_power_series(10**6, n, 2, 3)
+            series = mu_over_psi_series(10**6, n, 2, 2)
             expected = est.value * n / float(alpha_n((2, 3), n))
             assert abs(series - expected) <= 10 * est.tail_bound, n
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            L_n_sum(0, 1)
-        with pytest.raises(ValueError):
-            mu_over_psi_sum(10, 1, 1)
-        with pytest.raises(ValueError):
-            mu_over_psi_weighted_sum(10, 1, 2, above=11)
