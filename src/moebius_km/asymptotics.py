@@ -20,7 +20,7 @@ from .constants import DEFAULT_TOL, PRODUCT_PRIME_CAP, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
 # stream_sum is not called here: the benchmark's traced run
 # (perfbench/worker.py) wraps asymptotics.stream_sum by name.
-from .sieve import SieveConfig, checked_int, stream_sum
+from .sieve import SieveConfig, positive_int, stream_sum
 from .summatory import _main_value, convolution_sums
 
 _FIT_MIN_ABS_E = 1e-9
@@ -86,9 +86,7 @@ def scan(
     o = as_order(order)
     if not checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
-    n = checked_int(coprime_to, "coprime_to")
-    if n < 1:
-        raise ValueError("coprime_to must be >= 1")
+    n = positive_int(coprime_to, "coprime_to")
     a = alpha(o, prime_limit)
     z = zeta(o.k, tol)
     psi_f = float(psi_k(n, o.k))

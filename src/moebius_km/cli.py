@@ -4,6 +4,12 @@ Subcommands: eval, sum, constants, scan, verify, bench.  Exit codes are a
 stable contract: 0 success, 1 usage or I/O failure, 2 verification failure,
 3 precision failure.
 
+Every command and flag is one entry of the table ``_COMMANDS``.  A plain
+command line, of exact flag names and values that can be read one way
+only, is read from the table directly, without importing argparse;
+argparse, built from the same table, reads every other line and prints
+the help.
+
 Numeric output is round-trip safe: integers verbatim, floats with 17
 significant digits, so parsing a report and re-serializing it reproduces
 the bytes.
@@ -51,6 +57,10 @@ def _int_flag(text: str) -> int:
     # is_finite first: Infinity would overflow int(), and sNaN raises on compare.
     if not d.is_finite() or d != d.to_integral_value():
         raise _UsageError(f"not an integer: {text!r}")
+    # Python's default int(str) digit limit; int() of a Decimal has none, and
+    # int(Decimal("1e1000000")) alone takes 35 s.
+    if d.adjusted() >= 4300:
+        raise _UsageError(f"more than 4300 digits: {text!r}")
     return int(d)
 
 
@@ -213,14 +223,6 @@ class _Flag:
         self.choices = choices
         self.help = help
 
-    def invocation(self) -> str:
-        """The flag as the help shows it, e.g. ``--method {direct,conv,both}``."""
-        if self.convert is None:
-            return self.name
-        if self.choices is not None:
-            return f"{self.name} {{{','.join(self.choices)}}}"
-        return f"{self.name} {self.dest.upper()}"
-
 
 _ORDER = (_Flag("--k", _int_flag, required=True), _Flag("--m", _int_flag, help="defaults to k"))
 _BOUNDS = (
@@ -268,163 +270,110 @@ _COMMANDS = {
     ),
 }
 
-_HELP = ("-h", "--help")
-_HELP_LINE = ("-h, --help", "show this help message and exit")
 
+def _read_plain(argv: list[str]):
+    """(handler, namespace) of a command line that argparse reads one way only, else None.
 
-def _is_value(token: str) -> bool:
-    """Whether ``token`` can be a flag's value rather than a flag.
-
-    A token is a flag when it starts with "-", except "-" itself, a
-    negative number ("-5", "-.5", "-2.5": not "-1e4") and a token with a
-    space: argparse's rule, as no flag here looks like a negative number.
+    That is a line whose first token names a command and whose other
+    tokens are exact flag names of it, each valued flag followed by its
+    value, either after "=" or as the next token when that does not start
+    with "-", where every value converts and lies in its choices and every
+    required flag is given.  A repeated flag keeps its last value.
     """
-    if not token.startswith("-") or token == "-" or " " in token:
-        return True
-    whole, dot, frac = token[1:].partition(".")
-    return whole.isdecimal() if not dot else (not whole or whole.isdecimal()) and frac.isdecimal()
-
-
-def _match(token: str, names) -> tuple[str, str | None] | None:
-    """(the flag of ``names`` that ``token`` names, its "=" value or None), or None.
-
-    A long flag may be given by any prefix that names it alone, with
-    ``=value`` or without; a prefix of several is an error.  ``-h`` may carry
-    its value glued on ("-hX", "-h=X"), which the help flag then rejects.
-    """
-    if token.startswith("--"):
-        head, eq, value = token.partition("=")
-        hits = [head] if head in names else [name for name in names if name.startswith(head)]
-        if len(hits) > 1:
-            raise _UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
-        return (hits[0], value if eq else None) if hits else None
-    if token.startswith("-h"):
-        return "-h", (token[3:] if token[2:3] == "=" else token[2:]) or None
-    return None
-
-
-def _explicit_error(name: str, value: str) -> _UsageError:
-    return _UsageError(f"argument {name}: ignored explicit argument {value!r}")
-
-
-def _help_requested(explicit: str | None, text: str) -> None:
-    """Print ``text`` and exit 0; a value given to the help flag is an error."""
-    if explicit is not None:
-        raise _explicit_error("-h/--help", explicit)
-    sys.stdout.write(text)
-    raise SystemExit(EXIT_OK)
-
-
-def _convert(flag: _Flag, text: str):
-    try:
-        value = flag.convert(text)
-    except _UsageError as exc:
-        raise _UsageError(f"argument {flag.name}: {exc}")
-    except (TypeError, ValueError):
-        raise _UsageError(f"argument {flag.name}: invalid {flag.convert.__name__} value: {text!r}")
-    if flag.choices is not None and value not in flag.choices:
-        choices = ", ".join(map(repr, flag.choices))
-        raise _UsageError(f"argument {flag.name}: invalid choice: {value!r} (choose from {choices})")
-    return value
-
-
-def _parse_command(name: str, tokens: list[str], extras: list[str]):
-    """(handler, namespace) of the command ``name`` and the tokens after it.
-
-    Tokens are read left to right and a repeated flag keeps its last value.
-    A prefix of several flags fails before any value is read.  Tokens that
-    name no flag, and every token from a lone "--" on, join ``extras``,
-    which are rejected after the required flags are checked.
-    """
-    _, handler, flags = _COMMANDS[name]
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, flags = _COMMANDS[argv[0]]
     by_name = {flag.name: flag for flag in flags}
-    names = (*_HELP, *by_name)
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    hits = [_match(token, names) for token in tokens[:end]]
     values = {flag.dest: flag.default for flag in flags}
-    given = set()
-    i = 0
-    while i < end:
-        hit = hits[i]
-        i += 1
-        if hit is None:
-            extras.append(tokens[i - 1])
-            continue
-        flag_name, explicit = hit
-        if flag_name in _HELP:
-            _help_requested(explicit, _command_help(name))
-        flag = by_name[flag_name]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        flag = by_name.get(name)
+        if flag is None:
+            return None
         if flag.convert is None:
-            if explicit is not None:
-                raise _explicit_error(flag.name, explicit)
+            if eq:
+                return None
             values[flag.dest] = True
         else:
-            if explicit is None:
-                if i == end or hits[i] is not None or not _is_value(tokens[i]):
-                    raise _UsageError(f"argument {flag.name}: expected one argument")
-                explicit = tokens[i]
-                i += 1
-            values[flag.dest] = _convert(flag, explicit)
-        given.add(flag.name)
-    extras += tokens[end:]
-    missing = [flag.name for flag in flags if flag.required and flag.name not in given]
-    if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("-"):
+                    return None
+            value = _value(flag, text)
+            if value is None:
+                return None
+            values[flag.dest] = value
+    # A required flag has no default, and no value converts to None.
+    if any(flag.required and values[flag.dest] is None for flag in flags):
+        return None
+    return handler, SimpleNamespace(**values)
+
+
+def _value(flag: _Flag, text: str):
+    """``text`` converted by ``flag``, or None if it does not convert or is not a choice."""
+    try:
+        value = flag.convert(text)
+    except (_UsageError, TypeError, ValueError):
+        return None
+    return value if flag.choices is None or value in flag.choices else None
+
+
+def _argparse_read(argv: list[str]):
+    """(handler, namespace) of ``argv`` by argparse, from ``_COMMANDS``.
+
+    Help prints and raises ``SystemExit(0)``; a bad line raises
+    ``_UsageError`` with argparse's message.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    def typed(convert):
+        # argparse reports an ArgumentTypeError by its message, as main does a _UsageError.
+        def call(text):
+            try:
+                return convert(text)
+            except _UsageError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        call.__name__ = convert.__name__
+        return call
+
+    parser = Parser(prog="moebius", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, handler, flags) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary, description=summary)
+        sub.set_defaults(handler=handler)
+        for flag in flags:
+            if flag.convert is None:
+                sub.add_argument(flag.name, dest=flag.dest, action="store_true")
+            else:
+                sub.add_argument(
+                    flag.name, dest=flag.dest, type=typed(flag.convert), default=flag.default,
+                    required=flag.required, choices=flag.choices, help=flag.help,
+                )
+    values = vars(parser.parse_args(argv))
+    handler = values.pop("handler")
+    for flag in _COMMANDS[values.pop("command")][2]:
+        # Python 3.11's argparse drops the value of "--out=--", leaving [].
+        if values[flag.dest] == []:
+            values[flag.dest] = _value(flag, "--")
+            if values[flag.dest] is None:
+                raise _UsageError(f"argument {flag.name}: invalid value: '--'")
     return handler, SimpleNamespace(**values)
 
 
 def parse(argv: list[str]):
     """(handler, namespace) of the command line ``argv``, from ``_COMMANDS``.
 
-    The first token that is not a flag names the command; the help flag
-    before it prints the top-level help.  Every bad command line raises
-    ``_UsageError`` with argparse's message, and ``-h``/``--help`` print
-    help and raise ``SystemExit(0)``.
+    A plain line (see ``_read_plain``) is read without importing argparse;
+    argparse reads every other, so help, abbreviations, negative numbers
+    and every usage error are its own.
     """
-    extras = []
-    for i, token in enumerate(argv):
-        hit = None if token == "--" else _match(token, _HELP)
-        if hit is not None:
-            _help_requested(hit[1], _top_help())
-        # As in argparse, a lone "--" with tokens after it is read as the command.
-        elif token == "--" and i + 1 == len(argv):
-            break
-        elif token == "--" or _is_value(token):
-            if token not in _COMMANDS:
-                choices = ", ".join(map(repr, _COMMANDS))
-                raise _UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
-            return _parse_command(token, argv[i + 1:], extras)
-        else:
-            extras.append(token)
-    raise _UsageError("the following arguments are required: command")
-
-
-def _rows(pairs) -> list[str]:
-    """Two columns: each name padded to the widest, then its text."""
-    width = max(len(name) for name, _ in pairs)
-    return [f"  {name:<{width}}  {text}".rstrip() for name, text in pairs]
-
-
-def _top_help() -> str:
-    names = ",".join(_COMMANDS)
-    commands = [(name, summary) for name, (summary, _, _) in _COMMANDS.items()]
-    return "\n".join([
-        f"usage: moebius [-h] {{{names}}} ...", "", __doc__.strip(), "", "commands:",
-        *_rows(commands), "", "options:", *_rows([_HELP_LINE]),
-    ]) + "\n"
-
-
-def _command_help(name: str) -> str:
-    summary, _, flags = _COMMANDS[name]
-    usage = " ".join(
-        flag.invocation() if flag.required else f"[{flag.invocation()}]" for flag in flags
-    )
-    options = [_HELP_LINE] + [(flag.invocation(), flag.help or "") for flag in flags]
-    return "\n".join([
-        f"usage: moebius {name} [-h] {usage}", "", summary, "", "options:", *_rows(options),
-    ]) + "\n"
+    return _read_plain(argv) or _argparse_read(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

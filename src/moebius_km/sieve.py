@@ -408,6 +408,14 @@ def checked_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def positive_int(value, name: str) -> int:
+    """``value`` as an int >= 1; anything else raises ValueError naming it."""
+    value = checked_int(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
 def checked_checkpoints(checkpoints, x: int) -> list[int]:
     """The checkpoints as a list of ints, once they are non-empty, ascending and in [1, x]."""
     cps = [checked_int(c, "checkpoint") for c in checkpoints]
@@ -443,9 +451,7 @@ def stream_sum(
     cfg = config or SieveConfig()
     x = checked_int(x, "x")
     _validate_range(1, x, o.k)
-    coprime_to = checked_int(coprime_to, "coprime_to")
-    if coprime_to < 1:
-        raise ValueError("coprime_to must be >= 1")
+    coprime_to = positive_int(coprime_to, "coprime_to")
     cps = checked_checkpoints([x] if checkpoints is None else checkpoints, x)
     top = cps[-1]  # nothing past the last checkpoint is returned, so nothing is sieved
 

@@ -54,7 +54,7 @@ from .constants import (
 )
 from .functions import OrderPair, as_order, mu, psi_k
 from .primes import _PRIME_TABLE_CAP, GrownTable, iroot, prime_list_up_to, primes_up_to
-from .sieve import _validate_range, checked_checkpoints, checked_int, stream_sum
+from .sieve import _validate_range, checked_checkpoints, checked_int, positive_int, stream_sum
 
 _TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
 _PERIOD_CAP = 1 << 16  # largest rad(n) whose C_n is read from one period
@@ -70,10 +70,8 @@ class SumQuery:
     coprime_to: int = 1
 
     def __post_init__(self) -> None:
-        if checked_int(self.x, "x") < 1:
-            raise ValueError("x must be >= 1")
-        if checked_int(self.coprime_to, "coprime_to") < 1:
-            raise ValueError("coprime_to must be >= 1")
+        positive_int(self.x, "x")
+        positive_int(self.coprime_to, "coprime_to")
 
 
 @dataclass(frozen=True)
@@ -233,11 +231,9 @@ def qk_count(x, n: int, k: int):
     order.  The table's prefix stays as it is: mu_n and then M_n are one
     new int32 array.  x is limited as in :func:`convolution_sums`.
     """
-    k, n = checked_int(k, "k"), checked_int(n, "n")
+    k, n = checked_int(k, "k"), positive_int(n, "n")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     many = isinstance(x, np.ndarray)
     if many and (x.ndim != 1 or x.dtype.kind not in "iu"):
         raise ValueError(f"x must be a 1-D integer array, got shape {x.shape} and dtype {x.dtype}")
@@ -431,9 +427,7 @@ def convolution_sums(
     :func:`~moebius_km.sieve._max_range`: 2^62, and (2^26 + 1)^2 - 1 for k = 2.
     """
     o = as_order(order)
-    coprime_to = checked_int(coprime_to, "coprime_to")
-    if coprime_to < 1:
-        raise ValueError("coprime_to must be >= 1")
+    coprime_to = positive_int(coprime_to, "coprime_to")
     cps = checked_checkpoints(checkpoints, math.inf)  # the domain check names the limit
     x, n = cps[-1], coprime_to
     _validate_range(1, x, o.k)
@@ -548,9 +542,7 @@ def mu_range(x: int) -> np.ndarray:
     min(max(x, 2 * top), 2^26), and it stays resident, at most 2^26 + 1
     bytes.
     """
-    x = checked_int(x, "x")
-    if x < 1:
-        raise ValueError("x must be >= 1")
+    x = positive_int(x, "x")
     if x > _PRIME_TABLE_CAP:
         raise ValueError(f"x = {x} exceeds the Moebius table cap {_PRIME_TABLE_CAP}")
     return _MU_TABLE.grown_to(x)[1][: x + 1]

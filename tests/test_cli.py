@@ -1,8 +1,13 @@
 import argparse
 import io
 import json
+import random
+import re
+import shlex
+import time
 from contextlib import redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +76,17 @@ class TestSum:
         code, out, err = run(capsys, "sum", "--k", "2", "--x", x)
         assert (code, out) == (1, "")
         assert f"not an integer: {x!r}" in err and "Traceback" not in err
+
+    def test_huge_exponent_is_usage_error_at_once(self, capsys):
+        # int() of a Decimal has no digit limit: int(Decimal("1e1000000")) alone takes 35 s.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sum", "--k", "2", "--x", "1e10000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert cli._int_flag("9" * 4300) == 10**4300 - 1
+        with pytest.raises(cli._UsageError, match="more than 4300 digits"):
+            cli._int_flag("1" + "0" * 4300)
 
     def test_scientific_notation_flag(self, capsys):
         code, out, _ = run(capsys, "sum", "--k", "2", "--x", "1e4", "--method", "conv")
@@ -364,7 +380,7 @@ class TestContracts:
         with pytest.raises(SystemExit) as exc:
             cli.main([name, "--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps long lines
         assert out.startswith(f"usage: moebius {name} [-h] ")
         for flag in cli._COMMANDS[name][2]:
             assert flag.name in out and (flag.help or "") in out
@@ -555,3 +571,99 @@ class TestArgparseReference:
         # argparse turns "--out=--" into an empty list; the table parser keeps the text.
         for value in ("--", "-", "a=b", ""):
             assert cli.parse([*SCAN_ORDER, f"--out={value}"])[1].out == value
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_argv():
+    blocks = re.findall(r"^```sh\n(.*?)^```", (REPO / "README.md").read_text(), re.M | re.S)
+    lines = [line for b in blocks for line in b.replace("\\\n", " ").splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("moebius ")]
+
+
+def _ci_argv():
+    """The sum, scan and constants command lines that CI runs through the CLI."""
+    text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    found = re.findall(r"(?:moebius_km\.cli|peak_guard \d+) ((?:sum|scan|constants) [^)\"\n]*)", text)
+    return [shlex.split(line) for line in found]
+
+
+def _argparse_outcome(argv):
+    try:
+        with redirect_stdout(io.StringIO()):
+            handler, args = cli._argparse_read(list(argv))
+    except (cli._UsageError, SystemExit) as exc:
+        return type(exc).__name__, str(exc)
+    return handler, repr(vars(args))  # repr: the tol "nan" is not equal to itself
+
+
+_INT_VALUES = ("2", "3", "30", "12", "1e4", "1e9", "0", "-4", "-.5", "2.5", "x", "inf", "")
+_TEXT_VALUES = ("-", "--", "-x", "rows.csv", "a b", "a=b", "", "scan")
+_FLOAT_VALUES = ("1e-10", "1e-12", "nan", "-1", "0.5", "x", "-")
+
+
+def _fuzz_values(flag):
+    if flag.choices is not None:
+        return (*flag.choices, "bogus", "-", "")
+    return {cli._int_flag: _INT_VALUES, float: _FLOAT_VALUES, str: _TEXT_VALUES}[flag.convert]
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    """A command line from the flag table: exact names, prefixes, "=" forms, odd values."""
+    command = rng.choice([*COMMANDS] * 6 + ["nonsense", "--k", "-h", "--"])
+    flags = cli._COMMANDS[command][2] if command in cli._COMMANDS else cli._COMMANDS["scan"][2]
+    groups = [[flag.name, _fuzz_values(flag)[0]] for flag in flags if flag.required and rng.random() < 0.9]
+    for _ in range(rng.randrange(5)):
+        flag = rng.choice(flags)
+        roll = rng.random()
+        if roll < 0.08:
+            groups.append([rng.choice(["-h", "--help", "--", "--threads", "-x", "extra"])])
+            continue
+        name = flag.name if roll < 0.75 else flag.name[: rng.randrange(3, len(flag.name) + 1)]
+        if flag.convert is None:
+            groups.append([name] if rng.random() < 0.9 else [name + "=1"])
+            continue
+        value = rng.choice(_fuzz_values(flag))
+        form = rng.random()
+        groups.append([f"{name}={value}"] if form < 0.3 else [name, value] if form < 0.95 else [name])
+    rng.shuffle(groups)
+    return [command, *(token for group in groups for token in group)]
+
+
+class TestPlainReader:
+    """``_read_plain`` takes only lines that argparse reads one way, and reads them as argparse does."""
+
+    def test_seeded_fuzz_agrees_with_argparse(self):
+        rng = random.Random(32)
+        taken = 0
+        for _ in range(6000):
+            argv = _fuzz_argv(rng)
+            plain = cli._read_plain(list(argv))
+            if plain is not None:
+                taken += 1
+                assert (plain[0], repr(vars(plain[1]))) == _argparse_outcome(argv), argv
+        assert taken >= 1500
+
+    def test_equals_dashes_is_the_value_on_the_argparse_path_too(self, capsys):
+        # Python 3.11's argparse reads the value of "--out=--" as [].
+        assert cli.parse([*SCAN_ORDER, "--fo", "json", "--out=--"])[1].out == "--"
+        code, out, err = run(capsys, "sum", "--k", "2", "--x", "12", "--meth=--")
+        assert (code, out, err) == (1, "", "usage error: argument --method: invalid value: '--'\n")
+
+    def test_benchmark_readme_and_ci_lines_are_plain(self, tmp_path):
+        # The argv shape of perfbench/worker.py's scan_dense operation.
+        dense = ["scan", "--k", "2", "--m", "3", "--coprime-to", "30", "--from", "1054",
+                 "--to", "100531760", "--points-per-decade", "20", "--fit",
+                 "--out", str(tmp_path / "scan-1.csv")]
+        readme, ci = _readme_argv(), _ci_argv()
+        assert len(readme) == 6 and len(ci) >= 20
+        for argv in [dense, *readme]:
+            assert cli._read_plain(argv) is not None, argv
+        # CI runs one abbreviation on purpose, through argparse end to end.
+        assert [argv for argv in ci if cli._read_plain(argv) is None] == [
+            ["sum", "--k", "2", "--m", "3", "--x", "1e8", "--meth", "conv"]
+        ]
+        for argv in [dense, *readme, *ci]:
+            plain = cli._read_plain(argv) or cli.parse(argv)
+            assert (plain[0], repr(vars(plain[1]))) == _argparse_outcome(argv), argv
