@@ -20,8 +20,8 @@ from .constants import DEFAULT_TOL, PRODUCT_PRIME_CAP, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
 # stream_sum is not called here: the benchmark's traced run
 # (perfbench/worker.py) wraps asymptotics.stream_sum by name.
-from .sieve import SieveConfig, positive_int, stream_sum
-from .summatory import _main_value, convolution_sums
+from .sieve import SieveConfig, stream_sum
+from .summatory import _factored, _main_value, convolution_sums
 
 _FIT_MIN_ABS_E = 1e-9
 
@@ -57,6 +57,10 @@ def geometric_checkpoints(lo: int, hi: int, points_per_decade: int = 4) -> list[
     if lo == hi:
         return [lo]
     steps = max(1, round(points_per_decade * math.log10(hi / lo)))
+    if hi * math.expm1(math.log(hi / lo) / steps) < 0.5:
+        # Every step, the last the largest, is below 1/2: the rounded grid
+        # is every integer of [lo, hi], built without its steps + 1 floats.
+        return list(range(lo, hi + 1))
     grid = [round(lo * (hi / lo) ** (i / steps)) for i in range(steps + 1)]
     grid[0], grid[-1] = lo, hi
     out: list[int] = []
@@ -81,22 +85,22 @@ def scan(
     streams; the benchmark's reference generator (``perfbench/gen_refs.py``)
     still passes it.  The constants entering M are estimated once and
     shared by every row, so differences of E across x are not polluted by
-    re-estimated constants.
+    re-estimated constants.  ``coprime_to`` is factored once for all of them.
     """
     o = as_order(order)
     if not checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
-    n = positive_int(coprime_to, "coprime_to")
+    fn = _factored(coprime_to, "coprime_to")
     a = alpha(o, prime_limit)
     z = zeta(o.k, tol)
-    psi_f = float(psi_k(n, o.k))
-    an_f = float(alpha_n(o, n))
-    sums = convolution_sums(checkpoints, o, n)
+    psi_f = float(psi_k(fn, o.k))
+    an_f = float(alpha_n(o, fn))
+    sums = convolution_sums(checkpoints, o, fn)
     e_uncond = 1.0 / o.k
     e_rh = 2.0 / (2 * o.k + 1)
     rows = []
     for cp, s in sums:
-        m_val = _main_value(cp, n, a.value, z.value, psi_f, an_f)
+        m_val = _main_value(cp, fn.value, a.value, z.value, psi_f, an_f)
         err = float(s) - m_val
         xf = float(cp)
         rows.append(ScanRow(cp, s, m_val, err, err / xf**e_uncond, err / xf**e_rh))

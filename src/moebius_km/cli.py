@@ -1,8 +1,7 @@
 """Command-line frontend.
 
 Subcommands: eval, sum, constants, scan, verify, bench.  Exit codes are a
-stable contract: 0 success, 1 usage or I/O failure, 2 verification failure,
-3 precision failure.
+stable contract: 0 success, 1 usage or I/O failure, 2 verification failure.
 
 Every command and flag is one entry of the table ``_COMMANDS``.  A plain
 command line, of exact flag names and values that can be read one way
@@ -25,9 +24,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 
 from .asymptotics import FitResult, ScanRow, fit_exponent, geometric_checkpoints, scan
-from .constants import (
-    DEFAULT_TOL, PRODUCT_PRIME_CAP, PrecisionError, alpha, apostol_A, identity_gap, zeta,
-)
+from .constants import DEFAULT_TOL, PRODUCT_PRIME_CAP, alpha, apostol_A, identity_gap, zeta
 from .functions import OrderPair, mu_km
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, segment_memory_estimate, stream_sum
 from .summatory import SumQuery, sum_convolution, sum_direct
@@ -36,12 +33,6 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-EXIT_PRECISION = 3
-
-_TOL_HELP = (
-    "certified error of zeta(k) only; A_k and alpha keep their own tail_bound,"
-    " floored at 1e-10"
-)
 
 
 class _UsageError(Exception):
@@ -133,9 +124,9 @@ def _cmd_sum(args) -> int:
 
 def _cmd_constants(args) -> int:
     order = _order_from(args)
-    z = zeta(order.k, args.tol)
-    a_k = apostol_A(order.k, args.prime_limit)
-    a_km = alpha(order, args.prime_limit)
+    z = zeta(order.k, DEFAULT_TOL)
+    a_k = apostol_A(order.k, PRODUCT_PRIME_CAP)
+    a_km = alpha(order, PRODUCT_PRIME_CAP)
     print("constant,value,tail_bound")
     print(f"zeta({order.k}),{fmt_float(z.value)},{fmt_float(z.tail_bound)}")
     print(f"A({order.k}),{fmt_float(a_k.value)},{fmt_float(a_k.tail_bound)}")
@@ -156,13 +147,7 @@ def _cmd_scan(args) -> int:
     if args.from_x > args.to_x:
         raise ValueError("--from must be <= --to")
     cps = geometric_checkpoints(args.from_x, args.to_x, args.points_per_decade)
-    rows = scan(
-        order,
-        coprime_to=args.coprime_to,
-        checkpoints=cps,
-        prime_limit=args.prime_limit,
-        tol=args.tol,
-    )
+    rows = scan(order, coprime_to=args.coprime_to, checkpoints=cps)
     lines = rows_to_lines(rows, order.conjecture_mode, args.format)
     if args.fit:
         lines.append(fit_to_line(fit_exponent(rows), args.format))
@@ -205,8 +190,8 @@ def _cmd_bench(args) -> int:
 class _Flag:
     """One flag of a command as data: its name, converter, default and help.
 
-    ``convert`` turns the flag's text into its value (``_int_flag``,
-    ``float`` or ``str``); with ``convert=None`` the flag takes no value
+    ``convert`` turns the flag's text into its value (``_int_flag`` or
+    ``str``); with ``convert=None`` the flag takes no value
     and sets True, its default False.  The value is stored as ``dest``,
     by default the name without its dashes, "-" read as "_".
     """
@@ -225,10 +210,6 @@ class _Flag:
 
 
 _ORDER = (_Flag("--k", _int_flag, required=True), _Flag("--m", _int_flag, help="defaults to k"))
-_BOUNDS = (
-    _Flag("--prime-limit", _int_flag, PRODUCT_PRIME_CAP),
-    _Flag("--tol", float, DEFAULT_TOL, help=_TOL_HELP),
-)
 _COPRIME = _Flag("--coprime-to", _int_flag, 1)
 
 # name: (summary, handler, its flags in order)
@@ -244,11 +225,11 @@ _COMMANDS = {
             _Flag("--method", str, "direct", choices=("direct", "conv", "both")),
         ),
     ),
-    "constants": ("zeta(k), A_k and alpha_{k,m} with bounds", _cmd_constants, (*_ORDER, *_BOUNDS)),
+    "constants": ("zeta(k), A_k and alpha_{k,m} with bounds", _cmd_constants, _ORDER),
     "scan": (
         "error-term scan over a checkpoint grid", _cmd_scan,
         (
-            *_ORDER, *_BOUNDS, _COPRIME,
+            *_ORDER, _COPRIME,
             _Flag("--from", _int_flag, required=True, dest="from_x"),
             _Flag("--to", _int_flag, required=True, dest="to_x"),
             _Flag("--points-per-decade", _int_flag, 4),
@@ -314,7 +295,7 @@ def _value(flag: _Flag, text: str):
     """``text`` converted by ``flag``, or None if it does not convert or is not a choice."""
     try:
         value = flag.convert(text)
-    except (_UsageError, TypeError, ValueError):
+    except _UsageError:
         return None
     return value if flag.choices is None or value in flag.choices else None
 
@@ -386,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PrecisionError as exc:
-        print(f"precision error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

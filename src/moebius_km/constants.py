@@ -16,8 +16,9 @@ Tail handling, documented here because the bound choice is load-bearing:
   fixed point (units of 2**-128) and rounded once to float.  Every even
   derivative of t**-k is positive, so the remainder lies between 0 and the
   first omitted (eighth) correction.  The bound is that correction plus the
-  fixed-point floors plus half an ulp of the returned float: about 2e-16
-  for every k, so every tol down to 1e-13 costs the same few microseconds.
+  fixed-point floors plus half an ulp of the returned float: 1.1e-16 to
+  1.8e-16 for every k, so every tol it meets costs the same few
+  microseconds, and a smaller tol raises PrecisionError.
 * products: alpha_{k,m} and A_k multiply out the primes p <= P =
   min(prime_limit, PRODUCT_PRIME_CAP = 2**9), so they never grow the
   prime table past 2**9, and share one tail routine that covers every
@@ -57,13 +58,11 @@ import numpy as np
 
 from .arith import FactoredInteger, as_factored, is_prime
 from .functions import OrderPair, as_order
-from .primes import KeyedStore, primes_up_to
-from .sieve import checked_int
+from .primes import KeyedStore, checked_int, primes_up_to
 
 DEFAULT_TOL = 1e-12
 PRODUCT_PRIME_CAP = 1 << 9  # the products multiply out the primes up to this
 
-_MIN_TOL = 1e-13
 _TAIL_FLOOR = 1e-10  # floor of every product's bound
 _LOG_SUM_SLACK = 1e-12  # float slack of the log-sum over p <= P
 _LOG_TAIL_REL = 1e-14  # float slack of a log tail L(t), as a share of log zeta(t)
@@ -129,21 +128,21 @@ def _zeta_fixed(k: int) -> tuple[int, int]:
 def zeta(k: int, tol: float) -> ConstantEstimate:
     """zeta(k) for integer k >= 2 with certified error at most tol.
 
-    Euler-Maclaurin at N = 10 (see the module docstring); the bound, about
-    2e-16, meets every tol the float result can certify.
+    Euler-Maclaurin at N = 10 (see the module docstring).  The bound, 1.1e-16
+    to 1.8e-16, is certified for every k; a tol below it raises PrecisionError.
     """
     if checked_int(k, "k") < 2:
         raise ValueError(f"zeta requires k >= 2, got {k}")
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tol must be positive, got {tol}")
-    if tol < _MIN_TOL:
-        raise PrecisionError(f"tolerance {tol} below float-certifiable floor {_MIN_TOL}")
     acc, err = _zeta_fixed(k)
     one = 1 << _FIXED_BITS
     value = acc / one  # correctly rounded: off by at most half an ulp
     half_ulp = int(math.ulp(value) * one) // 2  # whole units, as value >= 1
-    bound = (err + half_ulp) / one  # rounded, hence the nextafter
-    return ConstantEstimate(value, math.nextafter(bound, math.inf), _ZETA_CUTOFF)
+    bound = math.nextafter((err + half_ulp) / one, math.inf)  # rounded, hence the nextafter
+    if tol < bound:
+        raise PrecisionError(f"tolerance {tol} below the certified bound {bound} of zeta({k})")
+    return ConstantEstimate(value, bound, _ZETA_CUTOFF)
 
 
 # The log tails per prime limit, and each product's estimate per (name,

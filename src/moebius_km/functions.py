@@ -19,18 +19,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactoredInteger, as_factored
+from .primes import checked_int
 
 
 @dataclass(frozen=True)
 class OrderPair:
-    """Parameter pair (k, m) selecting a member of the function family."""
+    """Parameter pair (k, m) selecting a member of the function family.
+
+    k and m may be any integers, NumPy's included; they are stored as ints.
+    """
 
     k: int
     m: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and isinstance(self.m, int)):
-            raise ValueError("k and m must be integers")
+        object.__setattr__(self, "k", checked_int(self.k, "k"))
+        object.__setattr__(self, "m", checked_int(self.m, "m"))
         if not 2 <= self.k <= self.m:
             raise ValueError(f"need 2 <= k <= m, got k={self.k}, m={self.m}")
 
@@ -63,7 +67,7 @@ def mu_apostol(n: int | FactoredInteger, k: int) -> int:
     Kept independent of :func:`mu_km` so mu_km(n, (k, k)) == mu_apostol(n, k)
     is a real cross-check.
     """
-    if k < 2:
+    if checked_int(k, "k") < 2:
         raise ValueError(f"order k must be >= 2, got {k}")
     fn = as_factored(n)
     if fn.value == 1:
@@ -93,7 +97,7 @@ def mu_km(n: int | FactoredInteger, order: OrderPair | tuple[int, int]) -> int:
 
 def q_k(n: int | FactoredInteger, k: int) -> int:
     """Indicator of k-free integers: 1 iff no prime power p^k divides n."""
-    if k < 2:
+    if checked_int(k, "k") < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     fn = as_factored(n)
     return 1 if all(e < k for _, e in fn.factors) else 0
@@ -111,6 +115,7 @@ def psi_k(n: int | FactoredInteger, k: int) -> Fraction:
     is n itself); the divisor-sum identity tests need that degenerate case.
     The value is not an integer in general, e.g. at (n=2, k=3) it is 7/2.
     """
+    k = checked_int(k, "k")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     fn = as_factored(n)

@@ -1,4 +1,4 @@
-"""Shared prime table, integer root helpers and the two process-wide caches.
+"""Shared prime table, integer argument and root helpers, and the two process-wide caches.
 
 Every table the package keeps for the whole process is one of two kinds,
 both defined here, in the module every other module imports:
@@ -24,6 +24,7 @@ caller reads.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 import numpy as np
@@ -131,6 +132,22 @@ def primes_up_to(limit: int) -> np.ndarray:
 def prime_list_up_to(limit: int) -> list[int]:
     """Same primes as :func:`primes_up_to` as a new Python list (faster to iterate)."""
     return primes_up_to(limit).tolist()
+
+
+def checked_int(value, name: str) -> int:
+    """``value`` as an int; a float such as 10.5 raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` as an int >= 1; anything else raises ValueError naming it."""
+    value = checked_int(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
 
 
 def iroot(n: int, k: int) -> int:

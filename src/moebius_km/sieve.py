@@ -48,14 +48,13 @@ from threads of their own.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import as_factored
 from .functions import OrderPair, as_order
-from .primes import _PRIME_TABLE_CAP, KeyedStore, iroot, primes_up_to
+from .primes import _PRIME_TABLE_CAP, KeyedStore, checked_int, iroot, positive_int, primes_up_to
 
 MAX_RANGE = 1 << 62
 DEFAULT_SEGMENT_SIZE = 1 << 20
@@ -398,22 +397,6 @@ def _block_sum(block: np.ndarray, fold: np.ndarray) -> int:
     head = _FOLD_ROWS * c
     np.add.reduce(block[:head].reshape(_FOLD_ROWS, c), 0, np.int8, fold[:c])
     return int(np.add.reduce(fold[:c], 0, np.int64)) + sum(block[head:].tolist())
-
-
-def checked_int(value, name: str) -> int:
-    """``value`` as an int; a float such as 10.5 raises ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def positive_int(value, name: str) -> int:
-    """``value`` as an int >= 1; anything else raises ValueError naming it."""
-    value = checked_int(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return value
 
 
 def checked_checkpoints(checkpoints, x: int) -> list[int]:

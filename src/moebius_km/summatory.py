@@ -53,8 +53,10 @@ from .constants import (
     zeta,
 )
 from .functions import OrderPair, as_order, mu, psi_k
-from .primes import _PRIME_TABLE_CAP, GrownTable, iroot, prime_list_up_to, primes_up_to
-from .sieve import _validate_range, checked_checkpoints, checked_int, positive_int, stream_sum
+from .primes import (
+    _PRIME_TABLE_CAP, GrownTable, checked_int, iroot, positive_int, prime_list_up_to, primes_up_to,
+)
+from .sieve import _validate_range, checked_checkpoints, stream_sum
 
 _TABLE_TOP = 1 << 11  # Q_k(y, n) is looked up for y <= this, batched-counted above
 _PERIOD_CAP = 1 << 16  # largest rad(n) whose C_n is read from one period
@@ -85,9 +87,14 @@ class MainTermParts:
     alpha_n: Fraction
 
 
-def _zero_non_coprime(values: np.ndarray, n: int) -> None:
-    """Zero values[r] for every r sharing a prime factor with n."""
-    for p, _ in as_factored(n).factors:
+def _factored(n: int | FactoredInteger, name: str) -> FactoredInteger:
+    """The coprime filter ``n`` factored: an int >= 1 once, a FactoredInteger as it is."""
+    return as_factored(n if isinstance(n, FactoredInteger) else positive_int(n, name))
+
+
+def _zero_non_coprime(values: np.ndarray, fn: FactoredInteger) -> None:
+    """Zero values[r] for every r sharing a prime factor with fn."""
+    for p, _ in fn.factors:
         values[p::p] = 0
 
 
@@ -161,8 +168,8 @@ def _periodic_counts(z: np.ndarray, rad: int, period: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _small_table(top: int, n: int, k: int) -> np.ndarray:
-    """Q_k(y, n) for y = 0..top as int64: mu(e) added on the multiples of e^k.
+def _small_table(top: int, fn: FactoredInteger, k: int) -> np.ndarray:
+    """Q_k(y, n) for y = 0..top as int64, n = fn: mu(e) added on the multiples of e^k.
 
     An e sharing a prime with n only reaches r that the coprime mask zeroes.
     """
@@ -172,7 +179,7 @@ def _small_table(top: int, n: int, k: int) -> np.ndarray:
         if s:
             q = e**k
             values[q::q] += s
-    _zero_non_coprime(values, n)
+    _zero_non_coprime(values, fn)
     return values.cumsum()
 
 
@@ -201,7 +208,7 @@ def _iroots(z: np.ndarray, k: int, top: int) -> np.ndarray:
     return r
 
 
-def qk_count(x, n: int, k: int):
+def qk_count(x, n: int | FactoredInteger, k: int):
     """Exact count of k-free r <= x with gcd(r, n) = 1, for an int x or each entry of an integer array.
 
     Q_k(y, n) sums mu_n(e) over the pairs (e, v) with e^k v <= y, mu_n(e)
@@ -229,9 +236,10 @@ def qk_count(x, n: int, k: int):
     0, so an entry below 1 counts 0.  The entries come in any order and
     may repeat; a 1-D array of any integer dtype gives an int64 array in its
     order.  The table's prefix stays as it is: mu_n and then M_n are one
-    new int32 array.  x is limited as in :func:`convolution_sums`.
+    new int32 array.  x is limited as in :func:`convolution_sums`.  n may
+    come factored, as a FactoredInteger; an int n is factored once.
     """
-    k, n = checked_int(k, "k"), positive_int(n, "n")
+    k, fn = checked_int(k, "k"), _factored(n, "n")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     many = isinstance(x, np.ndarray)
@@ -242,7 +250,6 @@ def qk_count(x, n: int, k: int):
         return np.zeros(len(x), dtype=np.int64) if many else 0
     _validate_range(1, top, k)
     ys = x.astype(np.int64, copy=False) if many else np.array([top], dtype=np.int64)
-    fn = as_factored(n)
     d_top = iroot(top, k + 1)  # no block's D or v passes it
     mertens = mu_range(iroot(top, k)).astype(np.int32)  # mu_n, then M_n: |M_n(z)| <= z <= 2^26
     coprime = np.ones(d_top + 1, dtype=bool)
@@ -382,7 +389,9 @@ def _walk_primes(x: int, a0: int, n: int) -> np.ndarray:
 
 
 def convolution_sums(
-    checkpoints: list[int], order: OrderPair | tuple[int, int], coprime_to: int = 1
+    checkpoints: list[int],
+    order: OrderPair | tuple[int, int],
+    coprime_to: int | FactoredInteger = 1,
 ) -> list[tuple[int, int]]:
     """(x, S(x; n)) for each checkpoint x, as :func:`stream_sum` returns them.
 
@@ -425,25 +434,27 @@ def convolution_sums(
     decade to 2^62 (ROADMAP item 12).  The checkpoints are ascending
     (duplicates allowed) integers, the largest at most the stream's limit
     :func:`~moebius_km.sieve._max_range`: 2^62, and (2^26 + 1)^2 - 1 for k = 2.
+    ``coprime_to`` may come factored, as a FactoredInteger; an int is
+    factored once, and the count and the tables share that factorisation.
     """
     o = as_order(order)
-    coprime_to = positive_int(coprime_to, "coprime_to")
+    fn = _factored(coprime_to, "coprime_to")
     cps = checked_checkpoints(checkpoints, math.inf)  # the domain check names the limit
-    x, n = cps[-1], coprime_to
+    x = cps[-1]
     _validate_range(1, x, o.k)
     xs = np.array(cps, dtype=np.int64)
     if o.m == o.k:
         terms, top, ws, ds = _h_terms(o.k), x, [], []
-        f = _coprime_counter(n)
+        f = _coprime_counter(fn)
     else:
         terms, top = _g_terms(x, o.k, o.m), min(x, _TABLE_TOP)
         # Q_k from the small table; the floors above top clip to an appended 0.
-        f = partial(np.take, np.append(_small_table(top, n, o.k), 0), mode="clip")
+        f = partial(np.take, np.append(_small_table(top, fn, o.k), 0), mode="clip")
         # d = 1 with w(1) = 1: the checkpoints above top are counted with the floors.
         ws, ds = [np.ones(1, dtype=np.int64)], [np.ones(1, dtype=np.int64)]
     sums = f(xs).copy()  # d = 1 up to top; C_n(xs) for n = 1 is xs itself
     reach = x // (top + 1)  # a floor x // d passes top only for d <= reach
-    for w, d in _walk(x, terms, _walk_primes(x, terms[0][0], n)):
+    for w, d in _walk(x, terms, _walk_primes(x, terms[0][0], fn.value)):
         if cps[0] < x:  # a checkpoint below x may lie below some d
             by_d = np.argsort(d)
             sums += _staircase(xs, d[by_d], w[by_d], f)
@@ -459,7 +470,7 @@ def convolution_sums(
         counts = len(xs) - first
         rows = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
         w, d = np.repeat(w, counts), np.repeat(d, counts)
-        np.add.at(sums, rows, w * qk_count(xs[rows] // d, n, o.k))
+        np.add.at(sums, rows, w * qk_count(xs[rows] // d, fn, o.k))
     return list(zip(cps, sums.tolist()))
 
 

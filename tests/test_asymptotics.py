@@ -1,8 +1,9 @@
 import math
+import time
 
 import pytest
 
-from moebius_km import asymptotics
+from moebius_km import arith, asymptotics
 from moebius_km.asymptotics import (
     ScanRow,
     fit_exponent,
@@ -69,6 +70,30 @@ class TestGrid:
         with pytest.raises(ValueError):
             geometric_checkpoints(10, 20, 0)
 
+    def test_grid_denser_than_the_integers_is_built_at_once(self):
+        # The full list would hold 10**12 + 1 floats.
+        start = time.perf_counter()
+        assert geometric_checkpoints(1, 10, 10**12) == list(range(1, 11))
+        assert time.perf_counter() - start < 0.5
+
+    @staticmethod
+    def _full_list(lo, hi, points_per_decade):
+        # The reference: every point of the grid rounded, then the repeats dropped.
+        steps = max(1, round(points_per_decade * math.log10(hi / lo)))
+        grid = [round(lo * (hi / lo) ** (i / steps)) for i in range(steps + 1)]
+        grid[0], grid[-1] = lo, hi
+        return sorted(set(grid))
+
+    def test_sweep_equals_the_full_list(self):
+        dense = 0
+        for lo in (1, 2, 7, 10, 99, 1000, 4096):
+            for hi in (lo + 1, lo + 5, 2 * lo + 3, 10 * lo, 100 * lo + 17):
+                for ppd in (1, 4, 20, 333, 2000, 10**4):
+                    want = self._full_list(lo, hi, ppd)
+                    assert geometric_checkpoints(lo, hi, ppd) == want, (lo, hi, ppd)
+                    dense += want == list(range(lo, hi + 1))
+        assert 60 <= dense <= 150  # of 210: grids of every integer and sparser ones
+
 
 class TestScan:
     @pytest.mark.parametrize(
@@ -85,6 +110,17 @@ class TestScan:
     def test_bad_argument_is_named_value_error(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             call()
+
+    def test_coprime_filter_is_factored_once(self, monkeypatch):
+        n = 2147483647 * 4294967291
+        seen = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda m: seen.append(m) or factorize(m))
+        for order in ((2, 3), (2, 2)):
+            seen.clear()
+            rows = scan(order, n, [10**3, 10**6])
+            assert seen.count(n) == 1
+            assert [r.S for r in rows] == [s for _, s in stream_sum(10**6, order, n, [10**3, 10**6])]
 
     def test_single_checkpoint_matches_summatory_example(self):
         rows = scan((2, 3), checkpoints=[12], prime_limit=10**4)
@@ -148,7 +184,7 @@ class TestScan:
         for cps in grids:
             rows = scan((2, 3), coprime_to=30, checkpoints=cps, prime_limit=10**4, config=config)
             assert [(r.x, r.S) for r in rows] == [(x, 0) for x in cps]
-        assert used == [("conv", (cps, OrderPair(2, 3), 30)) for cps in grids]
+        assert used == [("conv", (cps, OrderPair(2, 3), arith.factorize(30))) for cps in grids]
         monkeypatch.undo()
         error = f"x={top + 1} exceeds the supported range {top} for k=2"
         with pytest.raises(ValueError, match=error):

@@ -14,7 +14,7 @@ import pytest
 import moebius_km.cli as cli
 import moebius_km.verify as verify_mod
 from moebius_km.asymptotics import FitResult, ScanRow
-from moebius_km.constants import DEFAULT_TOL, PRODUCT_PRIME_CAP
+from moebius_km.constants import alpha
 from moebius_km.sieve import SieveConfig, _max_range
 
 
@@ -111,7 +111,7 @@ class TestDomain:
             ("sum", "--method", "direct", "--x"),
             ("sum", "--method", "conv", "--x"),
             ("sum", "--method", "both", "--x"),
-            ("scan", "--from", "10", "--prime-limit", "1e4", "--to"),
+            ("scan", "--from", "10", "--to"),
         ],
         ids=["direct", "conv", "both", "scan"],
     )
@@ -126,72 +126,33 @@ class TestDomain:
 
 class TestConstants:
     def test_identity_line_present_in_conjecture_mode(self, capsys):
-        code, out, _ = run(
-            capsys, "constants", "--k", "2", "--m", "2", "--prime-limit", "1e4"
-        )
+        code, out, _ = run(capsys, "constants", "--k", "2", "--m", "2")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "constant,value,tail_bound"
         names = [line.split(",")[0] for line in lines]
         assert names == ["constant", "zeta(2)", "A(2)", "alpha(2;2)", "identity(2)"]
         assert lines[-1].endswith("PASS")
+        assert run(capsys, "constants", "--k", "2") == (0, out, "")  # m defaults to k
 
-    def test_tail_bound_at_a_small_prime_limit_covers_the_change(self, capsys):
+    def test_tail_bound_at_a_small_prime_limit_covers_the_change(self):
         # The tail series is about as accurate at prime limit 10 as at the
         # cap: the bound there is no smaller, and it covers the distance
-        # between the two printed values.
-        def estimate(out):
-            for line in out.splitlines():
-                if line.startswith("alpha"):
-                    return [float(field) for field in line.split(",")[1:]]
-        _, small, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "10")
-        _, big, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "1e5")
-        (v_small, b_small), (v_big, b_big) = estimate(small), estimate(big)
-        assert b_small >= b_big
-        assert abs(v_small - v_big) <= b_small + b_big
+        # between the two values.
+        small, big = alpha((2, 3), 10), alpha((2, 3), 10**5)
+        assert small.tail_bound >= big.tail_bound
+        assert abs(small.value - big.value) <= small.tail_bound + big.tail_bound
 
-    def test_default_prime_limit_prints_the_capped_bytes(self, capsys):
-        # Any default from 2**9 up prints these bytes; the parser test pins
-        # the default itself.
-        _, default, _ = run(capsys, "constants", "--k", "2", "--m", "3")
-        _, capped, _ = run(capsys, "constants", "--k", "2", "--m", "3", "--prime-limit", "512")
-        assert default == capped
-
-    @pytest.mark.parametrize("k,m,limit", [("3", "4", "1e6"), ("2", "2", "1e9")])
-    def test_limits_past_the_cap_print_the_capped_bytes(self, capsys, k, m, limit):
-        # Products multiply out p <= 2**9 whatever the limit; 1e9 is past
-        # the prime table's own cap.
-        order = ("--k", k, "--m", m)
-        code, given, err = run(capsys, "constants", *order, "--prime-limit", limit)
-        assert (code, err) == (0, "")
-        _, capped, _ = run(capsys, "constants", *order, "--prime-limit", "512")
-        assert given == capped
-
-    @pytest.mark.parametrize("command", ["constants", "scan"])
-    def test_tol_help_names_zeta_only(self, capsys, command):
-        with pytest.raises(SystemExit):
-            cli.main([command, "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "zeta(k) only" in help_text and "floored at 1e-10" in help_text
-
-    def test_unreachable_tolerance_exits_three(self, capsys):
-        code, _, err = run(
-            capsys, "constants", "--k", "2", "--tol", "1e-300", "--prime-limit", "100"
-        )
-        assert code == 3
-        assert "precision" in err
-
+    @pytest.mark.parametrize("flag", ["--prime-limit", "--tol"])
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("constants", "--k", "2"),
-            ("scan", "--k", "2", "--m", "3", "--from", "10", "--to", "100"),
-        ],
+        [("constants", "--k", "2"), ("scan", "--k", "2", "--m", "3", "--from", "10", "--to", "100")],
+        ids=["constants", "scan"],
     )
-    def test_nan_tolerance_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--tol", "nan", "--prime-limit", "100")
-        assert code == 1
-        assert "tol" in err and not out
+    def test_removed_flags_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, flag, "100")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: unrecognized arguments: {flag} 100\n"
 
 
 class TestScan:
@@ -201,7 +162,6 @@ class TestScan:
             capsys,
             "scan", "--k", "2", "--m", "3", "--from", "1e3", "--to", "1e6",
             "--points-per-decade", "4", "--fit", "--out", str(out_file),
-            "--prime-limit", "1e4",
         )
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
@@ -220,7 +180,6 @@ class TestScan:
     def test_single_point_scan(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--k", "2", "--m", "3", "--from", "12", "--to", "12",
-            "--prime-limit", "1e4",
         )
         assert code == 0
         row = out.strip().splitlines()[1]
@@ -231,7 +190,6 @@ class TestScan:
             capsys,
             "scan", "--k", "2", "--m", "2", "--from", "10", "--to", "1000",
             "--points-per-decade", "1", "--format", "json", "--fit",
-            "--prime-limit", "1e4",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -257,7 +215,7 @@ class TestScan:
         code, _, err = run(
             capsys,
             "scan", "--k", "2", "--from", "10", "--to", "10",
-            "--out", str(tmp_path / "no" / "dir" / "f.csv"), "--prime-limit", "1e3",
+            "--out", str(tmp_path / "no" / "dir" / "f.csv"),
         )
         assert code == 1
 
@@ -332,7 +290,7 @@ class TestContracts:
     """Each report column, flag default and suite name is defined once."""
 
     SCAN = ("scan", "--k", "2", "--m", "3", "--from", "10", "--to", "1000",
-            "--points-per-decade", "2", "--fit", "--prime-limit", "1e4")
+            "--points-per-decade", "2", "--fit")
 
     def test_csv_columns_are_scan_row_fields(self, capsys):
         code, out, _ = run(capsys, *self.SCAN)
@@ -361,15 +319,6 @@ class TestContracts:
         with pytest.raises(SystemExit):
             cli.main(["verify", "--help"])
         assert "--suite {" + ",".join(suites) + "}" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "argv",
-        [("constants", "--k", "2"), ("scan", "--k", "2", "--from", "10", "--to", "100")],
-    )
-    def test_constant_flags_default_to_library_defaults(self, argv):
-        _, args = cli.parse(list(argv))
-        assert (args.tol, args.prime_limit) == (DEFAULT_TOL, PRODUCT_PRIME_CAP)
-        assert args.m is None
 
     def test_bench_segment_defaults_to_sieve_config(self):
         _, args = cli.parse(["bench", "--x", "1e6"])
@@ -478,16 +427,16 @@ VALID_ARGV = [
     ("sum", "--k", "2", "--x", "1e4", "--method", "conv"),
     ("sum", "--k", "2", "--x", "12", "--cop", "30", "--meth=both"),
     ("sum", "--x", "12", "--k", "3", "--m", "3", "--x", "13", "--method", "direct"),
-    ("constants", "--k", "2", "--prime-limit", "1e9", "--tol", "1e-10"),
-    ("constants", "--k", "3", "--pr=512", "--t", "1e-12"),
-    ("constants", "--k", "2", "--tol", "nan"),
-    ("constants", "--k", "2", "--tol", "-1", "--tol", "-.5"),
+    ("constants", "--k", "2", "--m", "40"),
+    ("scan", "--k", "3", "--fr=10", "--to", "1e4", "--points-per=8"),
+    ("constants", "--m", "5", "--k", "3"),
+    ("constants", "--k", "-3", "--m", "4", "--k", "3"),
     ("scan", "--k", "2", "--m", "3", "--coprime-to", "6", "--from", "1000", "--to", "100000000",
      "--points-per-decade", "20", "--fit", "--out", "-"),
-    ("scan", "--k", "2", "--fr", "10", "--to", "100", "--tol=1e-12", "--fi", "--fo", "json"),
+    ("scan", "--k", "2", "--fr", "10", "--to", "100", "--cop=6", "--fi", "--fo", "json"),
     ("scan", "--k=2", "--from=1e3", "--to=1e6", "--points", "4", "--fit", "--fit"),
     (*SCAN_ORDER, "--out", "-", "--out", "rows.csv", "--form=csv"),
-    (*SCAN_ORDER, "--out", "a b", "--to", "1e3", "--tol", "1e-9"),
+    (*SCAN_ORDER, "--out", "a b", "--to", "1e3", "--m", "-3"),
     ("verify",),
     ("verify", "--suite", "qk", "--limit", "50"),
     ("verify", "--su=all", "--lim", "1e3", "--suite", "table"),
@@ -519,8 +468,8 @@ INVALID_ARGV = [
     (*SCAN_ORDER, "--fit=1"),
     (*SCAN_ORDER, "--out"),
     (*SCAN_ORDER, "--out", "--fit"),
-    ("constants", "--k", "2", "--tol", "x"),
-    ("constants", "--k", "2", "--tol", "-1e-3"),
+    ("constants", "--k", "2", "--m", "x"),
+    ("constants", "--k", "2", "--m", "-1e-3"),
     ("verify", "--suite", "bogus"),
     ("verify", "--limit", "1.5"),
     ("bench", "--x", "1e6", "--threads", "2"),
@@ -551,7 +500,7 @@ class TestArgparseReference:
     def test_valid_argv_gives_the_same_namespace(self, argv):
         ref, new = self.outcomes(argv)
         assert ref[0] == "ok"
-        assert repr(new) == repr(ref)  # repr: the tol "nan" is not equal to itself
+        assert repr(new) == repr(ref)  # repr: the same keys in the same order
 
     @pytest.mark.parametrize("argv", INVALID_ARGV)
     def test_invalid_argv_gives_the_same_usage_error(self, capsys, argv):
@@ -595,18 +544,17 @@ def _argparse_outcome(argv):
             handler, args = cli._argparse_read(list(argv))
     except (cli._UsageError, SystemExit) as exc:
         return type(exc).__name__, str(exc)
-    return handler, repr(vars(args))  # repr: the tol "nan" is not equal to itself
+    return handler, repr(vars(args))  # repr: the same keys in the same order
 
 
 _INT_VALUES = ("2", "3", "30", "12", "1e4", "1e9", "0", "-4", "-.5", "2.5", "x", "inf", "")
 _TEXT_VALUES = ("-", "--", "-x", "rows.csv", "a b", "a=b", "", "scan")
-_FLOAT_VALUES = ("1e-10", "1e-12", "nan", "-1", "0.5", "x", "-")
 
 
 def _fuzz_values(flag):
     if flag.choices is not None:
         return (*flag.choices, "bogus", "-", "")
-    return {cli._int_flag: _INT_VALUES, float: _FLOAT_VALUES, str: _TEXT_VALUES}[flag.convert]
+    return {cli._int_flag: _INT_VALUES, str: _TEXT_VALUES}[flag.convert]
 
 
 def _fuzz_argv(rng: random.Random) -> list[str]:

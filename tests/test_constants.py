@@ -71,6 +71,17 @@ class TestZeta:
         with pytest.raises(PrecisionError):
             zeta(2, 1e-300)
 
+    def test_refuses_only_a_tol_below_its_bound(self):
+        # The bound of zeta(2) is 1.8e-16: 1e-15 is certified, 1e-16 is not.
+        assert zeta(2, 1e-15).tail_bound <= 1e-15
+        with pytest.raises(PrecisionError, match="below the certified bound"):
+            zeta(2, 1e-16)
+        for k in range(2, 61):
+            bound = zeta(k, 1e-12).tail_bound
+            assert zeta(k, bound).tail_bound == bound
+            with pytest.raises(PrecisionError):
+                zeta(k, math.nextafter(bound, 0.0))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             zeta(1, 1e-6)
@@ -237,6 +248,10 @@ assert primes._PRIMES.state[0] == 0
 a, b = apostol_A(2, 10**6), alpha((2, 3), 10**6)
 assert primes._PRIMES.state[0] == 1 << 9, primes._PRIMES.state[0]
 assert a.prime_limit == b.prime_limit == 1 << 9
+# A limit past the prime table's own cap 2**26 grows it no further.
+c, d = apostol_A(3, 10**9), alpha((2, 2), 10**9)
+assert primes._PRIMES.state[0] == 1 << 9, primes._PRIMES.state[0]
+assert c.prime_limit == d.prime_limit == 1 << 9
 """
 
 

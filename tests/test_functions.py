@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from moebius_km.functions import (
     q_k,
     theta,
 )
+from moebius_km.sieve import stream_sum
 
 
 class TestOrderPair:
@@ -27,6 +29,36 @@ class TestOrderPair:
     def test_invalid(self, k, m):
         with pytest.raises(ValueError):
             OrderPair(k, m)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        o = OrderPair(np.int64(2), np.uint8(3))
+        assert (o, type(o.k), type(o.m)) == (OrderPair(2, 3), int, int)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: OrderPair(2.0, 3), "k"),
+        (lambda: OrderPair(2, 3.5), "m"),
+        (lambda: mu_km(8, (2, 3.0)), "m"),
+        (lambda: q_k(8, 2.5), "k"),
+        (lambda: mu_apostol(8, 2.5), "k"),
+        (lambda: psi_k(6, 2.5), "k"),
+        (lambda: psi_k(6, 2.0), "k"),
+    ],
+    ids=["order-k-float", "order-m-float", "mu_km-m-float", "q_k-k-float", "mu_apostol-k-float",
+         "psi_k-k-fraction", "psi_k-k-float"],
+)
+def test_non_integer_argument_is_value_error(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_orders_are_accepted():
+    k = np.int64(2)
+    assert (q_k(8, k), mu_apostol(8, k), psi_k(6, k)) == (0, 0, 12)
+    assert mu_km(8, (k, np.int32(3))) == -1
+    assert stream_sum(100, (k, 3)) == stream_sum(100, (2, 3))
 
 
 class TestMu:

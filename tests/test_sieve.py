@@ -674,7 +674,7 @@ _CLI_CALLS = """
 import sys
 from moebius_km import cli
 assert cli.main(["scan", "--k", "2", "--m", "3", "--coprime-to", "6", "--from", "1e3",
-                 "--to", "1e6", "--points-per-decade", "4", "--fit", "--prime-limit", "1e4"]) == 0
+                 "--to", "1e6", "--points-per-decade", "4", "--fit"]) == 0
 assert cli.main(["sum", "--k", "2", "--m", "3", "--x", "1e4", "--method", "conv"]) == 0
 loaded = sorted(name for name in ("argparse", "gettext", "locale") if name in sys.modules)
 assert not loaded, loaded

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import mu_over_psi_series, oracle_mu, race
-from moebius_km import sieve, summatory
+from moebius_km import arith, sieve, summatory
 from moebius_km.arith import factorize, gcd, squarefree_divisors
 from moebius_km.asymptotics import scan
 from moebius_km.constants import alpha, alpha_n, apostol_A
 from moebius_km.functions import OrderPair, mu, psi_k
 from moebius_km.primes import _PRIME_TABLE_CAP, GrownTable, iroot, primes_up_to
-from moebius_km.sieve import _max_range, sieve_qk, stream_sum
+from moebius_km.sieve import _max_range, sieve_mu_km, sieve_qk, stream_sum
 from moebius_km.summatory import (
     _BLOCK,
     _TABLE_TOP,
@@ -537,12 +537,32 @@ class TestSums:
                 events.clear()
                 floors = [int(y) for x in xs for y in (x, *(x // ds)) if y > min(top, xs[-1])]
                 assert convolution_sums(xs, (k, m), n) == ref, (xs, top)
-                assert calls == [(sorted(floors), n, k)], (xs, top)
+                assert calls == [(sorted(floors), factorize(n), k)], (xs, top)
                 assert events == ["walked", "counted"], (xs, top)
         monkeypatch.setattr(summatory, "_TABLE_TOP", _TABLE_TOP)
         calls.clear()
         assert sum_convolution(SumQuery(10**6, OrderPair(k, m), n)) == 300659
         assert len(calls) == 1
+
+    def test_coprime_filter_is_factored_once(self, monkeypatch):
+        # One factorize of n takes about 18 ms; every table and count shares it.
+        n = 2147483647 * 4294967291  # both primes exceed every x here
+        seen = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda m: seen.append(m) or factorize(m))
+        for order in ((2, 3), (2, 2), (3, 4)):
+            seen.clear()
+            got = convolution_sums([10**3, 10**6, 10**9], order, n)
+            assert seen.count(n) == 1, order
+            assert got == convolution_sums([10**3, 10**6, 10**9], order, 1)
+        seen.clear()
+        assert qk_count(np.array([10**6, 10**9]), n, 2).tolist() == [
+            qk_count(10**6, 1, 2), qk_count(10**9, 1, 2)
+        ]
+        assert seen.count(n) == 1
+        seen.clear()
+        assert qk_count(10**6, factorize(n), 3) == qk_count(10**6, 1, 3)
+        assert n not in seen  # a FactoredInteger is not factored again
 
     def test_convolution_independent_of_sieve(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -613,6 +633,39 @@ def mu_sieves(monkeypatch):
 
 def _pointwise_mu(x: int) -> list[int]:
     return [0] + [mu(r) for r in range(1, x + 1)]
+
+
+# (order, x): windows at the tops of the domain and past where the stream reaches.
+WINDOWS = [((3, 3), 2**62), ((4, 5), 2**62), ((3, 4), 2**62), ((2, 3), 10**13), ((2, 2), 10**13)]
+
+
+class TestWindows:
+    """Differences of the convolution route against sieved windows, far past the stream.
+
+    S(x; n) - S(x - W; n) sums mu_{k,m}(r) over x - W < r <= x coprime to
+    n, and ``sieve_mu_km`` sieves those r with no walk, k-free count or
+    Mertens table; Q_k likewise against ``sieve_qk``.
+    """
+
+    W = 1 << 16
+    N = 30
+
+    def _coprime(self, block):
+        r = np.arange(block.lo, block.hi + 1, dtype=np.int64)
+        return block.values.astype(np.int64) * (np.gcd(r, self.N) == 1)
+
+    @pytest.mark.parametrize("order,x", WINDOWS, ids=[f"{o[0]}{o[1]}-{x}" for o, x in WINDOWS])
+    def test_sum_difference_equals_the_sieved_window(self, order, x):
+        (_, below), (_, top) = convolution_sums([x - self.W, x], order, self.N)
+        block = sieve_mu_km(x - self.W + 1, x, order)
+        assert top - below == int(self._coprime(block).sum())
+
+    @pytest.mark.parametrize("order,x", WINDOWS, ids=[f"{o[0]}{o[1]}-{x}" for o, x in WINDOWS])
+    def test_count_difference_equals_the_sieved_window(self, order, x):
+        k = order[0]
+        below, top = qk_count(np.array([x - self.W, x]), self.N, k).tolist()
+        block = sieve_qk(x - self.W + 1, x, k)
+        assert top - below == int(self._coprime(block).sum())
 
 
 class TestSharedMuTable:
