@@ -7,7 +7,6 @@ scans.
 from .arith import (
     FactoredInteger,
     factorize,
-    gcd,
     is_prime,
     squarefree_divisors,
 )
@@ -37,7 +36,6 @@ from .functions import (
     theta,
 )
 from .sieve import (
-    SieveBlock,
     SieveConfig,
     segment_memory_estimate,
     sieve_mu_km,
@@ -45,10 +43,8 @@ from .sieve import (
     stream_sum,
 )
 from .summatory import (
-    MainTermParts,
     SumQuery,
     convolution_sums,
-    main_term,
     qk_count,
     sum_convolution,
     sum_direct,
@@ -59,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FactoredInteger",
     "factorize",
-    "gcd",
     "is_prime",
     "squarefree_divisors",
     "FitResult",
@@ -81,16 +76,13 @@ __all__ = [
     "psi_k",
     "q_k",
     "theta",
-    "SieveBlock",
     "SieveConfig",
     "segment_memory_estimate",
     "sieve_mu_km",
     "sieve_qk",
     "stream_sum",
-    "MainTermParts",
     "SumQuery",
     "convolution_sums",
-    "main_term",
     "qk_count",
     "sum_convolution",
     "sum_direct",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import prime_list_up_to
+from .primes import checked_int, prime_list_up_to
 
 MAX_VALUE = 2**63 - 1
 
@@ -64,13 +64,9 @@ class FactoredInteger:
             raise ValueError("factors do not multiply back to value")
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, b) = b."""
-    return math.gcd(a, b)
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64."""
+    n = checked_int(n, "n")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -152,6 +148,7 @@ def _trial_primes(bits: int) -> tuple[int, ...]:
 
 def factorize(n: int) -> FactoredInteger:
     """Canonical prime factorization of n, for 1 <= n <= 2**63 - 1."""
+    n = checked_int(n, "n")
     if not 1 <= n <= MAX_VALUE:
         raise ValueError(f"factorize requires 1 <= n <= 2**63-1, got {n}")
     if n == 1:

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 from .constants import DEFAULT_TOL, PRODUCT_PRIME_CAP, alpha, alpha_n, zeta
 from .functions import OrderPair, as_order, psi_k
+from .primes import positive_int
 # stream_sum is not called here: the benchmark's traced run
 # (perfbench/worker.py) wraps asymptotics.stream_sum by name.
 from .sieve import SieveConfig, stream_sum
-from .summatory import _factored, _main_value, convolution_sums
+from .summatory import _factored, convolution_sums
 
 _FIT_MIN_ABS_E = 1e-9
 
@@ -49,21 +50,29 @@ class FitResult:
 
 
 def geometric_checkpoints(lo: int, hi: int, points_per_decade: int = 4) -> list[int]:
-    """Geometric integer grid from lo to hi, inclusive endpoints."""
-    if not 1 <= lo <= hi:
+    """Geometric integer grid from lo to hi, inclusive endpoints.
+
+    Point i of ``steps`` is lo (hi / lo)^(i / steps), rounded.  The steps
+    grow with i, and below the first i whose step reaches 1/2 the rounded
+    points are every integer: that prefix is built as a range, and only
+    the points from i on as floats (only hi when no step reaches 1/2).
+    """
+    lo, hi = positive_int(lo, "lo"), positive_int(hi, "hi")
+    points_per_decade = positive_int(points_per_decade, "points_per_decade")
+    if lo > hi:
         raise ValueError("need 1 <= lo <= hi")
-    if points_per_decade < 1:
-        raise ValueError("points_per_decade must be >= 1")
-    if lo == hi:
-        return [lo]
     steps = max(1, round(points_per_decade * math.log10(hi / lo)))
-    if hi * math.expm1(math.log(hi / lo) / steps) < 0.5:
-        # Every step, the last the largest, is below 1/2: the rounded grid
-        # is every integer of [lo, hi], built without its steps + 1 floats.
-        return list(range(lo, hi + 1))
-    grid = [round(lo * (hi / lo) ** (i / steps)) for i in range(steps + 1)]
-    grid[0], grid[-1] = lo, hi
-    out: list[int] = []
+    rate = math.log(hi / lo) / steps
+    # Step i is lo e^(i rate) expm1(rate), below 1/2 for every i < dense;
+    # every step is 0 when hi / lo rounds to 1.
+    dense = steps
+    if rate:
+        dense = min(steps, max(0, math.ceil(math.log(0.5 / (lo * math.expm1(rate))) / rate)))
+    grid = [round(lo * (hi / lo) ** (i / steps)) for i in range(dense, steps + 1)]
+    grid[-1] = hi
+    if not dense:
+        grid[0] = lo
+    out = list(range(lo, grid[0]))
     for g in grid:
         if not out or g > out[-1]:
             out.append(int(g))
@@ -91,16 +100,17 @@ def scan(
     if not checkpoints:
         raise ValueError("checkpoints must be a non-empty ascending list")
     fn = _factored(coprime_to, "coprime_to")
-    a = alpha(o, prime_limit)
-    z = zeta(o.k, tol)
-    psi_f = float(psi_k(fn, o.k))
-    an_f = float(alpha_n(o, fn))
+    # M(x) = x n^2 alpha_{k,m} / (zeta(k) psi_k(n) alpha_{k,m}(n)); for m = k
+    # it is the conjectured density, which the CLI flags.
+    nn = fn.value * fn.value
+    a = alpha(o, prime_limit).value
+    den = zeta(o.k, tol).value * float(psi_k(fn, o.k)) * float(alpha_n(o, fn))
     sums = convolution_sums(checkpoints, o, fn)
     e_uncond = 1.0 / o.k
     e_rh = 2.0 / (2 * o.k + 1)
     rows = []
     for cp, s in sums:
-        m_val = _main_value(cp, fn.value, a.value, z.value, psi_f, an_f)
+        m_val = cp * nn * a / den
         err = float(s) - m_val
         xf = float(cp)
         rows.append(ScanRow(cp, s, m_val, err, err / xf**e_uncond, err / xf**e_rh))

@@ -114,19 +114,6 @@ class SieveConfig:
             raise ValueError("worker_count must be >= 1")
 
 
-@dataclass(frozen=True)
-class SieveBlock:
-    """One contiguous block of pointwise function values.
-
-    values[i] is the function at lo + i; dtype is int8 with entries in
-    {-1, 0, 1}.
-    """
-
-    lo: int
-    hi: int
-    values: np.ndarray
-
-
 def segment_memory_estimate(config: SieveConfig) -> int:
     """Upper estimate (bytes) of the peak sieve working set for a config.
 
@@ -342,11 +329,11 @@ def sieve_mu_km(
     hi: int,
     order: OrderPair | tuple[int, int],
     config: SieveConfig | None = None,
-) -> SieveBlock:
-    """Exact mu_{k,m} values over [lo, hi] as one block.
+) -> np.ndarray:
+    """Exact mu_{k,m} values over [lo, hi] as one new int8 array.
 
-    The block length is capped by config.segment_size; use
-    :func:`stream_sum` for longer ranges.
+    values[i] is mu_{k,m}(lo + i), in {-1, 0, 1}.  The length is capped by
+    config.segment_size; use :func:`stream_sum` for longer ranges.
     """
     o = as_order(order)
     lo, hi = checked_int(lo, "lo"), checked_int(hi, "hi")
@@ -359,7 +346,7 @@ def sieve_mu_km(
     pattern = _pattern(o.k, o.m)
     primes, powers = _kernel_primes(iroot(hi, o.k), o.k, pattern)
     _sieve_block(out, lo, o.k, o.m, pattern, primes, powers)
-    return SieveBlock(lo, hi, out)
+    return out
 
 
 def sieve_qk(
@@ -367,8 +354,8 @@ def sieve_qk(
     hi: int,
     k: int,
     config: SieveConfig | None = None,
-) -> SieveBlock:
-    """k-free indicator values over [lo, hi] as one block.
+) -> np.ndarray:
+    """k-free indicator values over [lo, hi] as one new int8 array.
 
     This is mu_{k,m} with m = max(k, 63): 2**m > MAX_RANGE, so no exponent
     can equal m.

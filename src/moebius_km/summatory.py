@@ -1,4 +1,4 @@
-"""Exact summatory functions, counting identities, and main terms.
+"""Exact summatory functions and k-free counts.
 
 The headline sum S(x; n) = sum_{r <= x, gcd(r,n)=1} mu_{k,m}(r) is computed
 two independent ways: a streaming sieve pass (:func:`sum_direct`) and the
@@ -15,11 +15,12 @@ h(d) * C_n(x // d) over the k-full d coprime to n, C_n(y) =
 #{t <= y : gcd(t, n) = 1}: no k-free count and no Moebius table.  For
 m > k, mu_{k,m} = q_k * g with g supported on the m-full d, and S sums
 g(d) * Q_k(x // d, n) over k-free counts: a small table up to
-``_TABLE_TOP``, and one :func:`qk_count` call over every larger floor of
-the query, the checkpoints among them.  That count splits its pairs by
-the hyperbola method, about y^(1/(k+1)) terms a floor y.  One walk
-(:func:`_walk`) enumerates the d of either, from the nonzero terms of its
-local factor; it divides once per prime, not once per d.
+``_TABLE_TOP``, and :func:`qk_count` over every larger floor of the
+query, the checkpoints among them, at most ``_BLOCK`` floors a call
+(or the floors of one d).  That count splits its pairs by the hyperbola
+method, about y^(1/(k+1)) terms a floor y.  One walk (:func:`_walk`)
+enumerates the d of either, from the nonzero terms of its local factor;
+it divides once per prime, not once per d.
 
 The Moebius values of the k-free counts come from one process-wide
 :class:`~moebius_km.primes.GrownTable`, the kind the prime table is: grown
@@ -38,21 +39,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .arith import FactoredInteger, as_factored, squarefree_divisors
-from .constants import (
-    DEFAULT_TOL,
-    PRODUCT_PRIME_CAP,
-    ConstantEstimate,
-    alpha,
-    alpha_n,
-    zeta,
-)
-from .functions import OrderPair, as_order, mu, psi_k
+from .functions import OrderPair, as_order, mu
 from .primes import (
     _PRIME_TABLE_CAP, GrownTable, checked_int, iroot, positive_int, prime_list_up_to, primes_up_to,
 )
@@ -74,17 +66,6 @@ class SumQuery:
     def __post_init__(self) -> None:
         positive_int(self.x, "x")
         positive_int(self.coprime_to, "coprime_to")
-
-
-@dataclass(frozen=True)
-class MainTermParts:
-    """Assembled asymptotic main term with its constituent estimates."""
-
-    main: float
-    alpha_est: ConstantEstimate
-    zeta_est: ConstantEstimate
-    psi_n: Fraction
-    alpha_n: Fraction
 
 
 def _factored(n: int | FactoredInteger, name: str) -> FactoredInteger:
@@ -409,8 +390,9 @@ def convolution_sums(
       small table for y <= ``_TABLE_TOP``.  The d whose floors may pass
       it are set aside, d = 1 for the checkpoints among them; after the
       walk each is paired with the checkpoints whose floor passes the
-      table, and one :func:`qk_count` call counts all those floors, added
-      in exactly.
+      table.  The d are taken in ascending order, at most ``_BLOCK`` pairs
+      a :func:`qk_count` call (a d with more pairs alone), so a later call's
+      Mertens table, sized by its largest floor, shrinks as d grows.
 
     One walk (:func:`_walk`) to the largest x serves every checkpoint.  Each
     step is one :func:`_staircase` with the checkpoints as rows, the step's
@@ -426,12 +408,8 @@ def convolution_sums(
     over its Mertens table of x^(1/k) cells (and the Moebius table, the
     first time it reaches that size).  So it beats the stream on sparse
     grids and loses on very dense ones (the README's engine table).  The
-    ``_BLOCK`` budget bounds the temporaries of the walk, the staircases
-    and the count, but not the set-aside pairs: each set-aside d is paired
-    with every checkpoint whose floor passes the table, and all those
-    pairs are made at once, about 100 bytes a pair.  So they grow with the
-    checkpoints times the set-aside d: 498 MiB for (3,4) at 100 points per
-    decade to 2^62 (ROADMAP item 12).  The checkpoints are ascending
+    ``_BLOCK`` budget bounds the temporaries of the walk, the staircases,
+    the set-aside pairs and the count.  The checkpoints are ascending
     (duplicates allowed) integers, the largest at most the stream's limit
     :func:`~moebius_km.sieve._max_range`: 2^62, and (2^26 + 1)^2 - 1 for k = 2.
     ``coprime_to`` may come factored, as a FactoredInteger; an int is
@@ -466,41 +444,25 @@ def convolution_sums(
             ds.append(d[near])
     if ws:
         w, d = np.concatenate(ws), np.concatenate(ds)
+        by_d = np.argsort(d)
+        w, d = w[by_d], d[by_d]
         first = np.searchsorted(xs // (top + 1), d)  # the rows from here on have xs // d > top
         counts = len(xs) - first
-        rows = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-        w, d = np.repeat(w, counts), np.repeat(d, counts)
-        np.add.at(sums, rows, w * qk_count(xs[rows] // d, fn, o.k))
+        ends = [0, *np.cumsum(counts).tolist()]  # the pairs of the d before each d
+        a = 0
+        while a < len(d):  # a chunk of at most _BLOCK pairs, or one d alone
+            b = max(a + 1, bisect_right(ends, ends[a] + _BLOCK) - 1)
+            c = counts[a:b]
+            rows = np.arange(ends[b] - ends[a]) + np.repeat(first[a:b] - np.cumsum(c) + c, c)
+            counted = qk_count(xs[rows] // np.repeat(d[a:b], c), fn, o.k)
+            np.add.at(sums, rows, np.repeat(w[a:b], c) * counted)
+            a = b
     return list(zip(cps, sums.tolist()))
 
 
 def sum_convolution(q: SumQuery) -> int:
     """S(x; n) by the convolution route: :func:`convolution_sums` at the one checkpoint x."""
     return convolution_sums([q.x], q.order, q.coprime_to)[0][1]
-
-
-def _main_value(
-    x: int, n: int, alpha_v: float, zeta_v: float, psi_f: float, alpha_n_f: float
-) -> float:
-    return x * n * n * alpha_v / (zeta_v * psi_f * alpha_n_f)
-
-
-def main_term(
-    q: SumQuery, prime_limit: int = PRODUCT_PRIME_CAP, tol: float = DEFAULT_TOL
-) -> MainTermParts:
-    """Asymptotic main term x n^2 alpha_{k,m} / (zeta(k) psi_k(n) alpha_{k,m}(n)).
-
-    m == k is accepted; in that regime the expression is the conjectured
-    density rather than a proven one, which callers flag downstream.
-    """
-    o = q.order
-    fn = as_factored(q.coprime_to)
-    a = alpha(o, prime_limit)
-    z = zeta(o.k, tol)
-    psi = psi_k(fn, o.k)
-    an = alpha_n(o, fn)
-    main = _main_value(q.x, fn.value, a.value, z.value, float(psi), float(an))
-    return MainTermParts(main, a, z, psi, an)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def check_table_vs_sieve(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult:
     """
     orders = [as_order(o) for o in orders]
     cfg = SieveConfig(segment_size=max(64, limit))
-    runs = [(1, 1, orders, [sieve_mu_km(1, limit, o, cfg).values for o in orders])]
+    runs = [(1, 1, orders, [sieve_mu_km(1, limit, o, cfg) for o in orders])]
     for n in (2, 3, 6):
         lo = n * DEFAULT_SEGMENT_SIZE + 1
         cps = list(range(lo - 1, lo + min(limit, 1000)))
@@ -72,7 +72,7 @@ def check_table_vs_sieve(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult:
         hi = _max_range(k)
         lo = hi - min(limit, 100) + 1
         top_orders = [o for o in orders if o.k == k]
-        runs.append((lo, 1, top_orders, [sieve_mu_km(lo, hi, o).values for o in top_orders]))
+        runs.append((lo, 1, top_orders, [sieve_mu_km(lo, hi, o) for o in top_orders]))
     checked = 0
     for lo, n, run_orders, cells in runs:
         rs = range(lo, lo + len(cells[0]))
@@ -101,7 +101,7 @@ def check_convolution_identity(limit: int, orders=DEFAULT_ORDERS) -> SuiteResult
     orders = [as_order(o) for o in orders]
     conv_arrays = []
     for o in orders:
-        qk = sieve_qk(1, limit, o.k, SieveConfig(segment_size=max(64, limit))).values
+        qk = sieve_qk(1, limit, o.k, SieveConfig(segment_size=max(64, limit)))
         conv = np.zeros(limit + 1, dtype=np.int64)
         for d in range(1, iroot(limit, o.m) + 1):
             md = mu(d)
@@ -179,7 +179,7 @@ def check_qk_count(limit: int, ns=(1, 2, 6, 30, 210), ks=(2, 3)) -> SuiteResult:
     """
     checked = 0
     for k in ks:
-        qk = sieve_qk(1, limit, k, SieveConfig(segment_size=max(64, limit))).values
+        qk = sieve_qk(1, limit, k, SieveConfig(segment_size=max(64, limit)))
         for n in ns:
             vals = qk.astype(np.int64).copy()
             for p, _ in factorize(n).factors:

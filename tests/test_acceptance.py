@@ -14,7 +14,7 @@ from moebius_km.asymptotics import fit_exponent, geometric_checkpoints, scan
 from moebius_km.constants import alpha, apostol_A, zeta
 from moebius_km.functions import OrderPair
 from moebius_km.sieve import SieveConfig, segment_memory_estimate, stream_sum
-from moebius_km.summatory import SumQuery, main_term, sum_direct
+from moebius_km.summatory import SumQuery, sum_direct
 from moebius_km.verify import (
     check_apostol_agreement,
     check_constants_identity,
@@ -147,10 +147,10 @@ def test_criterion_09_error_exponent_ceiling(rows_23, rows_22):
 def test_criterion_10_coprime_main_term():
     q = SumQuery(10**6, OrderPair(2, 3), 6)
     s = sum_direct(q)
-    parts = main_term(q, prime_limit=PRIME_LIMIT, tol=TOL)
-    rel = abs(s / parts.main - 1)
-    assert rel <= 0.02, (s, parts.main)
-    _report(10, "coprime main term", f"S={s}, M={parts.main:.1f}, rel={rel:.4f}")
+    (row,) = scan(q.order, q.coprime_to, [q.x], prime_limit=PRIME_LIMIT, tol=TOL)
+    rel = abs(s / row.M - 1)
+    assert rel <= 0.02, (s, row.M)
+    _report(10, "coprime main term", f"S={s}, M={row.M:.1f}, rel={rel:.4f}")
 
 
 def test_criterion_11_performance_and_determinism():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 from moebius_km.arith import (
     FactoredInteger,
     factorize,
-    gcd,
     is_prime,
     squarefree_divisors,
 )
@@ -84,11 +84,26 @@ def test_roundtrip_random_64bit(n):
     assert prod == n
 
 
-@pytest.mark.parametrize(
-    "a,b,g", [(12, 18, 6), (1, 977, 1), (35, 64, 1), (0, 9, 9), (0, 0, 0)]
-)
-def test_gcd(a, b, g):
-    assert gcd(a, b) == g
+# As NumPy scalars, 41 and 97 were factored into NumPy factors, 2**61 - 1
+# failed in is_prime's pow, and 4294967311 overflowed psi_k's p**3.
+NUMPY_PRIMES = (41, 97, 2**61 - 1, 4294967311)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+@pytest.mark.parametrize("p", NUMPY_PRIMES)
+def test_numpy_integers_are_read_as_ints(kind, p):
+    for n in (p, 3 * p):
+        got = factorize(kind(n))
+        assert got == factorize(n), n
+        assert all(type(v) is int for f in got.factors for v in f) and type(got.value) is int
+    assert is_prime(kind(p)) is is_prime(p) is True
+
+
+@pytest.mark.parametrize("call", [lambda: factorize(97.0), lambda: is_prime(41.5)],
+                         ids=["factorize-float", "is_prime-float"])
+def test_non_integer_n_is_value_error(call):
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        call()
 
 
 def test_is_prime_small_and_pseudoprime():

@@ -139,6 +139,14 @@ class TestAlphaN:
         assert alpha_n((2, 3), 6) == Fraction(385, 72)
         assert alpha_n((2, 2), 2) == Fraction(5, 3)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    @pytest.mark.parametrize("p", [41, 97, 2**61 - 1, 4294967311])
+    def test_numpy_integer_n_gives_the_int_result(self, kind, p):
+        for n in (p, 3 * p):
+            for order in ((2, 3), (3, 4)):
+                got = alpha_n(order, kind(n))
+                assert got == alpha_n(order, n) and type(got.numerator) is int, (n, order)
+
 
 class TestProducts:
     def test_values_in_unit_interval(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_mu_km
-from moebius_km.arith import factorize, gcd
+from moebius_km.arith import factorize
 from moebius_km.functions import (
     OrderPair,
     mu,
@@ -59,6 +60,16 @@ def test_numpy_integer_orders_are_accepted():
     assert (q_k(8, k), mu_apostol(8, k), psi_k(6, k)) == (0, 0, 12)
     assert mu_km(8, (k, np.int32(3))) == -1
     assert stream_sum(100, (k, 3)) == stream_sum(100, (2, 3))
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+@pytest.mark.parametrize("p", [41, 97, 2**61 - 1, 4294967311])
+def test_numpy_integer_n_gives_the_int_result(kind, p):
+    for n in (p, 3 * p):
+        assert mu(kind(n)) == mu(n), n
+        for k in (2, 3):
+            got = psi_k(kind(n), k)
+            assert got == psi_k(n, k) and type(got.numerator) is int, (n, k)
 
 
 class TestMu:

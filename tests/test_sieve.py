@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_mu_km, oracle_qk, race
 from moebius_km import sieve
-from moebius_km.arith import as_factored, factorize, gcd
+from moebius_km.arith import as_factored, factorize
 from moebius_km.functions import mu_km, q_k
 from moebius_km.primes import _PRIME_TABLE_CAP, KeyedStore, iroot, primes_up_to
 from moebius_km.sieve import (
@@ -29,26 +30,26 @@ from moebius_km.sieve import (
 
 def test_block_example_one_to_twelve():
     block = sieve_mu_km(1, 12, (2, 3))
-    assert block.values.tolist() == [1, 1, 1, 0, 1, 1, 1, -1, 0, 1, 1, 0]
+    assert block.tolist() == [1, 1, 1, 0, 1, 1, 1, -1, 0, 1, 1, 0]
 
 
 def test_block_single_cell():
-    assert sieve_mu_km(1, 1, (4, 7)).values.tolist() == [1]
+    assert sieve_mu_km(1, 1, (4, 7)).tolist() == [1]
 
 
 def test_block_above_one_million_matches_pointwise():
     block = sieve_mu_km(10**6 + 1, 10**6 + 16, (2, 3))
-    for i, v in enumerate(block.values.tolist()):
+    for i, v in enumerate(block.tolist()):
         assert v == mu_km(10**6 + 1 + i, (2, 3))
 
 
 def test_qk_block_examples():
-    assert sieve_qk(1, 10, 2).values.tolist() == [1, 1, 1, 0, 1, 1, 1, 0, 0, 1]
-    assert sieve_qk(1, 1, 5).values.tolist() == [1]
+    assert sieve_qk(1, 10, 2).tolist() == [1, 1, 1, 0, 1, 1, 1, 0, 0, 1]
+    assert sieve_qk(1, 1, 5).tolist() == [1]
     # recomputed via the independent oracle rather than trusted
     expected = [oracle_qk(n, 2) for n in (48, 49, 50)]
     assert expected == [0, 0, 0]
-    assert sieve_qk(48, 50, 2).values.tolist() == expected
+    assert sieve_qk(48, 50, 2).tolist() == expected
 
 
 def test_blocks_match_oracle_windows():
@@ -58,8 +59,8 @@ def test_blocks_match_oracle_windows():
         block = sieve_mu_km(lo, lo + 99, (2, 3))
         qblock = sieve_qk(lo, lo + 99, 3)
         for i in range(100):
-            assert block.values[i] == oracle_mu_km(lo + i, 2, 3), lo + i
-            assert qblock.values[i] == oracle_qk(lo + i, 3), lo + i
+            assert block[i] == oracle_mu_km(lo + i, 2, 3), lo + i
+            assert qblock[i] == oracle_qk(lo + i, 3), lo + i
 
 
 def test_block_point_agreement_ten_thousand_samples():
@@ -71,7 +72,7 @@ def test_block_point_agreement_ten_thousand_samples():
         o = orders[rng.randrange(len(orders))]
         block = sieve_mu_km(lo, lo + 99, o)
         for i in range(100):
-            assert block.values[i] == mu_km(lo + i, o), (lo + i, o)
+            assert block[i] == mu_km(lo + i, o), (lo + i, o)
         checked += 100
     assert checked == 10**4
 
@@ -177,9 +178,9 @@ def test_stream_sum_sieves_only_up_to_the_last_checkpoint(monkeypatch, coprime_t
 
 def _assert_blocks_match_pointwise(lo, hi, orders, segment_size):
     cfg = SieveConfig(segment_size=segment_size)
-    blocks = {o: sieve_mu_km(lo, hi, o, cfg).values for o in orders}
+    blocks = {o: sieve_mu_km(lo, hi, o, cfg) for o in orders}
     ks = sorted({k for k, _ in orders})
-    qblocks = {k: sieve_qk(lo, hi, k, cfg).values for k in ks}
+    qblocks = {k: sieve_qk(lo, hi, k, cfg) for k in ks}
     for i, n in enumerate(range(lo, hi + 1)):
         fn = factorize(n)
         for o, values in blocks.items():
@@ -194,7 +195,7 @@ def test_kernel_two_large_primes_flip_one_cell():
     n = 92623806
     assert factorize(n).factors == ((2, 1), (3, 2), (11, 2), (23, 1), (43, 2))
     _assert_blocks_match_pointwise(n - 50, n + 49, [(2, 2), (2, 3)], 100)
-    assert sieve_mu_km(n - 50, n + 49, (2, 2)).values[50] == -1
+    assert sieve_mu_km(n - 50, n + 49, (2, 2))[50] == -1
 
 
 @pytest.mark.parametrize("p", [61, 67])
@@ -229,7 +230,7 @@ def test_domain_limit_per_k():
         assert iroot(MAX_RANGE, k) <= _PRIME_TABLE_CAP
         with pytest.raises(ValueError, match=f"for k={k}"):
             sieve_qk(MAX_RANGE - 9, MAX_RANGE + 1, k)
-    assert sieve_qk(MAX_RANGE - 9, MAX_RANGE, 3).values.tolist() == [
+    assert sieve_qk(MAX_RANGE - 9, MAX_RANGE, 3).tolist() == [
         q_k(n, 3) for n in range(MAX_RANGE - 9, MAX_RANGE + 1)
     ]
 
@@ -289,7 +290,7 @@ def test_stream_sum_matches_brute_force(x, n, order, seg_exp):
 
 
 def test_qk_values_are_indicator():
-    vals = sieve_qk(1, 10**4, 2).values
+    vals = sieve_qk(1, 10**4, 2)
     assert set(np.unique(vals).tolist()) <= {0, 1}
     assert vals.sum() == sum(q_k(n, 2) for n in range(1, 10**4 + 1))
 
@@ -398,12 +399,12 @@ def test_blocks_starting_at_every_phase_near_a_wrap():
     for order in _WRAP_ORDERS:
         period = len(_pattern_of(*order, 1).values)
         for lo in (period - 2, period - 1, period, period + 1, 2 * period - 1, 2 * period):
-            values = sieve_mu_km(lo, lo + 99, order).values.tolist()
+            values = sieve_mu_km(lo, lo + 99, order).tolist()
             assert values == [mu_km(r, order) for r in range(lo, lo + 100)], (order, lo)
     for k in (2, 3, 4):
         period = len(sieve._pattern(k, 63).values)
         for lo in (period - 1, period, period + 1):
-            values = sieve_qk(lo, lo + 99, k).values.tolist()
+            values = sieve_qk(lo, lo + 99, k).tolist()
             assert values == [q_k(r, k) for r in range(lo, lo + 100)], (k, lo)
 
 
@@ -415,12 +416,12 @@ def test_qk_is_mu_km_with_m_past_the_domain(k):
     period = len(sieve._pattern(k, m).values)
     top = _max_range(k)
     for lo in (1, max(1, period - 50), top - 99):
-        qk = sieve_qk(lo, lo + 99, k).values
-        assert np.array_equal(qk, sieve_mu_km(lo, lo + 99, (k, m)).values), (k, lo)
+        qk = sieve_qk(lo, lo + 99, k)
+        assert np.array_equal(qk, sieve_mu_km(lo, lo + 99, (k, m))), (k, lo)
         assert qk.tolist() == [q_k(r, k) for r in range(lo, lo + 100)], (k, lo)
     # Every power of 2 from 2**k to the top is a non-k-free cell.
     for j in range(k, top.bit_length()):
-        assert sieve_qk(2**j, 2**j, k).values.tolist() == [0], (k, j)
+        assert sieve_qk(2**j, 2**j, k).tolist() == [0], (k, j)
 
 
 def test_pattern_holds_primes_whose_exponent_m_never_occurs():
@@ -444,7 +445,7 @@ def test_large_m_blocks_near_wraps_and_at_the_top(order):
     period = len(sieve._pattern(k, m).values)
     powers = [p**m for p in primes_up_to(19).tolist() if p**m <= top]
     for lo in (period - 50, 2 * period - 50, top - 99, *(min(q, top - 50) - 49 for q in powers)):
-        values = sieve_mu_km(lo, lo + 99, order).values.tolist()
+        values = sieve_mu_km(lo, lo + 99, order).tolist()
         assert values == [mu_km(r, order) for r in range(lo, lo + 100)], (order, lo)
     # The same orders streamed on the 6-wheel across the wraps of columns.
     pattern = _pattern_of(k, m, 30)

@@ -6,15 +6,16 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import numpy as np
 import pytest
 
 from conftest import mu_over_psi_series, oracle_mu, race
 from moebius_km import arith, sieve, summatory
-from moebius_km.arith import factorize, gcd, squarefree_divisors
+from moebius_km.arith import factorize, squarefree_divisors
 from moebius_km.asymptotics import scan
-from moebius_km.constants import alpha, alpha_n, apostol_A
+from moebius_km.constants import alpha, alpha_n, apostol_A, zeta
 from moebius_km.functions import OrderPair, mu, psi_k
 from moebius_km.primes import _PRIME_TABLE_CAP, GrownTable, iroot, primes_up_to
 from moebius_km.sieve import _max_range, sieve_mu_km, sieve_qk, stream_sum
@@ -23,7 +24,6 @@ from moebius_km.summatory import (
     _TABLE_TOP,
     SumQuery,
     convolution_sums,
-    main_term,
     mu_range,
     qk_count,
     sum_convolution,
@@ -170,7 +170,7 @@ class TestQkCount:
         top = 10**6
         rng = random.Random(25)
         for k in (2, 3, 4, 5):
-            free = sieve.sieve_qk(1, top, k).values.astype(np.int64)
+            free = sieve.sieve_qk(1, top, k).astype(np.int64)
             edges = {top, top - 1, 1, 2}
             for j in range(2, iroot(top, k) + 2):
                 edges.update({j**k - 1, j**k, j**k + 1})
@@ -240,11 +240,37 @@ class TestQkCount:
                 int((y0 // e2[c : c + (1 << 22)]) @ signs[c : c + (1 << 22)])
                 for c in range(0, len(e), 1 << 22)
             )
-            ks = np.cumsum(sieve_qk(lo, hi, 2).values, dtype=np.int64)
+            ks = np.cumsum(sieve_qk(lo, hi, 2), dtype=np.int64)
             want = plain - ks[y0 - lo] + ks
             ys = np.arange(lo, hi + 1, dtype=np.int64)
             assert qk_count(ys, 1, 2).tolist() == want.tolist(), y0
         assert plain == 2737860350974616
+
+    @pytest.mark.parametrize("n", [1, 30])
+    @pytest.mark.parametrize("k,top", [(2, 10**14), (3, _max_range(3)), (4, _max_range(4))],
+                             ids=["2", "3", "4"])
+    def test_counts_past_2_40_equal_the_plain_sum(self, k, top, n):
+        # Q_k(y, n) = sum of mu(e) C_n(y // e^k) over the e <= y^(1/k) coprime
+        # to n, with C_n by inclusion-exclusion: a sum with no hyperbola
+        # split, no Mertens table and no _coprime_counter, at log-uniform y
+        # from 2^40, where the count's roots and Mertens reads are largest.
+        rng = random.Random(100 * k + n)
+        ys = sorted(int(2 ** rng.uniform(40, math.log2(top))) for _ in range(4))
+        divs = squarefree_divisors(n)
+        plain = []
+        for y in ys:
+            mus = mu_range(iroot(y, k))
+            e = np.flatnonzero(mus)
+            e = e[np.gcd(e, n) == 1]
+            total = 0
+            for c in range(0, len(e), 1 << 20):
+                part = e[c : c + (1 << 20)]
+                z = y // part**k
+                cn = sum(s * (z // d) for d, s in divs)
+                total += int(cn @ mus[part].astype(np.int64))
+            plain.append(total)
+            assert qk_count(y, n, k) == total, (y, n, k)
+        assert qk_count(np.array(ys), n, k).tolist() == plain
 
     def test_count_memory_independent_of_rows(self):
         # Each block holds at most _BLOCK (row, column) pairs, two rows of
@@ -366,6 +392,30 @@ class TestSums:
             got = convolution_sums(xs, (k, m), n)
             assert got == stream_sum(xs[-1], (k, m), n, xs), (k, m, n)
             assert got[-1][1] == sum_convolution(SumQuery(xs[-1], OrderPair(k, m), n))
+
+    def test_set_aside_pairs_in_chunks_give_the_default_sums(self, monkeypatch):
+        # With 64-pair chunks the pairs of these grids span many qk_count
+        # calls: a d with more than 64 pairs (d = 1 among them) alone, the
+        # others together.  The d ascend, so each call's largest floor is
+        # at most the one before.
+        xs = sorted({round(10 ** (3 + i / 20)) for i in range(181)})
+        cases = [((3, 4), 30, xs), ((2, 3), 1, xs[:141]), ((2, 4), 6, xs[:161])]
+        want = [convolution_sums(grid, order, n) for order, n, grid in cases]
+        calls = []
+        count = summatory.qk_count
+
+        def counted(ys, n, k):
+            calls.append((len(ys), int(ys.max())))
+            return count(ys, n, k)
+
+        monkeypatch.setattr(summatory, "_BLOCK", 64)
+        monkeypatch.setattr(summatory, "qk_count", counted)
+        for (order, n, grid), ref in zip(cases, want):
+            calls.clear()
+            assert convolution_sums(grid, order, n) == ref, order
+            sizes, tops = zip(*calls)
+            assert len(calls) > 10 and max(sizes) > 64 and min(sizes) <= 64, (order, sizes)
+            assert list(tops) == sorted(tops, reverse=True), order
 
     def test_convolution_sums_validation(self):
         for bad in ([], [5, 4], [0, 3]):
@@ -508,9 +558,10 @@ class TestSums:
                 assert sum_convolution(SumQuery(x, OrderPair(k, k), n)) == s, (x, k, n)
 
     def test_m_above_k_counts_through_qk_count_once(self, monkeypatch):
-        # An m > k query or grid makes one qk_count call, after the walk: its
-        # entries are the floors above the table, the checkpoints (d = 1)
-        # among them, and none when the largest checkpoint is within it.
+        # An m > k query or grid of at most _BLOCK pairs makes one qk_count
+        # call, after the walk: its entries are the floors above the table,
+        # the checkpoints (d = 1) among them, and none when the largest
+        # checkpoint is within it.
         calls, events = [], []
         count, walk = summatory.qk_count, summatory._walk
 
@@ -650,22 +701,22 @@ class TestWindows:
     W = 1 << 16
     N = 30
 
-    def _coprime(self, block):
-        r = np.arange(block.lo, block.hi + 1, dtype=np.int64)
-        return block.values.astype(np.int64) * (np.gcd(r, self.N) == 1)
+    def _coprime(self, values, lo):
+        r = np.arange(lo, lo + len(values), dtype=np.int64)
+        return values.astype(np.int64) * (np.gcd(r, self.N) == 1)
 
     @pytest.mark.parametrize("order,x", WINDOWS, ids=[f"{o[0]}{o[1]}-{x}" for o, x in WINDOWS])
     def test_sum_difference_equals_the_sieved_window(self, order, x):
         (_, below), (_, top) = convolution_sums([x - self.W, x], order, self.N)
-        block = sieve_mu_km(x - self.W + 1, x, order)
-        assert top - below == int(self._coprime(block).sum())
+        values = sieve_mu_km(x - self.W + 1, x, order)
+        assert top - below == int(self._coprime(values, x - self.W + 1).sum())
 
     @pytest.mark.parametrize("order,x", WINDOWS, ids=[f"{o[0]}{o[1]}-{x}" for o, x in WINDOWS])
     def test_count_difference_equals_the_sieved_window(self, order, x):
         k = order[0]
         below, top = qk_count(np.array([x - self.W, x]), self.N, k).tolist()
-        block = sieve_qk(x - self.W + 1, x, k)
-        assert top - below == int(self._coprime(block).sum())
+        values = sieve_qk(x - self.W + 1, x, k)
+        assert top - below == int(self._coprime(values, x - self.W + 1).sum())
 
 
 class TestSharedMuTable:
@@ -790,7 +841,7 @@ class TestMuSieve:
         assert len(table) == cap + 1
         for lo, hi in ((cap - 4095, cap), ((cap >> 1) - 2048, (cap >> 1) + 2047)):
             window = table[lo : hi + 1]
-            assert np.array_equal(window != 0, sieve_qk(lo, hi, 2).values != 0), lo
+            assert np.array_equal(window != 0, sieve_qk(lo, hi, 2) != 0), lo
             assert window.tolist() == [mu(r) for r in range(lo, hi + 1)], lo
 
     def test_memory_is_at_most_three_bytes_a_cell(self):
@@ -862,31 +913,32 @@ class TestPsiDivisorIdentity:
 
 
 class TestMainTerm:
+    """The M column of ``scan``: x n^2 alpha_{k,m} / (zeta(k) psi_k(n) alpha_{k,m}(n))."""
+
     def test_unrestricted_reduces_to_simple_form(self):
-        q = SumQuery(10**6, OrderPair(2, 3))
-        parts = main_term(q, prime_limit=10**4, tol=1e-10)
-        assert parts.psi_n == 1 and parts.alpha_n == 1
-        assert parts.main == q.x * parts.alpha_est.value / parts.zeta_est.value
+        x = 10**6
+        (row,) = scan((2, 3), checkpoints=[x], prime_limit=10**4, tol=1e-10)
+        assert psi_k(1, 2) == alpha_n((2, 3), 1) == 1
+        assert row.M == x * alpha((2, 3), 10**4).value / zeta(2, 1e-10).value
 
     def test_stability_under_prime_limit_doubling(self):
-        q = SumQuery(10**6, OrderPair(2, 3))
-        a = main_term(q, prime_limit=10**5)
-        b = main_term(q, prime_limit=2 * 10**5)
-        allowance = q.x * (a.alpha_est.tail_bound + b.alpha_est.tail_bound) * 2
-        assert abs(a.main - b.main) <= allowance
+        x = 10**6
+        (a,) = scan((2, 3), checkpoints=[x], prime_limit=10**5)
+        (b,) = scan((2, 3), checkpoints=[x], prime_limit=2 * 10**5)
+        bounds = alpha((2, 3), 10**5).tail_bound + alpha((2, 3), 2 * 10**5).tail_bound
+        assert abs(a.M - b.M) <= x * bounds * 2
 
     def test_conjecture_mode_density_matches_order_k_constant(self):
-        q = SumQuery(10**6, OrderPair(2, 2))
-        parts = main_term(q, prime_limit=10**5, tol=1e-12)
-        a2 = apostol_A(2, 10**5)
-        density = parts.main / q.x
-        assert abs(density - a2.value) <= 1e-8
+        x = 10**6
+        (row,) = scan((2, 2), checkpoints=[x], prime_limit=10**5, tol=1e-12)
+        assert abs(row.M / x - apostol_A(2, 10**5).value) <= 1e-8
 
     def test_coprime_main_term_parts(self):
-        q = SumQuery(1000, OrderPair(2, 3), 6)
-        parts = main_term(q, prime_limit=10**4)
-        assert parts.psi_n == psi_k(6, 2) == 12
-        assert parts.alpha_n == alpha_n((2, 3), 6)
+        (row,) = scan((2, 3), 6, [1000], prime_limit=10**4)
+        psi, an = psi_k(6, 2), alpha_n((2, 3), 6)
+        assert psi == 12
+        den = zeta(2, 1e-12).value * float(psi) * float(an)
+        assert row.M == 1000 * 36 * alpha((2, 3), 10**4).value / den
 
 
 class TestFloatPartialSums:
